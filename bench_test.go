@@ -473,6 +473,26 @@ func BenchmarkNegotiate(b *testing.B) {
 			}
 		})
 	}
+	// Saturated deep queue, the bench deep-queue workload's steady state: an
+	// MCC pool of 200 nodes with every host slot claimed and 20,000 jobs
+	// pending in one autocluster. The first job's empty machine walk rejects
+	// the cluster for the cycle, so the cycle costs one walk plus a skip per
+	// job, where every pending job used to walk all 200 machines.
+	b.Run("saturated/pool=200/jobs=20000", func(b *testing.B) {
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: 200, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(1)), condor.Config{})
+		slots := 200 * pool.Config().HostSlots
+		pool.Submit(job.GenerateTableOneSet(slots+20_000, rng.New(11).Fork("tableI")))
+		pool.NegotiateOnce() // claims every host slot
+		if pool.InFlight() != slots || len(pool.Pending()) != 20_000 {
+			b.Fatalf("pool not saturated: %d in flight, %d pending", pool.InFlight(), len(pool.Pending()))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.NegotiateOnce()
+		}
+	})
 }
 
 // BenchmarkInsertPending measures the pending-queue insert on its worst

@@ -189,6 +189,15 @@ type ExternalPolicy interface {
 }
 
 // Policy is the pluggable cluster-level scheduling behaviour.
+//
+// Both negotiation scans assume machine Requirements are monotone under
+// claims: within a cycle, a claim can only shrink the set of jobs a machine
+// matches. Every shipped policy satisfies this — claims only consume free
+// memory, devices, threads and slots. The sharded commit relies on it to
+// trust snapshot verdicts for machines no commit claimed, and both scans rely
+// on it to skip the rest of an autocluster for the cycle once one of its
+// jobs found no candidate machine. A policy whose machine ads could start
+// matching a job *because* of a claim would break both.
 type Policy interface {
 	// Name identifies the configuration (e.g. "MC", "MCC", "MCCK").
 	Name() string
@@ -275,14 +284,8 @@ type Config struct {
 	// job order with candidates assembled in (shard, machine) order, and any
 	// machine a commit-phase claim dirtied is re-validated against its live
 	// ad before being offered again, so sharded and unsharded outcomes are
-	// bit-identical (TestShardedNegotiationBitIdentical).
-	//
-	// The equivalence holds for any policy whose machine Requirements are
-	// monotone under claims (a claim can only shrink the set of jobs a
-	// machine matches — true of every shipped policy: claims only consume
-	// free memory, devices, threads and slots). A policy whose machine ads
-	// could start matching a job *because* of a claim would need the serial
-	// scan.
+	// bit-identical (TestShardedNegotiationBitIdentical). The equivalence
+	// rests on the claim-monotonicity assumption documented on Policy.
 	//
 	// 0 (the default) keeps the serial scan; 1 exercises the sharded path on
 	// a single shard (for equivalence tests); K > 1 is clamped to the
@@ -420,6 +423,14 @@ type Pool struct {
 	// (value: cacheGen) so the observability gauge can report how many
 	// distinct clusters the pending queue collapsed into.
 	acSeen map[int]uint64
+	// acRejected is the serial scan's rejected-autocluster stamp, indexed
+	// like Machine.acVals: acRejected[acID − acBase] == cacheGen means a job
+	// of that autocluster found no candidate machine earlier in this cycle,
+	// so the cluster's later jobs are left idle without a machine walk
+	// (HTCondor's per-cycle autocluster rejection; exact by the
+	// claim-monotonicity assumption on Policy). Truncated with the verdict
+	// arrays on an era reset, whose new ids reuse the low indices.
+	acRejected []uint64
 
 	// Dirty-cycle tracking: cacheGen counts full (non-skipped) negotiation
 	// cycles and stamps cache entries for eviction; dirty is set by every
@@ -442,12 +453,15 @@ type Pool struct {
 	// distinct autoclusters in first-appearance order with a representative
 	// job each, and slotOf is the dense acID−acBase → slot+1 table (entries
 	// are zeroed again at cycle end, so only touched slots cost anything).
-	shards      []negShard
-	shardRanges [][2]int
-	jobSlots    []int32
-	cycleACs    []int
-	slotJobs    []*QueuedJob
-	slotOf      []int32
+	// slotRejected is the commit's rejected-autocluster stamp, keyed by
+	// cycle slot instead of acID (the acRejected rule, same argument).
+	shards       []negShard
+	shardRanges  [][2]int
+	jobSlots     []int32
+	cycleACs     []int
+	slotJobs     []*QueuedJob
+	slotOf       []int32
+	slotRejected []uint64
 
 	// usage accumulates per-user device time (claim duration) for
 	// fair-share ordering.
@@ -547,6 +561,7 @@ func (p *Pool) autoclusterOf(q *QueuedJob) int {
 			for _, m := range p.machines {
 				m.acVals = m.acVals[:0]
 			}
+			p.acRejected = p.acRejected[:0]
 		}
 		id = p.acNext
 		p.acNext++
@@ -701,6 +716,13 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 // SetObserver attaches the observability layer and resolves the pool's
 // instrument handles. Call before Submit; a nil observer leaves the pool
 // uninstrumented (all handles nil, all emissions skipped).
+//
+// The match-cache counters (condor_match_cache_{hits,misses,invalidations}
+// _total) and condor_autocluster_evals_saved_total count lookups actually
+// made. A job skipped because its autocluster was already rejected this
+// cycle makes none, so on a saturated queue they grow with autoclusters ×
+// machines per cycle, not with queue depth. condor_autoclusters_pending
+// still counts a skipped job's cluster.
 func (p *Pool) SetObserver(o *obs.Observer) {
 	p.obs = o.View(nil)
 	p.obsCacheHit = o.Counter("condor_match_cache_hits_total")
@@ -958,7 +980,11 @@ func (p *Pool) negotiate() {
 // scanSerial is the classic single-threaded matchmaking scan: for each
 // pending job in order, evaluate every machine's live ad and hand the
 // matches to the policy. It remains the only path when sharding is off and
-// the reference path for the cache-disabled replay configurations.
+// the reference path for the cache-disabled replay configurations. On the
+// autocluster path a job whose cluster was already rejected this cycle skips
+// the machine walk, so a saturated cycle costs O(autoclusters × machines)
+// rather than O(pending × machines); the cache-disabled paths keep the full
+// per-job walk as the oracle.
 func (p *Pool) scanSerial() (matched int) {
 	autoclusters := !p.cfg.DisableMatchCache && !p.cfg.DisableAutoclusters
 	countClusters := autoclusters && p.obs != nil
@@ -979,6 +1005,10 @@ func (p *Pool) scanSerial() (matched int) {
 					p.acSeen[ac] = p.cacheGen
 					clusters++
 				}
+			}
+			if p.autoclusterRejected(ac) {
+				still = append(still, q)
+				continue
 			}
 		}
 		candidates := p.candScratch[:0]
@@ -1006,6 +1036,8 @@ func (p *Pool) scanSerial() (matched int) {
 		if len(candidates) > 0 {
 			p.selectCall++
 			idx = p.policy.Select(p, q, candidates)
+		} else if ac >= 0 {
+			p.rejectAutocluster(ac)
 		}
 		if idx < 0 || idx >= len(candidates) {
 			still = append(still, q)
@@ -1022,6 +1054,25 @@ func (p *Pool) scanSerial() (matched int) {
 		p.obsAutoclu.Set(float64(clusters))
 	}
 	return matched
+}
+
+// autoclusterRejected reports whether a job of autocluster ac already found
+// no candidate machine earlier in the current cycle (see Pool.acRejected).
+// Only an empty candidate list stamps a cluster — a Select that declines
+// non-empty candidates does not — so a skipped job is exactly one for which
+// the full scan would have built an empty list and called no Select.
+func (p *Pool) autoclusterRejected(ac int) bool {
+	i := ac - p.acBase
+	return i < len(p.acRejected) && p.acRejected[i] == p.cacheGen
+}
+
+// rejectAutocluster stamps ac as rejected for the current cycle.
+func (p *Pool) rejectAutocluster(ac int) {
+	i := ac - p.acBase
+	for len(p.acRejected) <= i {
+		p.acRejected = append(p.acRejected, 0)
+	}
+	p.acRejected[i] = p.cacheGen
 }
 
 // finishCycle is the tail every negotiation cycle — full or skipped — runs:

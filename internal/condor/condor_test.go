@@ -879,4 +879,38 @@ func TestMatchCacheBoundedUnderDynamicArrivals(t *testing.T) {
 				peak, bound, totalPairs, maxLive, maxClusters)
 		})
 	}
+
+	// An era reset in the middle of a cycle must not leave that cycle's
+	// rejection stamps behind: the new era reuses verdict indices from 0, so
+	// a stamp left at an old index would reject a fresh, matchable cluster.
+	// Fill the signature table to its cap with unmatchable jobs — the first
+	// of them holds index 0 — then queue one small job behind them. In the
+	// next cycle every unmatchable cluster is stamped before the small job's
+	// new signature overflows the table and lands at index 0 of a new era.
+	t.Run("era reset mid-cycle", func(t *testing.T) {
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewExclusive(), condor.Config{})
+		const tableCap = 4096
+		ghosts := make([]*job.Job, tableCap)
+		for i := range ghosts {
+			ghosts[i] = unmatchableJob(i)
+			ghosts[i].Mem += units.MB(i) // one autocluster each
+		}
+		pool.Submit(ghosts)
+		pool.NegotiateOnce()
+		if n := pool.AutoclusterCount(); n != tableCap {
+			t.Fatalf("signature table holds %d entries, want it full at %d", n, tableCap)
+		}
+		pool.Submit([]*job.Job{mkJob(tableCap, 500, 60, 1)})
+		pool.NegotiateOnce()
+		if n := pool.AutoclusterCount(); n != 1 {
+			t.Fatalf("signature table holds %d entries after the overflowing cycle, want 1 "+
+				"(the era reset did not happen mid-cycle)", n)
+		}
+		if small := pool.Jobs()[tableCap]; small.State != condor.Dispatched {
+			t.Fatalf("small job is %v after the cycle, want dispatched: a stale rejection "+
+				"stamp survived the era reset", small.State)
+		}
+	})
 }

@@ -192,14 +192,16 @@ func TestOfflineCounterTracksScan(t *testing.T) {
 // Config.NegotiationShards: across policies × seeds × shard counts, a full
 // run on the sharded negotiator must be bit-for-bit identical to the serial
 // scan — every job record, every activity counter. K beyond the machine
-// count exercises the clamp.
+// count exercises the clamp. The saturated deep-queue leg keeps every host
+// slot claimed behind thousands of pending jobs, the regime where both scans
+// reject whole autoclusters per cycle.
 func TestShardedNegotiationBitIdentical(t *testing.T) {
 	policies := map[string]func() condor.Policy{
 		"MC":   func() condor.Policy { return scheduler.NewExclusive() },
 		"MCC":  func() condor.Policy { return scheduler.NewRandomPack(rng.New(3)) },
 		"MCCK": func() condor.Policy { return core.New(core.Config{}) },
 	}
-	run := func(mk func() condor.Policy, seed int64, shards int) (condor.Stats, []interface{}) {
+	run := func(mk func() condor.Policy, seed int64, jobs, shards int) (condor.Stats, []interface{}) {
 		eng := sim.New()
 		eng.MaxSteps = 10_000_000
 		clu := cluster.New(eng, cluster.Config{Nodes: 4, UseCosmic: true, Seed: 1})
@@ -207,7 +209,7 @@ func TestShardedNegotiationBitIdentical(t *testing.T) {
 			MaxRetries:        2,
 			NegotiationShards: shards,
 		})
-		pool.Submit(job.GenerateTableOneSet(40, rng.New(seed).Fork("tableI")))
+		pool.Submit(job.GenerateTableOneSet(jobs, rng.New(seed).Fork("tableI")))
 		eng.Run()
 		if !pool.Done() {
 			t.Fatal("pool not done after engine drained")
@@ -218,28 +220,36 @@ func TestShardedNegotiationBitIdentical(t *testing.T) {
 		}
 		return pool.Stats(), recs
 	}
-	for name, mk := range policies {
-		for seed := int64(1); seed <= 5; seed++ {
-			wantStats, wantRecs := run(mk, seed, 0)
-			for _, k := range []int{1, 3, 8} {
-				gotStats, gotRecs := run(mk, seed, k)
-				if gotStats != wantStats {
-					t.Errorf("%s seed %d shards=%d: stats diverge:\ngot  %+v\nwant %+v",
-						name, seed, k, gotStats, wantStats)
-				}
-				if !reflect.DeepEqual(gotRecs, wantRecs) {
-					for i := range wantRecs {
-						if i >= len(gotRecs) || !reflect.DeepEqual(gotRecs[i], wantRecs[i]) {
-							t.Fatalf("%s seed %d shards=%d: record %d diverges:\ngot  %+v\nwant %+v",
-								name, seed, k, i, gotRecs[i], wantRecs[i])
-						}
+	check := func(name string, seed int64, jobs int, shards []int) {
+		t.Helper()
+		wantStats, wantRecs := run(policies[name], seed, jobs, 0)
+		for _, k := range shards {
+			gotStats, gotRecs := run(policies[name], seed, jobs, k)
+			if gotStats != wantStats {
+				t.Errorf("%s seed %d jobs=%d shards=%d: stats diverge:\ngot  %+v\nwant %+v",
+					name, seed, jobs, k, gotStats, wantStats)
+			}
+			if !reflect.DeepEqual(gotRecs, wantRecs) {
+				for i := range wantRecs {
+					if i >= len(gotRecs) || !reflect.DeepEqual(gotRecs[i], wantRecs[i]) {
+						t.Fatalf("%s seed %d jobs=%d shards=%d: record %d diverges:\ngot  %+v\nwant %+v",
+							name, seed, jobs, k, i, gotRecs[i], wantRecs[i])
 					}
-					t.Fatalf("%s seed %d shards=%d: record count %d != %d",
-						name, seed, k, len(gotRecs), len(wantRecs))
 				}
+				t.Fatalf("%s seed %d jobs=%d shards=%d: record count %d != %d",
+					name, seed, jobs, k, len(gotRecs), len(wantRecs))
 			}
 		}
 	}
+	for name := range policies {
+		for seed := int64(1); seed <= 5; seed++ {
+			check(name, seed, 40, []int{1, 3, 8})
+		}
+	}
+	// Saturated deep queues against 16 host slots (MC, whose exclusive
+	// claims saturate the 4 devices, is the slower simulation per job).
+	check("MCC", 7, 3_000, []int{1, 3})
+	check("MC", 7, 1_000, []int{1, 3})
 }
 
 // TestShardRangesPlanning pins the partition plan: contiguous, covering,

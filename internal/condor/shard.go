@@ -34,9 +34,11 @@ package condor
 //     bit-identical to its snapshot, so the snapshot verdict stands. The
 //     policy's Select then runs with exactly the candidate list the serial
 //     scan would have built, in the same call order — which keeps policy RNG
-//     draws, claims, records and follow-up events bit-identical
-//     (Config.NegotiationShards documents the monotonicity assumption this
-//     rests on).
+//     draws, claims, records and follow-up events bit-identical (Policy
+//     documents the claim-monotonicity assumption this rests on). A job
+//     whose slot already came up empty earlier in the commit is left idle
+//     without assembling candidates — the serial scan's per-cycle
+//     autocluster rejection, keyed by slot.
 
 import (
 	"phishare/internal/classad"
@@ -169,8 +171,16 @@ func (p *Pool) negotiateSharded() (matched int) {
 	if cap(p.candScratch) < len(p.machines) {
 		p.candScratch = make([]*Machine, 0, len(p.machines))
 	}
+	for len(p.slotRejected) < len(p.cycleACs) {
+		p.slotRejected = append(p.slotRejected, 0)
+	}
 	for i, q := range p.pending {
 		s := jobSlots[i]
+		if p.slotRejected[s] == p.cacheGen {
+			// An earlier job of this slot found no candidate this cycle.
+			still = append(still, q)
+			continue
+		}
 		candidates := p.candScratch[:0]
 		for k := range shards {
 			sh := &shards[k]
@@ -190,6 +200,8 @@ func (p *Pool) negotiateSharded() (matched int) {
 		if len(candidates) > 0 {
 			p.selectCall++
 			idx = p.policy.Select(p, q, candidates)
+		} else {
+			p.slotRejected[s] = p.cacheGen
 		}
 		if idx < 0 || idx >= len(candidates) {
 			still = append(still, q)

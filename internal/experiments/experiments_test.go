@@ -645,9 +645,9 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		summary        metrics.Summary
 		records        []metrics.JobRecord
 	}
-	cell := func(policy string, seed int64, faulted, reference, serial bool, shards int) outcome {
-		jobs := job.GenerateTableOneSet(60, rng.New(seed).Fork("tableI"))
-		cfg := RunConfig{Policy: policy, Nodes: 3, Jobs: jobs, Seed: seed}
+	cell := func(policy string, seed int64, faulted, reference, serial bool, shards, n, nodes int) outcome {
+		jobs := job.GenerateTableOneSet(n, rng.New(seed).Fork("tableI"))
+		cfg := RunConfig{Policy: policy, Nodes: nodes, Jobs: jobs, Seed: seed}
 		var recs []metrics.JobRecord
 		cfg.RecordSink = &recs
 		if reference {
@@ -700,16 +700,32 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 				// parallel); ser is the optimized configuration with the
 				// parallel core forced off; sh1/sh4 run the sharded
 				// negotiator at K=1 and K=4. All five must be bit-identical.
-				opt := cell(policy, seed, faulted, false, false, 0)
-				ref := cell(policy, seed, faulted, true, false, 0)
-				ser := cell(policy, seed, faulted, false, true, 0)
+				opt := cell(policy, seed, faulted, false, false, 0, 60, 3)
+				ref := cell(policy, seed, faulted, true, false, 0, 60, 3)
+				ser := cell(policy, seed, faulted, false, true, 0, 60, 3)
 				compare(policy, seed, faulted, "reference path", opt, ref)
 				compare(policy, seed, faulted, "serial engine", opt, ser)
 				for _, k := range []int{1, 4} {
-					sh := cell(policy, seed, faulted, false, false, k)
+					sh := cell(policy, seed, faulted, false, false, k, 60, 3)
 					compare(policy, seed, faulted, fmt.Sprintf("sharded K=%d", k), opt, sh)
 				}
 			}
+		}
+	}
+	// Saturated deep queues keep every host slot (MCC) or device (MC)
+	// claimed behind a long backlog for most of the run, the regime where
+	// the negotiator rejects whole autoclusters per cycle. The small cells
+	// above rarely reach it; the DisableMatchCache oracle never applies the
+	// rule. MC's oracle re-evaluates every (pending job, machine) pair each
+	// cycle, so its cell is smaller at the same jobs-per-node depth.
+	for _, deep := range []struct {
+		policy   string
+		n, nodes int
+	}{{PolicyMCC, 2_000, 20}, {PolicyMC, 500, 5}} {
+		for _, faulted := range []bool{false, true} {
+			opt := cell(deep.policy, 1, faulted, false, false, 0, deep.n, deep.nodes)
+			ref := cell(deep.policy, 1, faulted, true, false, 0, deep.n, deep.nodes)
+			compare(deep.policy, 1, faulted, fmt.Sprintf("saturated %d jobs reference path", deep.n), opt, ref)
 		}
 	}
 	// Footprint (the paper's cluster-size-for-equal-makespan metric) runs a
