@@ -26,7 +26,7 @@ BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|Benchm
 CHAOS_SEEDS ?= 15
 CHAOS_DIFF_SEEDS ?= 10
 
-.PHONY: build vet lint lint-self test race bench benchgate chaos ci
+.PHONY: build vet lint lint-self test race bench benchgate chaos fuzz ci
 
 build:
 	$(GO) build ./...
@@ -141,4 +141,20 @@ chaos:
 		$(GO) test -race -count 1 \
 		-run '^TestInvariantSwarm$$|^TestChaosDiffSwarm$$|^TestStreamChaosSwarm$$' ./internal/experiments
 
-ci: vet build lint race chaos benchgate
+# Fuzz targets: the classad parser/matcher robustness contracts and the obs
+# JSON encoder's differential check against encoding/json. Plain `go test`
+# replays only their seed corpora (testdata/fuzz/); this leg mutates past
+# them for FUZZTIME per target. A failing input is saved under the
+# package's testdata/fuzz/<target>/ as a regression seed.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = ./internal/classad:FuzzParse ./internal/classad:FuzzMatch \
+	./internal/obs:FuzzAppendJSONString ./internal/obs:FuzzEventAppendJSON
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
+
+ci: vet build lint race chaos fuzz benchgate

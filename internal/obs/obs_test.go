@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -162,6 +163,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(4)
 	h.Observe(40)
+	r.Histogram("lag", []float64{0.5}).Observe(2)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -173,6 +175,11 @@ func TestWritePrometheus(t *testing.T) {
 hits_total{cache="match"} 3
 # TYPE depth gauge
 depth 2.5
+# TYPE lag histogram
+lag_bucket{le="0.5"} 0
+lag_bucket{le="+Inf"} 1
+lag_sum 2
+lag_count 1
 # TYPE wait_seconds histogram
 wait_seconds_bucket{device="mic0",le="1"} 1
 wait_seconds_bucket{device="mic0",le="10"} 2
@@ -191,17 +198,24 @@ func TestTraceJSONL(t *testing.T) {
 	tr.Emit(2000, LayerCore, "knapsack",
 		F("picked_jobs", []int{1, 2}), F("fastpath", true), F("value", int64(9)),
 		F("mem_mb", units.MB(512)), F("threads", units.Threads(8)), F("speed", 0.75))
+	// JSON has no NaN or infinity: non-finite floats encode as null.
+	tr.Emit(2500, LayerPhi, "probe",
+		F("ratio", math.NaN()), F("hi", math.Inf(1)), F("lo", math.Inf(-1)))
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
+	if len(lines) != 3 {
 		t.Fatalf("got %d lines", len(lines))
 	}
 	want0 := `{"time_ms":1500,"layer":"condor","kind":"match","job":7,"machine":"slot\"1"}`
 	if lines[0] != want0 {
 		t.Fatalf("line 0 = %s, want %s", lines[0], want0)
+	}
+	want2 := `{"time_ms":2500,"layer":"phi","kind":"probe","ratio":null,"hi":null,"lo":null}`
+	if lines[2] != want2 {
+		t.Fatalf("line 2 = %s, want %s", lines[2], want2)
 	}
 	// Every line must be independently parseable JSON.
 	for i, ln := range lines {

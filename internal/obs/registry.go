@@ -300,47 +300,76 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	var sb strings.Builder
-	emitType := func(family, typ string, seen map[string]bool) {
+	var buf []byte
+	seen := map[string]bool{}
+	typeLine := func(family, typ string) {
 		if !seen[family] {
 			seen[family] = true
-			fmt.Fprintf(&sb, "# TYPE %s %s\n", family, typ)
+			buf = append(buf, "# TYPE "...)
+			buf = append(buf, family...)
+			buf = append(buf, ' ')
+			buf = append(buf, typ...)
+			buf = append(buf, '\n')
 		}
 	}
-	seen := map[string]bool{}
 	for _, id := range sortedKeys(r.counters) {
-		m := r.meta[id]
-		emitType(m.family, "counter", seen)
-		fmt.Fprintf(&sb, "%s %d\n", id, r.counters[id].Value())
+		typeLine(r.meta[id].family, "counter")
+		buf = append(buf, id...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, r.counters[id].Value(), 10)
+		buf = append(buf, '\n')
 	}
 	for _, id := range sortedKeys(r.gauges) {
-		m := r.meta[id]
-		emitType(m.family, "gauge", seen)
-		fmt.Fprintf(&sb, "%s %s\n", id, formatFloat(r.gauges[id].Value()))
+		typeLine(r.meta[id].family, "gauge")
+		buf = append(buf, id...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendFloat(buf, r.gauges[id].Value(), 'g', -1, 64)
+		buf = append(buf, '\n')
 	}
 	for _, id := range sortedKeys(r.hists) {
 		m := r.meta[id]
 		h := r.hists[id]
-		emitType(m.family, "histogram", seen)
-		withLe := func(le string) string {
-			if m.labels == "" {
-				return m.family + `_bucket{le="` + le + `"}`
+		typeLine(m.family, "histogram")
+		// series starts a `<family><suffix>{<labels>,le="<le>"} ` line; the
+		// le label is left out when le is nil, the braces when both are.
+		series := func(suffix string, le []byte) {
+			buf = append(buf, m.family...)
+			buf = append(buf, suffix...)
+			if m.labels == "" && le == nil {
+				buf = append(buf, ' ')
+				return
 			}
-			return m.family + "_bucket{" + m.labels + `,le="` + le + `"}`
+			buf = append(buf, '{')
+			buf = append(buf, m.labels...)
+			if le != nil {
+				if m.labels != "" {
+					buf = append(buf, ',')
+				}
+				buf = append(buf, `le="`...)
+				buf = append(buf, le...)
+				buf = append(buf, '"')
+			}
+			buf = append(buf, "} "...)
 		}
+		var le []byte
 		cum := int64(0)
 		for i, b := range h.bounds {
 			cum += h.counts[i]
-			fmt.Fprintf(&sb, "%s %d\n", withLe(formatFloat(b)), cum)
+			le = strconv.AppendFloat(le[:0], b, 'g', -1, 64)
+			series("_bucket", le)
+			buf = strconv.AppendInt(buf, cum, 10)
+			buf = append(buf, '\n')
 		}
-		fmt.Fprintf(&sb, "%s %d\n", withLe("+Inf"), h.n)
-		suffix := ""
-		if m.labels != "" {
-			suffix = "{" + m.labels + "}"
-		}
-		fmt.Fprintf(&sb, "%s_sum%s %s\n", m.family, suffix, formatFloat(h.sum))
-		fmt.Fprintf(&sb, "%s_count%s %d\n", m.family, suffix, h.n)
+		series("_bucket", []byte("+Inf"))
+		buf = strconv.AppendInt(buf, h.n, 10)
+		buf = append(buf, '\n')
+		series("_sum", nil)
+		buf = strconv.AppendFloat(buf, h.sum, 'g', -1, 64)
+		buf = append(buf, '\n')
+		series("_count", nil)
+		buf = strconv.AppendInt(buf, h.n, 10)
+		buf = append(buf, '\n')
 	}
-	_, err := io.WriteString(w, sb.String())
+	_, err := w.Write(buf)
 	return err
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -54,55 +52,6 @@ func (e Event) AppendJSON(buf []byte) []byte {
 		buf = appendJSONValue(buf, f.Val)
 	}
 	return append(buf, '}')
-}
-
-func appendJSONString(buf []byte, s string) []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// json.Marshal on a string never fails; keep the exporter total anyway.
-		return append(buf, `"?"`...)
-	}
-	return append(buf, b...)
-}
-
-func appendJSONValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, "null"...)
-	case bool:
-		return strconv.AppendBool(buf, x)
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case uint64:
-		return strconv.AppendUint(buf, x, 10)
-	case float64:
-		return append(buf, formatFloat(x)...)
-	case string:
-		return appendJSONString(buf, x)
-	case units.Tick:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case units.MB:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case units.Threads:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case []int:
-		buf = append(buf, '[')
-		for i, n := range x {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendInt(buf, int64(n), 10)
-		}
-		return append(buf, ']')
-	default:
-		b, err := json.Marshal(v)
-		if err != nil {
-			return appendJSONString(buf, fmt.Sprint(v))
-		}
-		return append(buf, b...)
-	}
 }
 
 // EventSink consumes trace events the moment they reach canonical order.
