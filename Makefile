@@ -141,13 +141,15 @@ chaos:
 		$(GO) test -race -count 1 \
 		-run '^TestInvariantSwarm$$|^TestChaosDiffSwarm$$|^TestStreamChaosSwarm$$' ./internal/experiments
 
-# Fuzz targets: the classad parser/matcher robustness contracts and the obs
-# JSON encoder's differential check against encoding/json. Plain `go test`
+# Fuzz targets: the classad parser/matcher robustness contracts, the
+# constant-Requirements fold's differential check against classad.Match, and
+# the obs JSON encoder's differential check against encoding/json. Plain `go test`
 # replays only their seed corpora (testdata/fuzz/); this leg mutates past
 # them for FUZZTIME per target. A failing input is saved under the
 # package's testdata/fuzz/<target>/ as a regression seed.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = ./internal/classad:FuzzParse ./internal/classad:FuzzMatch \
+	./internal/classad:FuzzTargetFreeFold \
 	./internal/obs:FuzzAppendJSONString ./internal/obs:FuzzEventAppendJSON
 
 fuzz:

@@ -16,6 +16,7 @@ import (
 	"phishare/internal/classad"
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
+	"phishare/internal/core"
 	"phishare/internal/experiments"
 	"phishare/internal/job"
 	"phishare/internal/knapsack"
@@ -490,6 +491,51 @@ func BenchmarkNegotiate(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			pool.NegotiateOnce()
+		}
+	})
+	// Saturated MCCK queue at deep-queue scale: every device's declared
+	// memory is claimed while host slots stay free, so the knapsack pins
+	// nothing and 20,000 jobs wait unpinned at Requirements = false. Every
+	// machine ad churns per cycle, as claims and completions move them in a
+	// running cell. The unpinned clusters fold to const-false, so the scan
+	// rejects each without a machine walk; a full walk re-evaluates every
+	// cluster against all 200 churned ads.
+	b.Run("saturated-mcck/pool=200/jobs=20000", func(b *testing.B) {
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: 200, Seed: 1})
+		pool := condor.NewPool(eng, clu, core.New(core.Config{}), condor.Config{})
+		machines := pool.Machines()
+		fill := make([]*job.Job, len(machines))
+		for i := range fill {
+			fill[i] = &job.Job{ID: i, Name: "fill", Workload: "bench",
+				// The most the planner's 50 MB memory quantum can pin.
+				Mem: machines[0].FreeMem / 50 * 50, Threads: 60}
+			fill[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
+		}
+		pool.Submit(fill)
+		for c := 0; c < 10 && len(pool.Pending()) > 0; c++ {
+			pool.NegotiateOnce() // the plan window pins 64 fillers a cycle
+		}
+		queue := make([]*job.Job, 20_000)
+		for i := range queue {
+			queue[i] = &job.Job{ID: len(fill) + i, Name: "bench", Workload: "bench",
+				// Eight distinct requests: eight autoclusters.
+				Mem:     500 + units.MB(i%8)*250,
+				Threads: units.Threads(16 + (i%15)*16),
+			}
+			queue[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
+		}
+		pool.Submit(queue)
+		pool.NegotiateOnce()
+		if pool.InFlight() != len(machines) || len(pool.Pending()) != len(queue) {
+			b.Fatalf("pool not saturated: %d in flight, %d pending", pool.InFlight(), len(pool.Pending()))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, m := range machines {
+				m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(m.FreeMem)+int64(i%2))
+			}
 			pool.NegotiateOnce()
 		}
 	})

@@ -9,8 +9,8 @@
 //	         [-diff] [-stream] [-v]
 //
 // With -diff every cell additionally replays on the reference paths —
-// autoclusters, match cache, round memoization and the sparse knapsack
-// solver all force-disabled — and any divergence between the two runs'
+// autoclusters, match cache and the sparse knapsack solver all
+// force-disabled — and any divergence between the two runs'
 // job-record streams is a failure: fault injection is the adversarial
 // workout for cache invalidation, so the bit-for-bit equivalence claim is
 // checked exactly where it is most likely to break.

@@ -22,7 +22,9 @@ import (
 //   - TargetRefs, which computes the set of attributes an ad's expression
 //     may read from the ad on the other side of a match;
 //   - Signer, which renders a job ad's Requirements plus every
-//     transitively referenced attribute into a prefix-coded byte signature.
+//     transitively referenced attribute into a prefix-coded byte signature,
+//     and folds a Requirements that cannot read the counterpart ad into
+//     the constant verdict it gives every machine.
 
 // --- allocation-free lowercase canonicalization ---
 
@@ -205,6 +207,97 @@ func (s *Signer) AppendSignature(dst []byte, ad *Ad, roots []string) []byte {
 		})
 	}
 	return dst
+}
+
+// --- constant Requirements folding ---
+
+// Fold is the verdict one side's Requirements gives every counterpart of a
+// match, when that verdict cannot depend on the counterpart.
+type Fold uint8
+
+const (
+	// FoldNone: the verdict may depend on the counterpart ad.
+	FoldNone Fold = iota
+	// FoldFalse: the Requirements rejects every counterpart.
+	FoldFalse
+	// FoldTrue: the Requirements accepts every counterpart.
+	FoldTrue
+)
+
+// Meet combines the folds of a match's two sides: a side that rejects every
+// counterpart decides the match, and the match accepts every pairing only
+// when both sides do.
+func (f Fold) Meet(g Fold) Fold {
+	switch {
+	case f == FoldFalse || g == FoldFalse:
+		return FoldFalse
+	case f == FoldTrue && g == FoldTrue:
+		return FoldTrue
+	}
+	return FoldNone
+}
+
+// FoldRequirements classifies ad's Requirements. When no evaluation of it
+// can read the counterpart ad — no TARGET or unscoped reference in the
+// expression or in any attribute of ad it reaches through MY, the closure
+// TargetRefs walks — it evaluates it once and returns the verdict every
+// counterpart gets: FoldTrue when it is boolean true (or unbound, which
+// Match accepts), FoldFalse for false, undefined, error or a non-boolean.
+// Otherwise it returns FoldNone. The walk reuses the signer's scratch, so
+// it does not allocate.
+//
+// The verdict depends only on attributes AppendSignature renders for a root
+// set containing Requirements, so ads with equal signatures fold alike.
+func (s *Signer) FoldRequirements(ad *Ad) Fold {
+	clear(s.seen)
+	s.work = append(s.work[:0], canonRequirements)
+	free := true
+	for i := 0; free && i < len(s.work); i++ {
+		name := s.work[i]
+		if s.seen[name] {
+			continue
+		}
+		s.seen[name] = true
+		expr, ok := ad.lookupCanon(name)
+		if !ok {
+			continue
+		}
+		walkRefs(expr, func(scope, ref string) {
+			if scope != "my" {
+				free = false
+			} else if !s.seen[ref] {
+				s.work = append(s.work, ref)
+			}
+		})
+	}
+	if !free {
+		return FoldNone
+	}
+	return foldVerdict(ad)
+}
+
+// FoldConstant classifies ad's Requirements like FoldRequirements, but folds
+// only an expression that references no attribute at all. It suits an ad
+// whose other attributes change after classification: a machine ad's
+// advertised resource levels move with every claim.
+func FoldConstant(ad *Ad) Fold {
+	if expr, ok := ad.lookupCanon(canonRequirements); ok {
+		refs := false
+		walkRefs(expr, func(string, string) { refs = true })
+		if refs {
+			return FoldNone
+		}
+	}
+	return foldVerdict(ad)
+}
+
+// foldVerdict is the Requirements verdict of an ad that reads nothing from
+// its counterpart, so a nil target stands for every one.
+func foldVerdict(ad *Ad) Fold {
+	if requirementsHold(ad, nil) {
+		return FoldTrue
+	}
+	return FoldFalse
 }
 
 // appendExpr renders e in the same syntax as Expr.String, appending to dst

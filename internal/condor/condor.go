@@ -110,12 +110,29 @@ type QueuedJob struct {
 	acID  int
 	acVer uint64
 	acOK  bool
-	// qeditStr/qeditVer remember the last Requirements expression installed
-	// by Qedit and the ad version it produced, so re-applying the identical
-	// expression (MCCK re-pins the same plan every cycle in steady state)
-	// can skip the mutation and keep the match caches warm.
-	qeditStr string
-	qeditVer uint64
+	// reqStr/reqVer remember the last Requirements expression installed by
+	// SetRequirements or Qedit and the ad version it produced, so
+	// re-applying the identical expression (MCCK re-pins the same plan every
+	// cycle in steady state) can skip the mutation and keep the match caches
+	// warm, and a policy can read what it installed without evaluating the
+	// ad (InstalledRequirements).
+	reqStr string
+	reqVer uint64
+}
+
+// SetRequirements installs the job's Requirements expression, as a policy's
+// PrepareJobAd does, and remembers its source for InstalledRequirements. It
+// panics on a malformed expression, like classad.Ad.MustSetExpr.
+func (q *QueuedJob) SetRequirements(requirements string) {
+	q.Ad.MustSetExpr(classad.RequirementsAttr, requirements)
+	q.reqStr, q.reqVer = requirements, q.Ad.Version()
+}
+
+// InstalledRequirements returns the source of the Requirements expression
+// last installed by SetRequirements or Pool.Qedit, and whether the ad is
+// unchanged since, so that the expression still holds exactly that source.
+func (q *QueuedJob) InstalledRequirements() (string, bool) {
+	return q.reqStr, q.reqVer != 0 && q.reqVer == q.Ad.Version()
 }
 
 // Machine is one advertised slot: a device unit plus its ClassAd and the
@@ -431,6 +448,21 @@ type Pool struct {
 	// claim-monotonicity assumption on Policy). Truncated with the verdict
 	// arrays on an era reset, whose new ids reuse the low indices.
 	acRejected []uint64
+	// acFold is each autocluster's constant match verdict, indexed and
+	// truncated like acRejected: the fold of its Requirements
+	// (Signer.FoldRequirements, classified once when the signature is
+	// interned — ads with equal signatures fold alike) met with the
+	// machines' (machineFold). A FoldFalse cluster matches no machine and a
+	// FoldTrue cluster every machine with a free slot, so neither costs a
+	// Match evaluation or a verdict-cache lookup. Appended in id order, so
+	// len(acFold) == acNext − acBase.
+	acFold []classad.Fold
+	// machineFold classifies the machine Requirements once, at NewPool
+	// (classad.FoldConstant): they come from the policy, are the same on
+	// every machine and are never rewritten, but the attributes around them
+	// change with every claim, so only an expression that reads no attribute
+	// at all folds.
+	machineFold classad.Fold
 
 	// Dirty-cycle tracking: cacheGen counts full (non-skipped) negotiation
 	// cycles and stamps cache entries for eviction; dirty is set by every
@@ -454,12 +486,14 @@ type Pool struct {
 	// job each, and slotOf is the dense acID−acBase → slot+1 table (entries
 	// are zeroed again at cycle end, so only touched slots cost anything).
 	// slotRejected is the commit's rejected-autocluster stamp, keyed by
-	// cycle slot instead of acID (the acRejected rule, same argument).
+	// cycle slot instead of acID (the acRejected rule, same argument), and
+	// slotFold each slot's acFold verdict, read during the pre-pass.
 	shards       []negShard
 	shardRanges  [][2]int
 	jobSlots     []int32
 	cycleACs     []int
 	slotJobs     []*QueuedJob
+	slotFold     []classad.Fold
 	slotOf       []int32
 	slotRejected []uint64
 
@@ -562,10 +596,12 @@ func (p *Pool) autoclusterOf(q *QueuedJob) int {
 				m.acVals = m.acVals[:0]
 			}
 			p.acRejected = p.acRejected[:0]
+			p.acFold = p.acFold[:0]
 		}
 		id = p.acNext
 		p.acNext++
 		p.acIDs[string(p.sigBuf)] = id
+		p.acFold = append(p.acFold, p.signer.FoldRequirements(q.Ad).Meet(p.machineFold))
 	}
 	q.acID, q.acVer, q.acOK = id, v, true
 	return id
@@ -611,9 +647,16 @@ func (p *Pool) matchLegacy(m *Machine, q *QueuedJob) bool {
 // matchCluster consults the autocluster cache: one Match evaluation serves
 // every job whose ad signs into the same autocluster. Only the machine ad's
 // version needs checking — a job-side mutation moves the job to a different
-// (or fresh) autocluster id rather than invalidating in place.
+// (or fresh) autocluster id rather than invalidating in place. A folded
+// cluster answers from its constant verdict without a lookup.
 func (p *Pool) matchCluster(m *Machine, q *QueuedJob, ac int) bool {
 	idx := ac - p.acBase // ≥ 0: autoclusterOf re-signs ids from older eras
+	switch p.acFold[idx] {
+	case classad.FoldTrue:
+		return true
+	case classad.FoldFalse:
+		return false
+	}
 	for len(m.acVals) <= idx {
 		m.acVals = append(m.acVals, acVal{})
 	}
@@ -695,6 +738,9 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 		m.updateAd()
 		p.machines = append(p.machines, m)
 	}
+	if len(p.machines) > 0 {
+		p.machineFold = classad.FoldConstant(p.machines[0].Ad)
+	}
 	// Job signatures must cover everything a machine's Requirements can read
 	// from the job ad, plus the job's own Requirements. Machine Requirements
 	// come from the policy at construction and are never rewritten, so the
@@ -721,8 +767,11 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 // _total) and condor_autocluster_evals_saved_total count lookups actually
 // made. A job skipped because its autocluster was already rejected this
 // cycle makes none, so on a saturated queue they grow with autoclusters ×
-// machines per cycle, not with queue depth. condor_autoclusters_pending
-// still counts a skipped job's cluster.
+// machines per cycle, not with queue depth. Nor does a job of a folded
+// autocluster (Pool.acFold), whose verdict is constant: under MCCK every
+// unpinned job's "false" folds, so only pinned clusters are looked up, and
+// under MCC ("true" on both sides) nothing is. condor_autoclusters_pending
+// still counts skipped and folded jobs' clusters.
 func (p *Pool) SetObserver(o *obs.Observer) {
 	p.obs = o.View(nil)
 	p.obsCacheHit = o.Counter("condor_match_cache_hits_total")
@@ -840,7 +889,7 @@ func (p *Pool) Qedit(q *QueuedJob, requirements string) {
 			obs.F("job", q.Job.ID), obs.F("requirements", requirements))
 	}
 	if !p.cfg.DisableAutoclusters &&
-		q.qeditVer == q.Ad.Version() && q.qeditStr == requirements {
+		q.reqVer == q.Ad.Version() && q.reqStr == requirements {
 		// The ad already holds exactly this expression (MCCK re-pins the
 		// same plan every steady-state cycle). Matchmaking cannot tell the
 		// rewritten ad from the untouched one — the contents are identical —
@@ -851,8 +900,7 @@ func (p *Pool) Qedit(q *QueuedJob, requirements string) {
 	if err := q.Ad.SetExpr(classad.RequirementsAttr, requirements); err != nil {
 		panic(fmt.Sprintf("condor: qedit of job %d: %v", q.Job.ID, err))
 	}
-	q.qeditStr = requirements
-	q.qeditVer = q.Ad.Version()
+	q.reqStr, q.reqVer = requirements, q.Ad.Version()
 	p.qeditMuts++
 	p.dirty = true
 }
@@ -983,8 +1031,9 @@ func (p *Pool) negotiate() {
 // the reference path for the cache-disabled replay configurations. On the
 // autocluster path a job whose cluster was already rejected this cycle skips
 // the machine walk, so a saturated cycle costs O(autoclusters × machines)
-// rather than O(pending × machines); the cache-disabled paths keep the full
-// per-job walk as the oracle.
+// rather than O(pending × machines), and a folded cluster (Pool.acFold) costs
+// no Match evaluation at all; the cache-disabled paths keep the full per-job
+// walk as the oracle.
 func (p *Pool) scanSerial() (matched int) {
 	autoclusters := !p.cfg.DisableMatchCache && !p.cfg.DisableAutoclusters
 	countClusters := autoclusters && p.obs != nil
@@ -1007,6 +1056,12 @@ func (p *Pool) scanSerial() (matched int) {
 				}
 			}
 			if p.autoclusterRejected(ac) {
+				still = append(still, q)
+				continue
+			}
+			if p.acFold[ac-p.acBase] == classad.FoldFalse {
+				// No machine can match: the walk would build an empty list.
+				p.rejectAutocluster(ac)
 				still = append(still, q)
 				continue
 			}

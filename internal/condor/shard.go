@@ -22,7 +22,10 @@ package condor
 //     machines match each slot. All state a worker writes (the shard's
 //     candidate lists, its tally, each machine's acVals verdict array) is
 //     exclusive to that worker; everything shared (job ads, the slot table,
-//     machine ads) is read-only during the scan. classad.Match is pure.
+//     machine ads) is read-only during the scan. classad.Match is pure. A
+//     slot whose autocluster folds (Pool.acFold) costs no Match evaluation:
+//     a FoldFalse slot records no machine, a FoldTrue slot every machine
+//     with a free host slot.
 //
 //  3. Commit (serial, canonical order). Walk the pending queue in the exact
 //     order the serial scan would have — (priority, arrival), or the
@@ -116,6 +119,7 @@ func (p *Pool) negotiateSharded() (matched int) {
 	jobSlots := p.jobSlots[:len(p.pending)]
 	p.cycleACs = p.cycleACs[:0]
 	p.slotJobs = p.slotJobs[:0]
+	p.slotFold = p.slotFold[:0]
 	for i, q := range p.pending {
 		ac := p.autoclusterOf(q)
 		idx := ac - base
@@ -126,6 +130,8 @@ func (p *Pool) negotiateSharded() (matched int) {
 		if s == 0 {
 			p.cycleACs = append(p.cycleACs, ac)
 			p.slotJobs = append(p.slotJobs, q)
+			// Read the fold now: a later era reset in this pass truncates it.
+			p.slotFold = append(p.slotFold, p.acFold[ac-p.acBase])
 			s = int32(len(p.cycleACs)) // slot+1; 0 means unassigned
 			p.slotOf[idx] = s
 		}
@@ -189,7 +195,8 @@ func (p *Pool) negotiateSharded() (matched int) {
 					// Claimed earlier in this commit: the snapshot verdict is
 					// stale, re-validate against the live ad (and the slot and
 					// offline guards the scan applied at snapshot time).
-					if m.Offline || m.AtCapacity() || !p.commitMatch(m, q) {
+					if m.Offline || m.AtCapacity() ||
+						(p.slotFold[s] != classad.FoldTrue && !p.commitMatch(m, q)) {
 						continue
 					}
 				}
@@ -233,6 +240,10 @@ func (p *Pool) scanShard(sh *negShard) {
 	machines := p.machines[sh.lo:sh.hi]
 	for s, ac := range p.cycleACs {
 		sh.off = append(sh.off, len(sh.flat))
+		fold := p.slotFold[s]
+		if fold == classad.FoldFalse {
+			continue // no machine matches: the slot's commit list is empty
+		}
 		q := p.slotJobs[s]
 		idx := ac - p.acBase
 		for _, m := range machines {
@@ -240,9 +251,12 @@ func (p *Pool) scanShard(sh *negShard) {
 				continue
 			}
 			var ok bool
-			if idx >= 0 {
+			switch {
+			case fold == classad.FoldTrue:
+				ok = true
+			case idx >= 0:
 				ok = m.shardMatch(q, idx, &sh.tally)
-			} else {
+			default:
 				// The signature table turned over after this job signed:
 				// its prior-era id has no cache row, evaluate uncached.
 				ok = classad.Match(m.Ad, q.Ad)

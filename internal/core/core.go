@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 
+	"phishare/internal/classad"
 	"phishare/internal/condor"
 	"phishare/internal/knapsack"
 	"phishare/internal/obs"
@@ -97,16 +98,7 @@ type Config struct {
 	// reusable Solver. It exists purely for determinism validation: the two
 	// paths must produce bit-identical plans, which the regression test in
 	// internal/experiments asserts by running the full stack both ways.
-	// It also disables the per-round solve memo (see DisableRoundMemo).
 	ReferenceSolver bool
-	// DisableRoundMemo turns off the knapsack solve memo that returns a
-	// cached Result when an identical instance (same capacities,
-	// granularities, and item multiset) recurs across planning rounds — as
-	// it does every steady-state cycle in which no job started or finished.
-	// The memo key captures the entire instance, so memoized and recomputed
-	// plans are bit-identical; the flag exists for the equivalence
-	// regression and the chaos swarm's diff mode.
-	DisableRoundMemo bool
 }
 
 func (c Config) withDefaults() Config {
@@ -158,19 +150,6 @@ type Scheduler struct {
 	// lastPlanned counts the jobs pinned by the most recent planning round
 	// (instrumentation).
 	lastPlanned int
-	// lastFast records whether the most recent solve (memoized or not) was
-	// satisfied by the solver's fast path. packDevice reads it instead of
-	// solver.TookFastPath(), which is stale after a memo hit.
-	lastFast bool
-
-	// memo caches solve results keyed by the full knapsack instance —
-	// capacities, granularities, and every item's (mem, threads, value) in
-	// order. Successive negotiation cycles with an unchanged cluster state
-	// pose byte-identical instances, so the steady state costs one map
-	// probe per device instead of a DP. memoKey is the reusable key
-	// scratch; probing with map[string(memoKey)] does not allocate.
-	memo    map[string]memoEntry
-	memoKey []byte
 
 	// Planning-round scratch, reused across cycles so steady-state planning
 	// is allocation-free: the candidate window, the plan map (cleared per
@@ -190,26 +169,11 @@ type Scheduler struct {
 	obsDeferred *obs.Counter
 	obsDP       *obs.Counter
 	obsFast     *obs.Counter
-	obsMemoHit  *obs.Counter
-	obsMemoMiss *obs.Counter
 }
-
-// memoEntry is a cached solve: the Result (whose Selected slice is owned by
-// the memo and treated as read-only by every caller) plus whether the
-// original solve took the solver's fast path.
-type memoEntry struct {
-	res  knapsack.Result
-	fast bool
-}
-
-// memoCap bounds the solve memo; a workload that keeps generating fresh
-// instances wholesale-clears it rather than growing without bound.
-const memoCap = 4096
 
 // New returns an MCCK scheduler.
 func New(cfg Config) *Scheduler {
 	return &Scheduler{cfg: cfg.withDefaults(), solver: knapsack.NewSolver(),
-		memo:        map[string]memoEntry{},
 		planScratch: map[*condor.QueuedJob]string{}}
 }
 
@@ -222,73 +186,25 @@ func (s *Scheduler) SetObserver(o *obs.Observer) {
 	s.obsDeferred = o.Counter("core_jobs_deferred_total")
 	s.obsDP = o.Counter("core_knapsack_dp_solves_total")
 	s.obsFast = o.Counter("core_knapsack_fastpath_solves_total")
-	s.obsMemoHit = o.Counter("core_round_memo_hits_total")
-	s.obsMemoMiss = o.Counter("core_round_memo_misses_total")
 }
 
 // solve dispatches one knapsack instance to the reusable solver, or to the
-// reference DP when the determinism harness asks for it. Unless disabled,
-// identical instances are answered from the round memo: the key encodes the
-// complete instance, so a hit returns exactly what re-solving would.
-func (s *Scheduler) solve(cfg knapsack.Config, items []knapsack.Item) knapsack.Result {
+// reference DP when the determinism harness asks for it, and counts it
+// against the DP or fast-path series. It reports whether the solver's fast
+// path answered.
+func (s *Scheduler) solve(cfg knapsack.Config, items []knapsack.Item) (knapsack.Result, bool) {
 	if s.cfg.ReferenceSolver {
-		// The reference path always runs the full DP, unmemoized.
 		s.obsDP.Inc()
-		s.lastFast = false
-		return knapsack.SolveReference(cfg, items)
+		return knapsack.SolveReference(cfg, items), false
 	}
-	if s.cfg.DisableRoundMemo {
-		res := s.solver.Solve(cfg, items)
-		s.lastFast = s.solver.TookFastPath()
-		s.noteSolveKind()
-		return res
-	}
-	k := s.memoKey[:0]
-	k = appendInt(k, int64(cfg.MemCapacity))
-	k = appendInt(k, int64(cfg.MemGranularity))
-	k = appendInt(k, int64(cfg.ThreadCapacity))
-	k = appendInt(k, int64(cfg.ThreadGranularity))
-	for _, it := range items {
-		k = appendInt(k, int64(it.Mem))
-		k = appendInt(k, int64(it.Threads))
-		k = appendInt(k, it.Value)
-	}
-	s.memoKey = k
-	if e, ok := s.memo[string(k)]; ok { // no-alloc map probe
-		s.obsMemoHit.Inc()
-		s.lastFast = e.fast
-		s.noteSolveKind()
-		return e.res
-	}
-	s.obsMemoMiss.Inc()
 	res := s.solver.Solve(cfg, items)
-	s.lastFast = s.solver.TookFastPath()
-	s.noteSolveKind()
-	if len(s.memo) >= memoCap {
-		clear(s.memo)
-	}
-	s.memo[string(k)] = memoEntry{res: res, fast: s.lastFast}
-	return res
-}
-
-// noteSolveKind counts the solve against the DP or fast-path series (memo
-// hits count as whichever kind the original solve was, so the two series
-// still sum to the number of instances posed).
-func (s *Scheduler) noteSolveKind() {
-	if s.lastFast {
+	fast := s.solver.TookFastPath()
+	if fast {
 		s.obsFast.Inc()
 	} else {
 		s.obsDP.Inc()
 	}
-}
-
-// appendInt appends a fixed-width big-endian encoding of v, keeping the memo
-// key injective (variable-width encodings could make distinct instances
-// collide).
-func appendInt(dst []byte, v int64) []byte {
-	u := uint64(v)
-	return append(dst, byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
+	return res, fast
 }
 
 // Name implements condor.Policy.
@@ -309,7 +225,7 @@ func (*Scheduler) MachineRequirements() string {
 // PrepareJobAd implements condor.Policy: jobs are unmatchable until the
 // external scheduler pins them.
 func (*Scheduler) PrepareJobAd(q *condor.QueuedJob) {
-	q.Ad.MustSetExpr("Requirements", "false")
+	q.SetRequirements("false")
 }
 
 // PreNegotiation implements condor.Policy: compute the plan with the greedy
@@ -325,12 +241,23 @@ func (s *Scheduler) PreNegotiation(p *condor.Pool) {
 	for _, q := range p.Pending() {
 		if slot, ok := plan[q]; ok {
 			p.Qedit(q, pinExpr(slot))
-		} else if q.Ad.Eval("Requirements").String() != "false" {
+		} else if pinned(q) {
 			// Previously pinned but no longer planned (its slot filled up
 			// or a better mix exists): unpin so it cannot land stale.
 			p.Qedit(q, "false")
 		}
 	}
+}
+
+// pinned reports whether q's Requirements is anything but the unplanned
+// "false". The scheduler installs only "false" and pin expressions, which
+// evaluate to undefined without a target, so the source condor remembers
+// decides it; the ad is evaluated only if something else rewrote it since.
+func pinned(q *condor.QueuedJob) bool {
+	if req, ok := q.InstalledRequirements(); ok {
+		return req != "false"
+	}
+	return q.Ad.Eval(classad.RequirementsAttr).String() != "false"
 }
 
 // pinExpr builds the §IV-D1 requirement rewrite:
@@ -467,9 +394,9 @@ func (s *Scheduler) packDevice(p *condor.Pool, m *condor.Machine, candidates []*
 		if !s.cfg.DisableThreadDim {
 			cfg.ThreadCapacity = threadBudget
 		}
-		res := s.solve(cfg, items)
+		res, fast := s.solve(cfg, items)
 		stage1Value = res.Value
-		stage1Fast = !s.cfg.ReferenceSolver && s.lastFast
+		stage1Fast = fast
 		for _, idx := range res.Selected {
 			chosen[idx] = true
 			picked = append(picked, candidates[idx])
@@ -503,7 +430,7 @@ func (s *Scheduler) packDevice(p *condor.Pool, m *condor.Machine, candidates []*
 		}
 		s.restItems, s.restJobs = restItems, restJobs
 		if len(restItems) > 0 && fillThreads > 0 {
-			res := s.solve(knapsack.Config{
+			res, _ := s.solve(knapsack.Config{
 				MemCapacity:       memBudget,
 				MemGranularity:    s.cfg.MemGranularity,
 				ThreadCapacity:    fillThreads,

@@ -37,16 +37,15 @@ type ChaosConfig struct {
 	Retries int
 	// DiffReference makes every cell run five times — once on the
 	// optimized fast paths (parallel lanes included), once with
-	// autoclusters, the match cache, round memoization and the sparse
-	// knapsack solver all force-disabled, once with the parallel
-	// simulation core forced off, and once each with the negotiator
-	// sharded at K=1 and K=4 — and diffs the runs' summary metrics and
-	// full per-job record streams bit for bit. Any divergence is reported
-	// as a violation: under fault injection the caches see invalidation
-	// orders — and the parallel core sees barrier/window shapes, and the
-	// sharded commit sees claim-conflict orders — that the clean-path
-	// equivalence tests never produce, so this is the adversarial version
-	// of those guarantees.
+	// autoclusters, the match cache and the sparse knapsack solver all
+	// force-disabled, once with the parallel simulation core forced off,
+	// and once each with the negotiator sharded at K=1 and K=4 — and
+	// diffs the runs' summary metrics and full per-job record streams bit
+	// for bit. Any divergence is reported as a violation: under fault
+	// injection the caches see invalidation orders — and the parallel core
+	// sees barrier/window shapes, and the sharded commit sees
+	// claim-conflict orders — that the clean-path equivalence tests never
+	// produce, so this is the adversarial version of those guarantees.
 	DiffReference bool
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -145,7 +144,7 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 	if reference {
 		cfg.Condor.DisableMatchCache = true
 		cfg.Condor.DisableAutoclusters = true
-		cfg.Core = core.Config{ReferenceSolver: true, DisableRoundMemo: true}
+		cfg.Core = core.Config{ReferenceSolver: true}
 	}
 	if serial {
 		off := false

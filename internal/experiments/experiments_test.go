@@ -634,7 +634,7 @@ func TestMeanStd(t *testing.T) {
 // bit-for-bit identical — job record stream, makespan, summary, utilization,
 // concurrency — to the same run with every optimization forced onto its
 // reference path (legacy per-pair matchmaking, no match cache, reference
-// dense knapsack, no round memo). Faulted cells run under the light chaos
+// dense knapsack). Faulted cells run under the light chaos
 // profile with invariant checking, so the equivalence also covers the
 // dirty-cycle bookkeeping that fault transitions exercise.
 func TestReferencePathOutcomeEquivalence(t *testing.T) {
@@ -652,7 +652,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		cfg.RecordSink = &recs
 		if reference {
 			cfg.Condor = condor.Config{DisableMatchCache: true, DisableAutoclusters: true}
-			cfg.Core = core.Config{ReferenceSolver: true, DisableRoundMemo: true}
+			cfg.Core = core.Config{ReferenceSolver: true}
 		}
 		if serial {
 			off := false
@@ -739,7 +739,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		refFP, refOK := Footprint(RunConfig{
 			Policy: PolicyMCCK, Nodes: 3, Jobs: jobs, Seed: seed,
 			Condor: condor.Config{DisableMatchCache: true, DisableAutoclusters: true},
-			Core:   core.Config{ReferenceSolver: true, DisableRoundMemo: true},
+			Core:   core.Config{ReferenceSolver: true},
 		}, base.Makespan, 6)
 		if optFP != refFP || optOK != refOK {
 			t.Errorf("seed %d: footprint diverges: optimized (%d, %v) vs reference (%d, %v)",

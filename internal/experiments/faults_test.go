@@ -113,7 +113,7 @@ func TestInvariantSwarm(t *testing.T) {
 
 // TestChaosDiffSwarm is the reference-diff half of the `make chaos` gate:
 // a seed sweep where every cell replays with autoclusters, the match
-// cache, round memoization and the sparse knapsack solver force-disabled,
+// cache and the sparse knapsack solver force-disabled,
 // and again with the parallel simulation core forced off, and every run's
 // job-record stream must agree bit for bit. Each cell costs three full
 // runs (the reference solver is the expensive dense DP), so the sweep is

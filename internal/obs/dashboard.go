@@ -182,10 +182,10 @@ func (o *Observer) writeMakespanPanel(sb *strings.Builder) {
 
 // writeSchedulerCachePanel renders the matchmaking/allocation fast-path
 // scorecard: how much work the autocluster grouping, the dirty-cycle
-// short-circuit, the match cache and the knapsack round memo actually
-// avoided in this run. Raw counts live in the Counters table below; this
-// panel derives the headline ratios. Omitted entirely when none of the
-// underlying series exist (e.g. a run that never built a condor pool).
+// short-circuit and the match cache actually avoided in this run. Raw
+// counts live in the Counters table below; this panel derives the headline
+// ratios. Omitted entirely when none of the underlying series exist (e.g. a
+// run that never built a condor pool).
 func (o *Observer) writeSchedulerCachePanel(sb *strings.Builder) {
 	if o.Reg == nil {
 		return
@@ -209,13 +209,10 @@ func (o *Observer) writeSchedulerCachePanel(sb *strings.Builder) {
 	hits, okHits := cnt("condor_match_cache_hits_total")
 	misses, _ := cnt("condor_match_cache_misses_total")
 	invs, _ := cnt("condor_match_cache_invalidations_total")
-	mHits, okMemo := cnt("core_round_memo_hits_total")
-	mMisses, _ := cnt("core_round_memo_misses_total")
 	rows := []row{
 		{"autocluster evals saved", "Match evaluations answered by a sibling job's verdict", saved, saved + matches, okSaved},
 		{"dirty-cycle skips", "negotiation cycles short-circuited as provable no-ops", skips, skips + negs, okSkips},
 		{"match-cache hit rate", "cache consultations answered without re-evaluating", hits, hits + misses + invs, okHits},
-		{"round-memo hit rate", "knapsack rounds served from the per-cycle memo", mHits, mHits + mMisses, okMemo},
 	}
 	any := false
 	for _, r := range rows {

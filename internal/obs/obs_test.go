@@ -310,8 +310,8 @@ func TestDashboard(t *testing.T) {
 	o := New()
 	o.Counter("condor_matches_total").Add(12)
 	o.Counter("condor_autocluster_evals_saved_total").Add(36)
-	o.Counter("core_round_memo_hits_total").Add(9)
-	o.Counter("core_round_memo_misses_total").Add(3)
+	o.Counter("condor_match_cache_hits_total").Add(9)
+	o.Counter("condor_match_cache_misses_total").Add(3)
 	o.Gauge("cosmic_offload_queue_depth", "device", "mic0").Set(4)
 	o.Histogram("phi_speed", []float64{0.5, 1}).Observe(0.8)
 	o.Emit(100, LayerPhi, "oom_kill", F("job", 3))
@@ -333,8 +333,8 @@ func TestDashboard(t *testing.T) {
 		"condor_matches_total", `cosmic_offload_queue_depth{device=&#34;mic0&#34;}`,
 		"phi_speed", "phi/oom_kill", "<svg", "polyline",
 		// The scheduler-caches scorecard derives its ratios from the raw
-		// counters: 36 saved of 48 candidate evals, 9 memo hits of 12.
-		"Scheduler caches", "autocluster evals saved", "round-memo hit rate", "75.0%",
+		// counters: 36 saved of 48 candidate evals, 9 cache hits of 12.
+		"Scheduler caches", "autocluster evals saved", "match-cache hit rate", "75.0%",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard missing %q", want)
