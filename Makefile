@@ -13,10 +13,10 @@ BENCH_LABEL ?= after
 # The regression suite: the hot-path micro-benchmarks plus the two macro
 # benchmarks that exercise the whole stack, the observability
 # overhead pairs (disabled must track BenchmarkEndToEndMCCK; instrumented
-# documents the cost of full instrumentation, serial and 4-worker parallel),
+# documents the cost of full instrumentation),
 # and the negotiation sweep (queue depths, autoclusters on/off, and the
 # 10k-machine/100k-job sharded cycle over shard counts).
-BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|BenchmarkEndToEndMCCK|BenchmarkTable2Makespan|BenchmarkObsOverhead|BenchmarkObsOverheadParallel|BenchmarkNegotiate|BenchmarkInsertPending)$$
+BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|BenchmarkEndToEndMCCK|BenchmarkTable2Makespan|BenchmarkObsOverhead|BenchmarkNegotiate|BenchmarkInsertPending)$$
 
 # The chaos gate's sweep width: seeds per (policy, profile) cell. The full
 # acceptance sweep is 50; CI runs a shorter one under -race to keep the gate
@@ -41,8 +41,8 @@ vet:
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
 # from sim-path entries through any call chain; shardsafe: Fanout workers
-# and lane callbacks write only owned state; pureselect: classad.Match and
-# Policy Select implementations are observably pure). Legitimate sites
+# write only owned state; pureselect: classad.Match and Policy Select
+# implementations are observably pure). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # The findings cache keys on the SHA-256 of every loaded source file, so a
@@ -93,9 +93,8 @@ bench:
 # simulation (any multi-core host). CI for this repo runs on a single-CPU
 # container where every GC cycle of the retained trace (~7k events, ~1.6 MB
 # per end-to-end run) serializes into the measured time — the measured
-# floor there is ~+30% serial and ~+35% for the 4-worker parallel pair
-# (whose workers also time-slice one CPU), with paired minima observed as
-# high as +56% when the gate runs right after the race and chaos legs —
+# floor there is ~+30%, with paired minima observed as high as +56% when
+# the gate runs right after the race and chaos legs —
 # so the gate allows headroom above that floor here; the instrumented
 # legs' allocs/op in the ledger (~+7k over disabled, down from ~+19k
 # before the arena pipeline) are the noise-free record of the actual
@@ -122,7 +121,7 @@ STREAM_TOLERANCE ?= 0.25
 # best paired ratio), which damps host noise without loosening the
 # tolerance.
 benchgate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkEndToEndMCCK|BenchmarkObsOverhead|BenchmarkObsOverheadParallel)$$' -benchmem -count 5 . \
+	$(GO) test -run '^$$' -bench '^(BenchmarkEndToEndMCCK|BenchmarkObsOverhead)$$' -benchmem -count 5 . \
 		| $(GO) run ./cmd/benchjson -gate $(BENCH_OUT) -gate-label after -obs-tolerance $(OBS_TOLERANCE)
 	$(GO) test -run '^$$' -bench '^BenchmarkMillionJob$$/^jobs=100000$$' -benchmem -benchtime 1x -count 3 . \
 		| $(GO) run ./cmd/benchjson -gate $(BENCH_OUT) -gate-label after-millionjob -tolerance $(STREAM_TOLERANCE)

@@ -272,27 +272,19 @@ func BenchmarkEndToEndMCCK(b *testing.B) {
 
 // BenchmarkBigCell measures a cluster an order of magnitude past the
 // paper's testbed — 1,000 single-device nodes packing a 100,000-job Table I
-// stream under MCC — the scale the parallel simulation core exists for.
-// The serial sub-run forces the parallel core off; parallel runs with the
-// worker pool at GOMAXPROCS, so a `-cpu 1,2,4` sweep (see `make bench`)
-// charts worker scaling directly, and the bit-identical makespan-s metric
-// across every sub-run and cpu count is the determinism contract made
-// visible in the ledger.
+// stream under MCC. The run is one serial event loop, so a `-cpu 1,2,4`
+// sweep (see `make bench`) moves only the runtime's collector, and the
+// bit-identical makespan-s metric across every cpu count is the
+// determinism contract made visible in the ledger.
 func BenchmarkBigCell(b *testing.B) {
 	jobs := job.GenerateTableOneSet(100_000, rng.New(17).Fork("tableI"))
-	run := func(b *testing.B, parallel bool) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cfg := experiments.RunConfig{
-				Policy: experiments.PolicyMCC, Nodes: 1000, Jobs: jobs, Seed: 17,
-				Parallel: &parallel,
-			}
-			res := experiments.Run(cfg)
-			b.ReportMetric(res.Makespan.Seconds(), "makespan-s")
-		}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := experiments.Run(experiments.RunConfig{
+			Policy: experiments.PolicyMCC, Nodes: 1000, Jobs: jobs, Seed: 17,
+		})
+		b.ReportMetric(res.Makespan.Seconds(), "makespan-s")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, false) })
-	b.Run("parallel", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkObsOverhead measures the observability layer against the same
@@ -313,37 +305,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 				cfg.Obs = obs.New()
 			}
 			res := experiments.Run(cfg)
-			b.ReportMetric(res.Makespan.Seconds(), "makespan-s")
-		}
-	}
-	b.Run("disabled", func(b *testing.B) { run(b, false) })
-	b.Run("instrumented", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkObsOverheadParallel is BenchmarkObsOverhead on the 4-worker
-// parallel core: the lane-shard trace buffering and canonical flush must
-// keep instrumented parallel runs within the same overhead envelope as
-// serial ones (the benchjson -gate obs pair-check enforces ≤15%
-// instrumented-over-disabled on both). Before the sharded pipeline,
-// attaching any sink forced the run serial — this benchmark is the ledger
-// evidence that parallel mode now stays on under instrumentation.
-func BenchmarkObsOverheadParallel(b *testing.B) {
-	jobs := job.GenerateTableOneSet(200, rng.New(11).Fork("tableI"))
-	parallel := true
-	run := func(b *testing.B, instrumented bool) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cfg := experiments.RunConfig{
-				Policy: experiments.PolicyMCCK, Nodes: 8, Jobs: jobs, Seed: 11,
-				Parallel: &parallel, Workers: 4,
-			}
-			if instrumented {
-				cfg.Obs = obs.New()
-			}
-			res := experiments.Run(cfg)
-			if !res.Parallel {
-				b.Fatal("parallel mode did not engage")
-			}
 			b.ReportMetric(res.Makespan.Seconds(), "makespan-s")
 		}
 	}

@@ -121,9 +121,8 @@ func main() {
 		jsonOut = flag.String("json", "", "write machine-readable results to this file")
 		obsDir  = flag.String("obs", "", "run each policy instrumented at the Table II config and write per-policy metric/event/series/dashboard dumps into this directory")
 
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write a heap profile (after GC) at exit to this file")
-		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile at exit to this file (full sampling; shows parallel-core barrier contention)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile (after GC) at exit to this file")
 	)
 	flag.Parse()
 
@@ -141,22 +140,6 @@ func main() {
 				log.Fatal(err)
 			}
 			log.Printf("wrote cpu profile to %s", *cpuProfile)
-		}()
-	}
-	if *mutexProfile != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer func() {
-			f, err := os.Create(*mutexProfile)
-			if err != nil {
-				log.Fatalf("create %s: %v", *mutexProfile, err)
-			}
-			if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-				log.Fatalf("write mutex profile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote mutex profile to %s", *mutexProfile)
 		}()
 	}
 	if *memProfile != "" {

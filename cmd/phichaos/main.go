@@ -46,7 +46,7 @@ func main() {
 		jobs     = flag.Int("jobs", 18, "Table I jobs per run")
 		nodes    = flag.Int("nodes", 3, "cluster nodes per run")
 		retries  = flag.Int("retries", 4, "crash retry budget per job")
-		diff     = flag.Bool("diff", false, "replay every cell on the reference paths and with the parallel core forced off, diffing outcomes bit-for-bit")
+		diff     = flag.Bool("diff", false, "replay every cell on the reference paths and with the negotiator sharded, diffing outcomes bit-for-bit")
 		stream   = flag.Bool("stream", false, "run faulted diurnal cells in streaming record mode and diff their aggregates against checked retained runs")
 		verbose  = flag.Bool("v", false, "print progress lines")
 	)

@@ -12,7 +12,7 @@ import (
 //	v.Emit(now, "phi", "oom_kill", obs.F("job", id))
 //
 // builds its variadic []Field slice (and boxes the field values) BEFORE the
-// call, so even though View.Emit is nil-safe, an unguarded call-site pays
+// call, so even though Observer.Emit is nil-safe, an unguarded call-site pays
 // the allocation on every run — including uninstrumented production sweeps
 // where the observer is nil. The contract is that disabled instrumentation
 // costs one pointer-nil branch and nothing else, which holds only when the

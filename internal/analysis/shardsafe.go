@@ -2,7 +2,7 @@ package analysis
 
 // ShardSafe is the whole-program shard-ownership rule. sim.Engine.Fanout is
 // the module's only sanctioned intra-event concurrency primitive: N workers
-// run one closure between event barriers, and the determinism/race contract
+// run one closure inside a single event, and the determinism/race contract
 // (DESIGN.md, internal/condor/shard.go) is that worker k writes only state
 // it owns — its own locals and values derived from the shard index k.
 //
@@ -26,18 +26,10 @@ package analysis
 // provenance of the arguments at each call site, so a helper that writes
 // its receiver is fine when the receiver is the worker's shard and a race
 // when it is the shared pool. Callees in internal/sim itself are exempt:
-// the engine's own barrier machinery is the sanctioned primitive.
-//
-// The same machinery checks lane-affine callbacks (sim.Lane.At / After /
-// AtTimer / AfterTimer) with a weaker contract: lane callbacks own their
-// node's state by construction (the lane partition), so only writes to
-// package-level variables and raw I/O are flagged — transitively, except
-// for effects originating inside internal/obs or internal/sim, whose
-// cross-lane buffers are the flush-ordered observability boundary PR 7
-// audited.
+// the engine's own fan-out machinery is the sanctioned primitive.
 //
 // Findings are attributed to the offending site (primary position) and the
-// Fanout/lane call site (entry position); an ignore directive at either
+// Fanout call site (entry position); an ignore directive at either
 // suppresses.
 
 import (
@@ -46,26 +38,16 @@ import (
 	"go/types"
 )
 
-// ShardSafe is the whole-program Fanout/lane ownership rule.
+// ShardSafe is the whole-program Fanout ownership rule.
 var ShardSafe = &WholeAnalyzer{
 	Name: "shardsafe",
 	Doc: "closures passed to sim.Engine.Fanout may write only shard-owned " +
 		"state (locals and values derived from the shard index), " +
-		"transitively through every call; lane callbacks may not touch " +
-		"package-level state or perform I/O",
+		"transitively through every call",
 	Run: runShardSafe,
 }
 
 const fanoutFullName = "(*" + ModulePath + "/internal/sim.Engine).Fanout"
-
-// laneSchedFullNames are the Lane scheduling methods whose callbacks run on
-// lane workers.
-var laneSchedFullNames = map[string]bool{
-	"(*" + ModulePath + "/internal/sim.Lane).At":         true,
-	"(*" + ModulePath + "/internal/sim.Lane).After":      true,
-	"(*" + ModulePath + "/internal/sim.Lane).AtTimer":    true,
-	"(*" + ModulePath + "/internal/sim.Lane).AfterTimer": true,
-}
 
 func runShardSafe(p *ModulePass) {
 	sc := &shardChecker{
@@ -79,29 +61,22 @@ func runShardSafe(p *ModulePass) {
 	}
 	for _, fi := range p.Mod.Funcs {
 		if fi.Pkg.Rel == "internal/sim" {
-			continue // the engine schedules on itself freely
+			continue // the engine's own fan-out is the sanctioned primitive
 		}
 		seenPos := map[token.Pos]bool{}
 		for _, edge := range p.Graph.Edges[fi] {
-			if seenPos[edge.Pos] {
+			if seenPos[edge.Pos] || edge.To.Fn.FullName() != fanoutFullName {
 				continue
 			}
-			full := edge.To.Fn.FullName()
-			switch {
-			case full == fanoutFullName:
-				seenPos[edge.Pos] = true
-				sc.checkFanoutSite(fi, edge.Pos)
-			case laneSchedFullNames[full]:
-				seenPos[edge.Pos] = true
-				sc.checkLaneSite(fi, edge.Pos)
-			}
+			seenPos[edge.Pos] = true
+			sc.checkFanoutSite(fi, edge.Pos)
 		}
 	}
 }
 
 // shardVisitKey memoizes transitive callee checks per ownership mask (bit 0
 // is the receiver, bit 1+i parameter i) and per entry site, so a violating
-// callee reached from a second Fanout/lane entry is re-reported there — an
+// callee reached from a second Fanout entry is re-reported there — an
 // ignore directive at one entry must not cover the other.
 type shardVisitKey struct {
 	fi    *FuncInfo
@@ -322,56 +297,4 @@ func (sc *shardChecker) checkCallee(fi *FuncInfo, mask uint64, entry token.Pos) 
 	}
 	env := buildProvEnv(sc.p.Mod, fi, overrides)
 	sc.checkRegion(fi, env, fi.Decl.Body, entry)
-}
-
-// checkLaneSite verifies a lane callback: no package-level writes, no I/O,
-// directly or transitively (effects originating in internal/obs and
-// internal/sim are the sanctioned observability/engine boundary).
-func (sc *shardChecker) checkLaneSite(fi *FuncInfo, pos token.Pos) {
-	call := sc.ef.callSites(fi)[pos]
-	if call == nil || len(call.Args) < 2 {
-		return
-	}
-	entry := call.Lparen
-	lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
-	if !ok {
-		return // named callbacks are covered when their package is analyzed
-	}
-	env := buildProvEnv(sc.p.Mod, fi, nil)
-	for _, w := range writesIn(lit.Body) {
-		if env.writeProv(w).kind == pGlobal {
-			sc.report(w.pos, entry,
-				"lane callback writes package-level "+exprString(w.target)+
-					": lanes run concurrently, only lane-owned (node) state is safe")
-		}
-	}
-	_, exts, _ := sc.siteMaps(fi)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, ext := range exts[call.Lparen] {
-			if isIOFunc(ext.Fn) {
-				sc.report(call.Lparen, entry, "lane callback calls "+extDisplayName(ext.Fn)+" (I/O is not lane-safe)")
-			}
-		}
-		return true
-	})
-	for _, edge := range regionEdges(sc.p.Graph, fi, lit.Body) {
-		if edge.To.Pkg.Rel == "internal/sim" {
-			continue
-		}
-		for _, e := range sc.ef.of(edge.To) {
-			if e.originRel == "internal/obs" || e.originRel == "internal/sim" {
-				continue
-			}
-			switch {
-			case e.kind == effIO:
-				sc.report(e.pos, entry, "lane callback transitively performs I/O: "+e.desc)
-			case e.kind == effWriteShared && e.via.kind == pGlobal:
-				sc.report(e.pos, entry, "lane callback transitively "+e.desc+": lanes run concurrently")
-			}
-		}
-	}
 }

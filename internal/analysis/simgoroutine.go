@@ -10,22 +10,21 @@ import (
 // goroutines, channel operations and types, select statements, and the
 // sync/sync⁄atomic primitives. Simulated concurrency is the event engine's
 // job — components express "these things happen independently" by
-// scheduling events on their node's lane, and the parallel simulation core
-// (internal/sim/parallel.go) decides what actually runs on which OS thread.
-// A component that spawns its own goroutine or rendezvouses through a
-// channel reintroduces host-scheduler nondeterminism that the canonical
-// barrier merge cannot serialize, and a component that reaches for a mutex
-// is defending against concurrency the lane contract says cannot exist.
+// scheduling events on the one serial engine, whose (time, seq) queue fixes
+// their order. A component that spawns its own goroutine or rendezvouses
+// through a channel reintroduces host-scheduler nondeterminism the event
+// queue cannot serialize, and a component that reaches for a mutex is
+// defending against concurrency the serial engine says cannot exist.
 //
 // The rule covers every sim-path package except internal/sim itself, which
-// is the one place the worker fork/join legitimately lives. A genuinely
+// is the one place the worker fork/join (Engine.Fanout) legitimately lives. A genuinely
 // engine-adjacent site elsewhere carries a per-line
 // //philint:ignore simgoroutine <reason> directive so each use is
 // individually reviewed.
 var SimGoroutine = &Analyzer{
 	Name: "simgoroutine",
 	Doc: "forbid goroutines, channels, select, and sync primitives in sim-path " +
-		"packages; concurrency belongs to the engine's lanes and parallel executor",
+		"packages; concurrency belongs to the event engine",
 	AppliesTo: func(rel string) bool { return SimPath(rel) && rel != "internal/sim" },
 	Run:       runSimGoroutine,
 }
@@ -55,7 +54,7 @@ func runSimGoroutine(pass *Pass) {
 			switch v := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf("simgoroutine", v.Pos(),
-					"go statement spawns a host goroutine; schedule an event on the component's lane instead")
+					"go statement spawns a host goroutine; schedule an event on the engine instead")
 			case *ast.SendStmt:
 				pass.Reportf("simgoroutine", v.Pos(),
 					"channel send synchronizes through the host scheduler; pass results via scheduled callbacks")
@@ -74,7 +73,7 @@ func runSimGoroutine(pass *Pass) {
 				if id, ok := v.X.(*ast.Ident); ok {
 					if path, hit := syncNames[id.Name]; hit {
 						pass.Reportf("simgoroutine", v.Pos(),
-							"%s.%s guards against host concurrency the lane contract forbids; sim-path state is single-threaded per lane",
+							"%s.%s guards against host concurrency the serial engine rules out; sim-path state is single-threaded",
 							pkgBase(path), v.Sel.Name)
 					}
 				}

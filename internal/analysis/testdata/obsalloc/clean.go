@@ -2,7 +2,7 @@ package fixture
 
 import "fmt"
 
-// view stands in for *obs.View: a nil-safe emitter whose variadic field
+// view stands in for *obs.Observer: a nil-safe emitter whose variadic field
 // slice is built by the caller.
 type view struct{}
 

@@ -22,7 +22,6 @@ type Pool struct {
 	shards []shard
 	table  []int
 	total  int
-	last   int
 }
 
 // GoodScan is the sanctioned pattern: worker k touches only shards[k] and
@@ -63,29 +62,6 @@ func (p *Pool) bump() {
 // at the argument.
 func (p *Pool) Queue(w func(int)) {
 	p.eng.Fanout(2, w)
-}
-
-var hits int
-
-// LaneGood writes node-owned (receiver) state from a lane callback: the
-// lane partition owns it by construction, so this is clean.
-func (p *Pool) LaneGood(l *sim.Lane) {
-	l.At(5, func() {
-		p.last = 7
-	})
-}
-
-// LaneBad writes package-level state, directly and through a helper: lanes
-// run concurrently, so both are flagged.
-func (p *Pool) LaneBad(l *sim.Lane) {
-	l.At(9, func() {
-		hits++
-		tick()
-	})
-}
-
-func tick() {
-	hits++
 }
 
 // CapturedScan races through a captured local: every worker increments the

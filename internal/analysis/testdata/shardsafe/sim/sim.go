@@ -1,6 +1,6 @@
 // Package sim is a minimal stand-in for the event engine: just enough
-// surface for shardsafe to recognize Fanout workers and lane callbacks by
-// their full method names.
+// surface for shardsafe to recognize Fanout workers by their full method
+// name.
 package sim
 
 // Engine is the stand-in event engine.
@@ -9,20 +9,10 @@ type Engine struct {
 }
 
 // Fanout runs fn(k) for every shard index k. The real engine runs the
-// calls on a worker pool between event barriers; the stub keeps the
-// signature and the sequential meaning.
+// calls on a worker pool; the stub keeps the signature and the sequential
+// meaning.
 func (e *Engine) Fanout(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
 	}
-}
-
-// Lane is the stand-in per-node event lane.
-type Lane struct {
-	id int
-}
-
-// At schedules fn at tick t on this lane.
-func (l *Lane) At(t int64, fn func()) {
-	fn()
 }

@@ -102,8 +102,8 @@ func TestDetTaintWholeProgram(t *testing.T) {
 // TestShardSafeWholeProgram pins the ownership model: the sanctioned
 // owned-derivation chain verifies with zero findings, and every racing
 // shape — direct, transitive through a shared-mask callee, opaque worker,
-// lane writes to package state — is reported at its site with the Fanout
-// or lane call as entry.
+// captured enclosing-frame state — is reported at its site with the Fanout
+// call as entry.
 func TestShardSafeWholeProgram(t *testing.T) {
 	dir := filepath.Join("testdata", "shardsafe")
 	mod, _ := loadFixtureModule(t, dir)
@@ -117,15 +117,15 @@ func TestShardSafeWholeProgram(t *testing.T) {
 			t.Errorf("foreign rule %q in shardsafe run", f.Rule)
 		}
 	}
-	// GoodScan+fill (app.go:31-47) and LaneGood (app.go:72-76) are the
-	// clean half of the fixture: any finding on their lines is a precision
-	// regression in the provenance model.
+	// GoodScan+fill (app.go:30-46) are the clean half of the fixture: any
+	// finding on their lines is a precision regression in the provenance
+	// model.
 	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
 		var ln int
 		if _, err := fmt.Sscanf(line, "app.go:%d:", &ln); err != nil {
 			continue
 		}
-		if (ln >= 31 && ln <= 47) || (ln >= 72 && ln <= 76) {
+		if ln >= 30 && ln <= 46 {
 			t.Errorf("finding on clean fixture line: %s", line)
 		}
 	}
@@ -133,8 +133,6 @@ func TestShardSafeWholeProgram(t *testing.T) {
 		"Fanout worker writes p.total",             // direct receiver write in BadScan
 		"concurrent shard workers would race",      // ...with the race explanation
 		"pass the Fanout worker as a func literal", // opaque worker in Queue
-		"lane callback writes package-level hits",  // direct global write in LaneBad
-		"lanes run concurrently",                   // transitive write via tick
 		// CapturedScan: a captured enclosing-frame local is one variable
 		// shared by every worker, not frame-local.
 		"Fanout worker writes total (captured enclosing-function state",
@@ -153,7 +151,7 @@ func TestShardSafeWholeProgram(t *testing.T) {
 	// bump's receiver write is reached from BadScan's entry AND
 	// BadScanTwin's: both attributions must survive, or an ignore at one
 	// entry would silently cover the other.
-	if n := strings.Count(got, "app.go:59: shardsafe: Fanout worker writes p.total"); n != 2 {
+	if n := strings.Count(got, "app.go:58: shardsafe: Fanout worker writes p.total"); n != 2 {
 		t.Errorf("bump violation attributed to %d entries, want 2 (BadScan and BadScanTwin):\n%s", n, got)
 	}
 }

@@ -77,11 +77,9 @@ type DeviceUnit struct {
 	// Link is the node's PCIe interconnect, shared with the node's other
 	// devices.
 	Link *phi.Link
-	// Lane is the node's event lane: every event this unit's device, COSMIC
-	// manager, link or starter-side runner schedules is declared
-	// node-confined through it, which is what lets the parallel simulation
-	// core execute nodes concurrently between cross-node events.
-	Lane *sim.Lane
+	// Engine is the simulation engine the unit's device, COSMIC manager,
+	// link and starter-side runner schedule on.
+	Engine *sim.Engine
 }
 
 // Attach admits a job immediately, through COSMIC when present (bypassing
@@ -173,10 +171,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	root := rng.New(cfg.Seed).Fork("cluster")
 	c := &Cluster{cfg: cfg}
 	for n := 0; n < cfg.Nodes; n++ {
-		lane := eng.NodeLane(n)
 		node := &Node{
 			Name: fmt.Sprintf("node%d", n),
-			Link: phi.NewLink(lane, cfg.LinkBandwidthMBps),
+			Link: phi.NewLink(eng, cfg.LinkBandwidthMBps),
 		}
 		devCfg := cfg.Device
 		if len(cfg.NodeDevices) > 0 {
@@ -185,17 +182,17 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		for d := 0; d < cfg.DevicesPerNode; d++ {
 			slot := fmt.Sprintf("slot%d@%s", d+1, node.Name)
 			util := metrics.NewCoreUtilization(devCfg.Cores)
-			dev := phi.NewDevice(lane, slot, devCfg, root.Fork(slot), util)
+			dev := phi.NewDevice(eng, slot, devCfg, root.Fork(slot), util)
 			unit := &DeviceUnit{
 				SlotName: slot,
 				NodeName: node.Name,
 				Device:   dev,
 				Util:     util,
 				Link:     node.Link,
-				Lane:     lane,
+				Engine:   eng,
 			}
 			if cfg.UseCosmic {
-				unit.Cosmic = cosmic.New(lane, dev)
+				unit.Cosmic = cosmic.New(eng, dev)
 				unit.Cosmic.Bypass = cfg.CosmicBypass
 			}
 			node.Devices = append(node.Devices, unit)

@@ -295,7 +295,7 @@ type Config struct {
 	DisableAutoclusters bool
 	// NegotiationShards partitions the machine inventory into this many
 	// contiguous shards and runs each negotiation cycle's matchmaking scan
-	// concurrently — one shard per worker, between sim event barriers
+	// concurrently — one shard per worker, inside the negotiation event
 	// (sim.Engine.Fanout) — against the cycle-start resource snapshot.
 	// Claims are then committed serially in canonical (priority, arrival)
 	// job order with candidates assembled in (shard, machine) order, and any
@@ -310,20 +310,6 @@ type Config struct {
 	// DisableMatchCache or DisableAutoclusters force the serial scan
 	// regardless.
 	NegotiationShards int
-}
-
-// Lookahead returns the smallest delay by which node-confined activity can
-// cause a cross-node event under this (defaulted) configuration: a job
-// completion triggers a negotiation after NotifyDelay, and — with claim
-// reuse — a dispatch after DispatchLatency. It is the conservative lookahead
-// the parallel simulation core needs (sim.Engine.SetParallel): no epoch
-// window of that width can hide a global event caused inside it.
-func (c Config) Lookahead() units.Tick {
-	c = c.withDefaults()
-	if c.DispatchLatency < c.NotifyDelay {
-		return c.DispatchLatency
-	}
-	return c.NotifyDelay
 }
 
 func (c Config) withDefaults() Config {
@@ -530,7 +516,7 @@ type Pool struct {
 
 	// Observability (SetObserver). Instrument handles are resolved once at
 	// wiring time; every hot-path site pays a nil check when disabled.
-	obs           *obs.View
+	obs           *obs.Observer
 	obsCacheHit   *obs.Counter
 	obsCacheMiss  *obs.Counter
 	obsCacheInv   *obs.Counter
@@ -773,7 +759,7 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 // under MCC ("true" on both sides) nothing is. condor_autoclusters_pending
 // still counts skipped and folded jobs' clusters.
 func (p *Pool) SetObserver(o *obs.Observer) {
-	p.obs = o.View(nil)
+	p.obs = o
 	p.obsCacheHit = o.Counter("condor_match_cache_hits_total")
 	p.obsCacheMiss = o.Counter("condor_match_cache_misses_total")
 	p.obsCacheInv = o.Counter("condor_match_cache_invalidations_total")
@@ -1260,16 +1246,7 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "execute",
 				obs.F("job", q.Job.ID), obs.F("machine", m.Name))
 		}
-		runner.Run(m.Unit, q.Job, func(r runner.Result) {
-			// The completion fires on the machine's node lane; jobDone
-			// mutates pool-wide state (claims, usage, records, negotiation
-			// requests), so it is deferred to the cross-node context. Under
-			// the serial engine Global runs it immediately — the classic
-			// synchronous path.
-			m.Unit.Lane.Global(func() {
-				p.jobDone(q, m, r)
-			})
-		})
+		runner.Run(m.Unit, q.Job, func(r runner.Result) { p.jobDone(q, m, r) })
 	})
 }
 

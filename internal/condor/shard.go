@@ -15,11 +15,10 @@ package condor
 //     scan can be partitioned.
 //
 //  2. Scan (parallel). The machine inventory is partitioned into contiguous
-//     shards at pool construction. Each shard worker — running between sim
-//     event barriers via sim.Engine.Fanout, under the same discipline as
-//     PR 6's lane workers — walks its machines against every slot's
-//     representative job and records, in machine order, which of its
-//     machines match each slot. All state a worker writes (the shard's
+//     shards at pool construction. Each shard worker — running inside the
+//     negotiation event via sim.Engine.Fanout — walks its machines against
+//     every slot's representative job and records, in machine order, which
+//     of its machines match each slot. All state a worker writes (the shard's
 //     candidate lists, its tally, each machine's acVals verdict array) is
 //     exclusive to that worker; everything shared (job ads, the slot table,
 //     machine ads) is read-only during the scan. classad.Match is pure. A
@@ -138,11 +137,11 @@ func (p *Pool) negotiateSharded() (matched int) {
 		jobSlots[i] = s - 1
 	}
 
-	// Phase 2: parallel per-shard scan between event barriers.
+	// Phase 2: parallel per-shard scan inside the negotiation event.
 	shards := p.shards
-	// Concurrency lives behind sim.Engine.Fanout — the sanctioned
-	// barrier-stage worker pool — so this package stays free of host
-	// concurrency primitives (the simgoroutine contract).
+	// Concurrency lives behind sim.Engine.Fanout — the sanctioned worker
+	// pool — so this package stays free of host concurrency primitives
+	// (the simgoroutine contract).
 	p.eng.Fanout(len(shards), func(k int) {
 		p.scanShard(&shards[k])
 	})

@@ -163,7 +163,7 @@ type Scheduler struct {
 	restJobs      []*condor.QueuedJob
 
 	// Observability (SetObserver); nil handles no-op when disabled.
-	obs         *obs.View
+	obs         *obs.Observer
 	obsRounds   *obs.Counter
 	obsPlanned  *obs.Counter
 	obsDeferred *obs.Counter
@@ -180,7 +180,7 @@ func New(cfg Config) *Scheduler {
 // SetObserver attaches the observability layer and resolves the scheduler's
 // instrument handles. A nil observer disables instrumentation.
 func (s *Scheduler) SetObserver(o *obs.Observer) {
-	s.obs = o.View(nil)
+	s.obs = o
 	s.obsRounds = o.Counter("core_plan_rounds_total")
 	s.obsPlanned = o.Counter("core_jobs_planned_total")
 	s.obsDeferred = o.Counter("core_jobs_deferred_total")

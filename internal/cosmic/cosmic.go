@@ -82,7 +82,7 @@ type admitReq struct {
 
 // Manager is the COSMIC instance guarding one coprocessor.
 type Manager struct {
-	eng    *sim.Lane
+	eng    *sim.Engine
 	dev    *phi.Device
 	queue  []*request
 	admitQ []*admitReq
@@ -108,10 +108,8 @@ type Manager struct {
 	// order); see the package comment.
 	Bypass bool
 
-	// Observability (SetObserver); nil handles no-op when disabled. The
-	// View buffers epoch-context emissions in the node lane's shard so
-	// instrumented runs stay parallel (see obs.View).
-	obs           *obs.View
+	// Observability (SetObserver); nil handles no-op when disabled.
+	obs           *obs.Observer
 	obsDev        any // device ID pre-boxed once so hot emit sites skip the per-event string-header allocation
 	obsQDepth     *obs.Gauge
 	obsAdmitDepth *obs.Gauge
@@ -125,7 +123,7 @@ type Manager struct {
 
 // New wraps dev with a COSMIC manager and enables affinitized core
 // accounting on it.
-func New(eng *sim.Lane, dev *phi.Device) *Manager {
+func New(eng *sim.Engine, dev *phi.Device) *Manager {
 	dev.Affinitized = true
 	return &Manager{eng: eng, dev: dev}
 }
@@ -136,7 +134,7 @@ func (m *Manager) Device() *phi.Device { return m.dev }
 // SetObserver attaches the observability layer; series are labelled with
 // the managed device's ID. A nil observer disables instrumentation.
 func (m *Manager) SetObserver(o *obs.Observer) {
-	m.obs = o.View(m.eng)
+	m.obs = o
 	dev := m.dev.ID
 	m.obsDev = dev
 	m.obsQDepth = o.Gauge("cosmic_offload_queue_depth", "device", dev)

@@ -19,8 +19,8 @@ func mkJob(id int, mem, actual units.MB, threads units.Threads) *job.Job {
 }
 
 func newMgr(eng *sim.Engine) *Manager {
-	dev := phi.NewDevice(eng.NodeLane(0), "node0/mic0", phi.BareConfig(), rng.New(1), nil)
-	return New(eng.NodeLane(0), dev)
+	dev := phi.NewDevice(eng, "node0/mic0", phi.BareConfig(), rng.New(1), nil)
+	return New(eng, dev)
 }
 
 func TestNewEnablesAffinitization(t *testing.T) {

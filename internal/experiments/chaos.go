@@ -35,17 +35,15 @@ type ChaosConfig struct {
 	// headroom for injected crashes, or every fault cascades into a
 	// Failed job and nothing exercises the resubmit path).
 	Retries int
-	// DiffReference makes every cell run five times — once on the
-	// optimized fast paths (parallel lanes included), once with
-	// autoclusters, the match cache and the sparse knapsack solver all
-	// force-disabled, once with the parallel simulation core forced off,
-	// and once each with the negotiator sharded at K=1 and K=4 — and
-	// diffs the runs' summary metrics and full per-job record streams bit
-	// for bit. Any divergence is reported as a violation: under fault
-	// injection the caches see invalidation orders — and the parallel core
-	// sees barrier/window shapes, and the sharded commit sees
-	// claim-conflict orders — that the clean-path equivalence tests never
-	// produce, so this is the adversarial version of those guarantees.
+	// DiffReference makes every cell run four times — once on the
+	// optimized fast paths, once with autoclusters, the match cache and
+	// the sparse knapsack solver all force-disabled, and once each with
+	// the negotiator sharded at K=1 and K=4 — and diffs the runs' summary
+	// metrics and full per-job record streams bit for bit. Any divergence
+	// is reported as a violation: under fault injection the caches see
+	// invalidation orders — and the sharded commit sees claim-conflict
+	// orders — that the clean-path equivalence tests never produce, so
+	// this is the adversarial version of those guarantees.
 	DiffReference bool
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -101,22 +99,19 @@ func (f ChaosFailure) String() string {
 // ChaosRun executes one (seed, profile, policy) cell under the invariant
 // checker and returns its violations (nil when clean). With
 // c.DiffReference set it also replays the cell on the reference scheduler
-// paths and with the parallel core force-disabled, and reports any outcome
+// paths and with the negotiator sharded, and reports any outcome
 // divergence. Panics propagate to the caller.
 func ChaosRun(c ChaosConfig, seed int64, prof faults.Profile, policy string) []string {
 	c = c.withDefaults()
-	res, records, violations := chaosCell(c, seed, prof, policy, false, false, 0)
+	res, records, violations := chaosCell(c, seed, prof, policy, false, 0)
 	if !c.DiffReference {
 		return violations
 	}
-	refRes, refRecords, refViolations := chaosCell(c, seed, prof, policy, true, false, 0)
+	refRes, refRecords, refViolations := chaosCell(c, seed, prof, policy, true, 0)
 	violations = append(violations, refViolations...)
 	violations = append(violations, diffOutcomes("reference", res, records, refRes, refRecords)...)
-	serRes, serRecords, serViolations := chaosCell(c, seed, prof, policy, false, true, 0)
-	violations = append(violations, serViolations...)
-	violations = append(violations, diffOutcomes("parallel-off replay", res, records, serRes, serRecords)...)
 	for _, k := range []int{1, 4} {
-		shRes, shRecords, shViolations := chaosCell(c, seed, prof, policy, false, false, k)
+		shRes, shRecords, shViolations := chaosCell(c, seed, prof, policy, false, k)
 		violations = append(violations, shViolations...)
 		violations = append(violations,
 			diffOutcomes(fmt.Sprintf("sharded(K=%d) replay", k), res, records, shRes, shRecords)...)
@@ -125,13 +120,12 @@ func ChaosRun(c ChaosConfig, seed int64, prof faults.Profile, policy string) []s
 }
 
 // chaosCell runs one swarm cell under a fresh fault harness — on the
-// optimized configuration, the reference-path configuration, (serial) the
-// optimized configuration with the parallel simulation core forced off, or
-// (shards > 0) with the negotiator sharded K ways — and returns the run
-// outcome plus the harness's invariant violations. Every configuration sees
+// optimized configuration, the reference-path configuration, or (shards > 0)
+// with the negotiator sharded K ways — and returns the run outcome plus the
+// harness's invariant violations. Every configuration sees
 // the identical injection schedule: the injector is driven purely by
 // (profile, seed).
-func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, reference, serial bool, shards int) (Result, []metrics.JobRecord, []string) {
+func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, reference bool, shards int) (Result, []metrics.JobRecord, []string) {
 	h := &faults.Harness{Profile: prof, Seed: seed, Check: true}
 	cfg := RunConfig{
 		Policy: policy,
@@ -146,10 +140,6 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 		cfg.Condor.DisableAutoclusters = true
 		cfg.Core = core.Config{ReferenceSolver: true}
 	}
-	if serial {
-		off := false
-		cfg.Parallel = &off
-	}
 	if shards > 0 {
 		cfg.Condor.NegotiationShards = shards
 	}
@@ -161,8 +151,6 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 	switch {
 	case reference:
 		label = "reference path: "
-	case serial:
-		label = "parallel-off replay: "
 	case shards > 0:
 		label = fmt.Sprintf("sharded(K=%d) replay: ", shards)
 	}
@@ -175,9 +163,9 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 }
 
 // diffOutcomes compares an optimized run against a replay (reference paths
-// or parallel-off) and describes every observable divergence. The record
-// streams must match bit for bit — same jobs, same states, same timestamps,
-// same placements.
+// or sharded negotiation) and describes every observable divergence. The
+// record streams must match bit for bit — same jobs, same states, same
+// timestamps, same placements.
 func diffOutcomes(label string, res Result, records []metrics.JobRecord, refRes Result, refRecords []metrics.JobRecord) []string {
 	var diffs []string
 	if res.Makespan != refRes.Makespan {

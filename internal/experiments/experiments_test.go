@@ -645,7 +645,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		summary        metrics.Summary
 		records        []metrics.JobRecord
 	}
-	cell := func(policy string, seed int64, faulted, reference, serial bool, shards, n, nodes int) outcome {
+	cell := func(policy string, seed int64, faulted, reference bool, shards, n, nodes int) outcome {
 		jobs := job.GenerateTableOneSet(n, rng.New(seed).Fork("tableI"))
 		cfg := RunConfig{Policy: policy, Nodes: nodes, Jobs: jobs, Seed: seed}
 		var recs []metrics.JobRecord
@@ -653,10 +653,6 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		if reference {
 			cfg.Condor = condor.Config{DisableMatchCache: true, DisableAutoclusters: true}
 			cfg.Core = core.Config{ReferenceSolver: true}
-		}
-		if serial {
-			off := false
-			cfg.Parallel = &off
 		}
 		cfg.Condor.NegotiationShards = shards
 		var h *faults.Harness
@@ -695,18 +691,15 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 	for _, policy := range []string{PolicyMC, PolicyMCC, PolicyMCCK} {
 		for seed := int64(1); seed <= 10; seed++ {
 			for _, faulted := range []bool{false, true} {
-				// opt runs with parallel lanes auto-enabled; ref forces every
-				// scheduler optimization onto its reference path (also
-				// parallel); ser is the optimized configuration with the
-				// parallel core forced off; sh1/sh4 run the sharded
-				// negotiator at K=1 and K=4. All five must be bit-identical.
-				opt := cell(policy, seed, faulted, false, false, 0, 60, 3)
-				ref := cell(policy, seed, faulted, true, false, 0, 60, 3)
-				ser := cell(policy, seed, faulted, false, true, 0, 60, 3)
+				// opt is the optimized configuration; ref forces every
+				// scheduler optimization onto its reference path; sh1/sh4
+				// run the sharded negotiator at K=1 and K=4. All four must
+				// be bit-identical.
+				opt := cell(policy, seed, faulted, false, 0, 60, 3)
+				ref := cell(policy, seed, faulted, true, 0, 60, 3)
 				compare(policy, seed, faulted, "reference path", opt, ref)
-				compare(policy, seed, faulted, "serial engine", opt, ser)
 				for _, k := range []int{1, 4} {
-					sh := cell(policy, seed, faulted, false, false, k, 60, 3)
+					sh := cell(policy, seed, faulted, false, k, 60, 3)
 					compare(policy, seed, faulted, fmt.Sprintf("sharded K=%d", k), opt, sh)
 				}
 			}
@@ -723,8 +716,8 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		n, nodes int
 	}{{PolicyMCC, 2_000, 20}, {PolicyMC, 500, 5}} {
 		for _, faulted := range []bool{false, true} {
-			opt := cell(deep.policy, 1, faulted, false, false, 0, deep.n, deep.nodes)
-			ref := cell(deep.policy, 1, faulted, true, false, 0, deep.n, deep.nodes)
+			opt := cell(deep.policy, 1, faulted, false, 0, deep.n, deep.nodes)
+			ref := cell(deep.policy, 1, faulted, true, 0, deep.n, deep.nodes)
 			compare(deep.policy, 1, faulted, fmt.Sprintf("saturated %d jobs reference path", deep.n), opt, ref)
 		}
 	}

@@ -109,23 +109,6 @@ type RunConfig struct {
 	// run's outcomes stay bit-identical to an unchecked run
 	// (TestChaosDisabledPreservesOutcomes).
 	Chaos *faults.Harness
-	// Parallel overrides the parallel simulation core's on-by-default
-	// choice; nil means parallel. Observability sinks no longer force a
-	// serial run: lane-affine Views buffer epoch emissions per lane and the
-	// canonical walk drains them in (time, seq) order, so instrumented
-	// parallel output is bit-identical to serial
-	// (TestObsParallelOutputBitIdentical); only wall-clock changes.
-	Parallel *bool
-	// Workers caps the parallel worker count; 0 means GOMAXPROCS.
-	Workers int
-}
-
-// usesParallel resolves the parallel-execution choice.
-func (c RunConfig) usesParallel() bool {
-	if c.Parallel == nil {
-		return true
-	}
-	return *c.Parallel
 }
 
 // usesCosmic resolves the node middleware choice.
@@ -171,11 +154,6 @@ type Result struct {
 	// — retained runs derive it from the same records post-hoc — so a
 	// streaming run and its retained twin are directly comparable.
 	Stream metrics.StreamStats
-	// Parallel reports whether the run executed on the parallel core;
-	// Epochs is its window count (0 for serial). Regression tests use the
-	// pair to assert that attaching sinks no longer disables parallelism.
-	Parallel bool
-	Epochs   uint64
 }
 
 // Run executes one simulation and returns its measurements.
@@ -193,9 +171,6 @@ func Run(cfg RunConfig) Result {
 	eng.MaxSteps = cfg.MaxSteps
 	if eng.MaxSteps == 0 {
 		eng.MaxSteps = 500_000_000
-	}
-	if cfg.usesParallel() {
-		eng.SetParallel(cfg.Workers, cfg.Condor.Lookahead())
 	}
 	clu := cluster.New(eng, cluster.Config{
 		Nodes:             cfg.Nodes,
@@ -282,8 +257,6 @@ func Run(cfg RunConfig) Result {
 		Summary:        summary,
 		PoolStats:      pool.Stats(),
 		Stream:         stream,
-		Parallel:       eng.Parallel(),
-		Epochs:         eng.Epochs(),
 	}
 }
 

@@ -29,7 +29,7 @@ func streamCellSource(seed int64, n int) workload.Source {
 }
 
 // TestStreamingAggregatesMatchRetained is the streaming engine's oracle
-// gate: across MC/MCC/MCCK × seeds × clean/faulted × serial/parallel, an
+// gate: across MC/MCC/MCCK × seeds × clean/faulted, an
 // emit-and-drop run's online aggregates — Summary, fairness, stretch,
 // footprint marks — must be bit-identical to the retained run's post-hoc
 // computation, and the record streams themselves must match record for
@@ -45,65 +45,57 @@ func TestStreamingAggregatesMatchRetained(t *testing.T) {
 		for s := 0; s < seeds; s++ {
 			seed := int64(100 + s)
 			for _, faulted := range []bool{false, true} {
-				for _, parallel := range []bool{false, true} {
-					par := parallel
-					cell := func(stream bool) (Result, []metrics.JobRecord) {
-						cfg := RunConfig{
-							Policy:   policy,
-							Nodes:    3,
-							Source:   streamCellSource(seed, 60),
-							Seed:     seed,
-							Condor:   condor.Config{MaxRetries: 4},
-							Stream:   stream,
-							Parallel: &par,
-						}
-						if faulted {
-							cfg.Chaos = &faults.Harness{Profile: light, Seed: seed}
-						}
-						var records []metrics.JobRecord
-						cfg.RecordSink = &records
-						return Run(cfg), records
+				cell := func(stream bool) (Result, []metrics.JobRecord) {
+					cfg := RunConfig{
+						Policy: policy,
+						Nodes:  3,
+						Source: streamCellSource(seed, 60),
+						Seed:   seed,
+						Condor: condor.Config{MaxRetries: 4},
+						Stream: stream,
 					}
-					retained, retRecs := cell(false)
-					streamed, strRecs := cell(true)
+					if faulted {
+						cfg.Chaos = &faults.Harness{Profile: light, Seed: seed}
+					}
+					var records []metrics.JobRecord
+					cfg.RecordSink = &records
+					return Run(cfg), records
+				}
+				retained, retRecs := cell(false)
+				streamed, strRecs := cell(true)
 
-					label := func() string {
-						mode := "clean"
-						if faulted {
-							mode = "faulted"
-						}
-						core := "serial"
-						if parallel {
-							core = "parallel"
-						}
-						return policy + "/" + mode + "/" + core
+				label := func() string {
+					mode := "clean"
+					if faulted {
+						mode = "faulted"
 					}
-					if streamed.Summary != retained.Summary {
-						t.Errorf("%s seed=%d: streaming summary %+v != retained %+v",
-							label(), seed, streamed.Summary, retained.Summary)
-					}
-					if streamed.Stream != retained.Stream {
-						t.Errorf("%s seed=%d: streaming aggregates %+v != retained %+v",
-							label(), seed, streamed.Stream, retained.Stream)
-					}
-					if streamed.Makespan != retained.Makespan ||
-						streamed.Utilization != retained.Utilization ||
-						streamed.MaxConcurrency != retained.MaxConcurrency {
-						t.Errorf("%s seed=%d: headline metrics diverge: %+v vs %+v",
-							label(), seed, streamed, retained)
-					}
-					sortRecords(retRecs)
-					sortRecords(strRecs)
-					if len(retRecs) != len(strRecs) {
-						t.Fatalf("%s seed=%d: %d retained records, %d streamed",
-							label(), seed, len(retRecs), len(strRecs))
-					}
-					for i := range retRecs {
-						if retRecs[i] != strRecs[i] {
-							t.Errorf("%s seed=%d: record %d: retained %+v != streamed %+v",
-								label(), seed, i, retRecs[i], strRecs[i])
-							break
-						}
+					return policy + "/" + mode
+				}
+				if streamed.Summary != retained.Summary {
+					t.Errorf("%s seed=%d: streaming summary %+v != retained %+v",
+						label(), seed, streamed.Summary, retained.Summary)
+				}
+				if streamed.Stream != retained.Stream {
+					t.Errorf("%s seed=%d: streaming aggregates %+v != retained %+v",
+						label(), seed, streamed.Stream, retained.Stream)
+				}
+				if streamed.Makespan != retained.Makespan ||
+					streamed.Utilization != retained.Utilization ||
+					streamed.MaxConcurrency != retained.MaxConcurrency {
+					t.Errorf("%s seed=%d: headline metrics diverge: %+v vs %+v",
+						label(), seed, streamed, retained)
+				}
+				sortRecords(retRecs)
+				sortRecords(strRecs)
+				if len(retRecs) != len(strRecs) {
+					t.Fatalf("%s seed=%d: %d retained records, %d streamed",
+						label(), seed, len(retRecs), len(strRecs))
+				}
+				for i := range retRecs {
+					if retRecs[i] != strRecs[i] {
+						t.Errorf("%s seed=%d: record %d: retained %+v != streamed %+v",
+							label(), seed, i, retRecs[i], strRecs[i])
+						break
 					}
 				}
 			}

@@ -176,7 +176,7 @@ type Injector struct {
 	eng  *sim.Engine
 	clu  *cluster.Cluster
 	pool *condor.Pool
-	o    *obs.View
+	o    *obs.Observer
 
 	root    *rng.Source
 	negRand *rng.Source
@@ -197,7 +197,7 @@ func NewInjector(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool, prof 
 		eng:       eng,
 		clu:       clu,
 		pool:      pool,
-		o:         o.View(nil),
+		o:         o,
 		root:      root,
 		negRand:   root.Fork("negotiation"),
 		machineOf: map[*cluster.DeviceUnit]*condor.Machine{},

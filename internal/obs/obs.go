@@ -33,14 +33,6 @@ type Observer struct {
 	// DefaultSampleInterval.
 	SampleInterval units.Tick
 	sampler        *Sampler
-	// laneShards are the per-lane event buffers behind lane-affine Views
-	// (see view.go), indexed by lane ID so the per-event drain hook avoids
-	// a map lookup. An Observer reused across a sweep of runs re-uses the
-	// shard at a colliding lane ID, which is safe: the event buffer drains
-	// completely every walk and field blocks are append-only with
-	// capacity-clipped hand-offs, so runs can never overwrite each other's
-	// data. Always drained between epochs.
-	laneShards []*laneShard
 }
 
 // New returns an Observer with a fresh registry and trace.

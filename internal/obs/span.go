@@ -15,8 +15,7 @@ import (
 // pass over the canonical stream — they work identically on a retained
 // Trace (SpansFromTrace) and on an emit-and-drop streaming run (register
 // the builder with Trace.AddConsumer before the run). Because the stream is
-// canonically ordered and bit-identical between serial and parallel runs,
-// so are the spans.
+// canonically ordered and bit-identical across runs, so are the spans.
 
 // Offload is one coprocessor occupancy interval within an attempt.
 type Offload struct {

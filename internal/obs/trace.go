@@ -55,10 +55,9 @@ func (e Event) AppendJSON(buf []byte) []byte {
 }
 
 // EventSink consumes trace events the moment they reach canonical order.
-// Consumers registered on a Trace see every event exactly once, in the
-// bit-identical order a serial run would emit them (the View/shard machinery
-// guarantees this for parallel runs). Streaming writers (StreamSink) and the
-// span builder (SpanBuilder) are EventSinks.
+// Consumers registered on a Trace see every event exactly once, in emission
+// order. Streaming writers (StreamSink) and the span builder (SpanBuilder)
+// are EventSinks.
 //
 // The Event's Fields slice is owned by the trace: in streaming mode it is a
 // reused scratch buffer valid only for the duration of Consume. Sinks that
@@ -151,21 +150,7 @@ func (t *Trace) Emit(at units.Tick, layer, kind string, fields ...Field) {
 	} else {
 		fs = t.retainFields(fields)
 	}
-	t.ingest(Event{At: at, Layer: layer, Kind: kind, Fields: fs})
-}
-
-// EmitOwned ingests an event whose Fields the caller permanently cedes to
-// the trace. Lane shards hand their block-backed events over this way,
-// skipping the defensive copy Emit must make for borrowed argument slices.
-func (t *Trace) EmitOwned(e Event) {
-	if t == nil {
-		return
-	}
-	t.emitted++
-	t.ingest(e)
-}
-
-func (t *Trace) ingest(e Event) {
+	e := Event{At: at, Layer: layer, Kind: kind, Fields: fs}
 	for _, c := range t.consumers {
 		c.Consume(e)
 	}

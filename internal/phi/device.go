@@ -208,7 +208,7 @@ type Device struct {
 	ID  string
 	cfg Config
 
-	eng  *sim.Lane
+	eng  *sim.Engine
 	rand *rng.Source
 	sink UtilSink
 
@@ -243,19 +243,14 @@ type Device struct {
 	finishedScratch []*offload
 	stillScratch    []*offload
 	// offFree recycles offload records: a steady-state device allocates
-	// nothing per offload (records are node-confined, so the free list needs
-	// no locks — the parallel core runs each device on one lane). The struct
-	// is recycled the moment its end is decided; the deferred done
+	// nothing per offload. The struct is recycled the moment its end is decided; the deferred done
 	// notification captures the callback, never the record.
 	offFree []*offload
 
 	stats Stats
 
-	// Observability (SetObserver); nil handles no-op when disabled. The
-	// View is lane-affine: epoch-context emissions buffer in the node
-	// lane's shard and surface at the canonical walk, so instrumented runs
-	// stay parallel with bit-identical trace output.
-	obs         *obs.View
+	// Observability (SetObserver); nil handles no-op when disabled.
+	obs         *obs.Observer
 	obsDev      any // device ID pre-boxed once so hot emit sites skip the per-event string-header allocation
 	obsOOM      *obs.Counter
 	obsStarted  *obs.Counter
@@ -266,7 +261,7 @@ type Device struct {
 
 // NewDevice creates a device. rand drives OOM victim selection; a nil sink
 // disables utilization sampling.
-func NewDevice(eng *sim.Lane, id string, cfg Config, rand *rng.Source, sink UtilSink) *Device {
+func NewDevice(eng *sim.Engine, id string, cfg Config, rand *rng.Source, sink UtilSink) *Device {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
@@ -290,7 +285,7 @@ func (d *Device) Config() Config { return d.cfg }
 // SetObserver attaches the observability layer; series are labelled with
 // the device ID. A nil observer disables instrumentation.
 func (d *Device) SetObserver(o *obs.Observer) {
-	d.obs = o.View(d.eng)
+	d.obs = o
 	d.obsDev = d.ID
 	d.obsOOM = o.Counter("phi_oom_kills_total", "device", d.ID)
 	d.obsStarted = o.Counter("phi_offloads_started_total", "device", d.ID)
@@ -482,10 +477,7 @@ func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick
 	d.stats.OffloadsStarted++
 	d.obsStarted.Inc()
 	if d.Trace != nil {
-		// The sink is shared across devices: defer the call through the
-		// lane so it lands in canonical order (immediate in serial mode).
-		now, name := d.eng.Now(), p.Job.Name
-		d.eng.Global(func() { d.Trace.OffloadStarted(now, name, threads) })
+		d.Trace.OffloadStarted(d.eng.Now(), p.Job.Name, threads)
 	}
 	if d.obs != nil {
 		d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_start",
@@ -515,8 +507,7 @@ func (d *Device) abortOffload(o *offload) {
 	d.stats.OffloadsAborted++
 	d.obsAborted.Inc()
 	if d.Trace != nil {
-		now, name := d.eng.Now(), o.proc.Job.Name
-		d.eng.Global(func() { d.Trace.OffloadEnded(now, name, false) })
+		d.Trace.OffloadEnded(d.eng.Now(), o.proc.Job.Name, false)
 	}
 	if d.obs != nil {
 		d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_end",
@@ -672,8 +663,7 @@ func (d *Device) onCompletionTick() {
 		d.stats.OffloadsCompleted++
 		d.obsComplete.Inc()
 		if d.Trace != nil {
-			now, name := d.eng.Now(), o.proc.Job.Name
-			d.eng.Global(func() { d.Trace.OffloadEnded(now, name, true) })
+			d.Trace.OffloadEnded(d.eng.Now(), o.proc.Job.Name, true)
 		}
 		if d.obs != nil {
 			d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_end",

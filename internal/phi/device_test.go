@@ -21,7 +21,7 @@ func mkJob(id int, mem units.MB, threads units.Threads) *job.Job {
 // newDev builds a contention-free device so timing expectations stay exact;
 // the spin-contention model has its own tests below.
 func newDev(eng *sim.Engine) *Device {
-	return NewDevice(eng.NodeLane(0), "node0/mic0", BareConfig(), rng.New(1), nil)
+	return NewDevice(eng, "node0/mic0", BareConfig(), rng.New(1), nil)
 }
 
 func TestConfigHWThreads(t *testing.T) {
@@ -36,7 +36,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Error("invalid config did not panic")
 		}
 	}()
-	NewDevice(sim.New().NodeLane(0), "x", Config{}, nil, nil)
+	NewDevice(sim.New(), "x", Config{}, nil, nil)
 }
 
 func TestSingleOffloadFullSpeed(t *testing.T) {
@@ -320,7 +320,7 @@ func (s *testSink) Record(now units.Tick, busy int) {
 func TestUtilSinkSamples(t *testing.T) {
 	eng := sim.New()
 	sink := &testSink{}
-	d := NewDevice(eng.NodeLane(0), "x", BareConfig(), rng.New(1), sink)
+	d := NewDevice(eng, "x", BareConfig(), rng.New(1), sink)
 	d.Affinitized = true
 	p := d.Attach(mkJob(1, 500, 120)) // 30 cores
 	d.StartOffload(p, 120, 2000, func(OffloadOutcome) {})
@@ -341,7 +341,7 @@ func TestUtilSinkSamples(t *testing.T) {
 func TestBusyCoresCappedAtDeviceCores(t *testing.T) {
 	eng := sim.New()
 	sink := &testSink{}
-	d := NewDevice(eng.NodeLane(0), "x", BareConfig(), rng.New(1), sink)
+	d := NewDevice(eng, "x", BareConfig(), rng.New(1), sink)
 	d.Affinitized = true
 	// 5 x 60 threads = 75 cores demanded, capped at 60.
 	for i := 0; i < 5; i++ {
@@ -359,7 +359,7 @@ func TestBusyCoresCappedAtDeviceCores(t *testing.T) {
 func TestDeterministicOOMVictims(t *testing.T) {
 	run := func() []int {
 		eng := sim.New()
-		d := NewDevice(eng.NodeLane(0), "x", BareConfig(), rng.New(99), nil)
+		d := NewDevice(eng, "x", BareConfig(), rng.New(99), nil)
 		var order []int
 		for i := 0; i < 4; i++ {
 			j := mkJob(i, 4000, 60)
@@ -395,7 +395,7 @@ func TestSpinContentionSlowsOversubscribedResidents(t *testing.T) {
 	// divisor 1 + 0.35. A serialized-style single offload of 2000 work
 	// takes 2700 once both pools are warm.
 	eng := sim.New()
-	d := NewDevice(eng.NodeLane(0), "x", DefaultConfig(), rng.New(1), nil)
+	d := NewDevice(eng, "x", DefaultConfig(), rng.New(1), nil)
 	d.Affinitized = true
 	p1 := d.Attach(mkJob(1, 500, 240))
 	p2 := d.Attach(mkJob(2, 500, 240))
@@ -417,7 +417,7 @@ func TestSpinContentionOnlyAfterFirstOffload(t *testing.T) {
 	// A resident process that never offloaded has no worker pool yet and
 	// causes no contention.
 	eng := sim.New()
-	d := NewDevice(eng.NodeLane(0), "x", DefaultConfig(), rng.New(1), nil)
+	d := NewDevice(eng, "x", DefaultConfig(), rng.New(1), nil)
 	d.Affinitized = true
 	d.Attach(mkJob(2, 500, 240)) // cold resident
 	p1 := d.Attach(mkJob(1, 500, 240))
@@ -431,7 +431,7 @@ func TestSpinContentionOnlyAfterFirstOffload(t *testing.T) {
 
 func TestSpinContentionClearsOnTermination(t *testing.T) {
 	eng := sim.New()
-	d := NewDevice(eng.NodeLane(0), "x", DefaultConfig(), rng.New(1), nil)
+	d := NewDevice(eng, "x", DefaultConfig(), rng.New(1), nil)
 	d.Affinitized = true
 	p1 := d.Attach(mkJob(1, 500, 240))
 	p2 := d.Attach(mkJob(2, 500, 240))
@@ -450,7 +450,7 @@ func TestSpinContentionClearsOnTermination(t *testing.T) {
 func TestSpinContentionWithinBudgetIsFree(t *testing.T) {
 	// Warm residents totaling exactly the hardware threads pay nothing.
 	eng := sim.New()
-	d := NewDevice(eng.NodeLane(0), "x", DefaultConfig(), rng.New(1), nil)
+	d := NewDevice(eng, "x", DefaultConfig(), rng.New(1), nil)
 	d.Affinitized = true
 	var ends []units.Tick
 	for i := 0; i < 4; i++ {
@@ -473,7 +473,7 @@ func TestNegativeSpinContentionRejected(t *testing.T) {
 			t.Error("negative SpinContention accepted")
 		}
 	}()
-	NewDevice(sim.New().NodeLane(0), "x", cfg, nil, nil)
+	NewDevice(sim.New(), "x", cfg, nil, nil)
 }
 
 func TestSnapshot(t *testing.T) {

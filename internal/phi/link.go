@@ -23,7 +23,7 @@ import (
 // runs while cores are free — so COSMIC's offload admission governs only
 // the compute section.
 type Link struct {
-	eng       *sim.Lane
+	eng       *sim.Engine
 	bandwidth float64 // MB per tick
 
 	transfers   []*transfer
@@ -49,7 +49,7 @@ type transfer struct {
 const DefaultLinkBandwidthMBps = 6000.0
 
 // NewLink creates a link with the given bandwidth in MB/s.
-func NewLink(eng *sim.Lane, bandwidthMBps float64) *Link {
+func NewLink(eng *sim.Engine, bandwidthMBps float64) *Link {
 	if bandwidthMBps <= 0 {
 		panic(fmt.Sprintf("phi: non-positive link bandwidth %v", bandwidthMBps))
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestLinkSingleTransfer(t *testing.T) {
 	eng := sim.New()
-	l := NewLink(eng.NodeLane(0), 6000) // 6 MB/ms
+	l := NewLink(eng, 6000) // 6 MB/ms
 	var end units.Tick
 	l.Transfer(600, func() { end = eng.Now() })
 	eng.Run()
@@ -25,7 +25,7 @@ func TestLinkSharedBandwidth(t *testing.T) {
 	// Two equal transfers: each gets half the bandwidth and takes twice
 	// as long.
 	eng := sim.New()
-	l := NewLink(eng.NodeLane(0), 6000)
+	l := NewLink(eng, 6000)
 	var ends []units.Tick
 	for i := 0; i < 2; i++ {
 		l.Transfer(600, func() { ends = append(ends, eng.Now()) })
@@ -43,7 +43,7 @@ func TestLinkStaggeredSharing(t *testing.T) {
 	// 600 MB left. Shared rate 3 MB/ms: B finishes at 200, A has 300 left,
 	// full rate again, done at 250.
 	eng := sim.New()
-	l := NewLink(eng.NodeLane(0), 6000)
+	l := NewLink(eng, 6000)
 	var aEnd, bEnd units.Tick
 	l.Transfer(1200, func() { aEnd = eng.Now() })
 	eng.At(100, func() {
@@ -60,7 +60,7 @@ func TestLinkStaggeredSharing(t *testing.T) {
 
 func TestLinkZeroTransferCompletesAsync(t *testing.T) {
 	eng := sim.New()
-	l := NewLink(eng.NodeLane(0), 6000)
+	l := NewLink(eng, 6000)
 	fired := false
 	l.Transfer(0, func() { fired = true })
 	if fired {
@@ -74,7 +74,7 @@ func TestLinkZeroTransferCompletesAsync(t *testing.T) {
 
 func TestLinkNegativeSizePanics(t *testing.T) {
 	eng := sim.New()
-	l := NewLink(eng.NodeLane(0), 6000)
+	l := NewLink(eng, 6000)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative size accepted")
@@ -89,12 +89,12 @@ func TestNewLinkValidatesBandwidth(t *testing.T) {
 			t.Error("zero bandwidth accepted")
 		}
 	}()
-	NewLink(sim.New().NodeLane(0), 0)
+	NewLink(sim.New(), 0)
 }
 
 func TestLinkPeakInFlight(t *testing.T) {
 	eng := sim.New()
-	l := NewLink(eng.NodeLane(0), 6000)
+	l := NewLink(eng, 6000)
 	for i := 0; i < 3; i++ {
 		l.Transfer(60, func() {})
 	}

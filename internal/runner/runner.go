@@ -41,13 +41,8 @@ type Result struct {
 // immediately under raw MPSS, or once its declared memory fits under
 // COSMIC's node-level admission (during which the job occupies its Condor
 // slot but makes no progress — the §V cost of memory-oblivious placement).
-//
-// Everything the runner schedules — host phases, DMA continuations — rides
-// the unit's node lane; done may fire from lane context, so a caller whose
-// completion handling touches cross-node state must defer it with
-// unit.Lane.Global.
 func Run(unit *cluster.DeviceUnit, j *job.Job, done func(Result)) {
-	e := &exec{eng: unit.Lane, unit: unit, j: j, done: done}
+	e := &exec{eng: unit.Engine, unit: unit, j: j, done: done}
 	unit.Admit(j, func(p *phi.Process) {
 		e.proc = p
 		e.proc.OnKill = e.onKill
@@ -61,7 +56,7 @@ func Run(unit *cluster.DeviceUnit, j *job.Job, done func(Result)) {
 }
 
 type exec struct {
-	eng  *sim.Lane
+	eng  *sim.Engine
 	unit *cluster.DeviceUnit
 	j    *job.Job
 	done func(Result)

@@ -8,17 +8,6 @@
 // ties so that two events at the same instant always fire in the order they
 // were scheduled, which makes simulations bit-for-bit reproducible across
 // runs and platforms.
-//
-// Scheduling goes through Lane handles. A Lane declares the node scope of
-// everything scheduled on it: node lanes (NodeLane) carry events that touch
-// only that node's state — device completion ticks, link DMA progress, host
-// phase steps, COSMIC queue pumps — while the global lane (the Engine's own
-// At/After methods) carries cross-node events: negotiation cycles, dispatch
-// handshakes, fault injection. In the default serial mode the distinction is
-// free — one heap, one clock, exactly the classic engine — but it is what
-// lets the parallel executor (see parallel.go) run node lanes concurrently
-// between global events while keeping every observable outcome, including
-// same-instant tie-breaks, bit-identical to a serial run.
 package sim
 
 import (
@@ -30,48 +19,24 @@ import (
 // event is a scheduled callback.
 type event struct {
 	at units.Tick
-	// seq is the canonical sequence number: the value the serial engine
-	// would have assigned at the same scheduling point. In parallel mode an
-	// event born inside an epoch has seq 0 until the canonical walk reaches
-	// its parent and assigns the exact serial value (valid seqs start at 1).
+	// seq is the scheduling order: the engine's counter at the At call.
+	// It breaks ties between events at the same instant.
 	seq uint64
-	// hseq is the heap-ordering key: equal to seq for serial and global
-	// scheduling, a per-lane push counter for lane scheduling in parallel
-	// mode. Within one heap, (at, hseq) order always agrees with the
-	// canonical (at, seq) order — see the invariant note in parallel.go.
-	hseq uint64
-	lane *Lane // owning lane; nil for global events
-	fn   func()
+	fn  func()
 	// tm, when non-nil, makes this a cancelable timer event: Timer.Stop
-	// removes the event from its owning heap, and the Timer struct returns
-	// to the free list once the event fires or is stopped.
+	// removes the event from the heap, and the Timer struct returns to the
+	// free list once the event fires or is stopped.
 	tm *Timer
-	// idx is the event's current position in its owning heap, maintained by
-	// every sift so Timer.Stop can remove a queued event in O(log n). -1
-	// while the event is not queued (executing, logged, or on a free list).
+	// idx is the event's current position in the heap, maintained by every
+	// sift so Timer.Stop can remove a queued event in O(log n). -1 while
+	// the event is not queued (executing or on the free list).
 	idx int
-	// acts is the action log recorded while the event executes inside a
-	// parallel epoch: the events it scheduled and the global closures it
-	// deferred, in emission order, replayed by the canonical walk.
-	acts []action
-}
-
-// action is one entry of an epoch event's action log.
-type action struct {
-	child  *event // a lane event this event scheduled (seq assigned at walk)
-	global func() // a deferred cross-node closure (run at walk, in canonical order)
-	// flush marks a lane-buffer drain point recorded with Lane.DeferFlush:
-	// the canonical walk calls the engine's registered lane-flush hook here,
-	// letting a lane-local collector (the observability shards) hand one
-	// buffered record to its canonical consumer at this event's exact serial
-	// position, interleaved with deferred closures in emission order.
-	flush bool
 }
 
 // eventHeap is a binary min-heap of events ordered by time, then by
 // insertion order. The heap code is inlined (rather than going through
 // container/heap's interface) so pushes and pops stay monomorphic and
-// allocation-free; the (at, hseq) key is a total order, so the pop sequence
+// allocation-free; the (at, seq) key is a total order, so the pop sequence
 // is identical to container/heap's regardless of internal layout.
 type eventHeap []*event
 
@@ -79,7 +44,7 @@ func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].hseq < h[j].hseq
+	return h[i].seq < h[j].seq
 }
 
 func (h eventHeap) swap(i, j int) {
@@ -152,15 +117,6 @@ func (h *eventHeap) remove(i int) *event {
 	return ev
 }
 
-// Execution context of the engine. Serial mode never leaves ctxSerial; the
-// parallel executor flips to ctxEpoch while worker goroutines drain lane
-// heaps and to ctxWalk during the canonical merge that follows each epoch.
-const (
-	ctxSerial = iota // serial engine, or a parallel engine between epochs (barrier context)
-	ctxEpoch         // lane workers executing an epoch window
-	ctxWalk          // canonical walk replaying deferred actions
-)
-
 // Engine is a discrete-event simulation engine.
 // The zero value is ready to use, with the clock at 0.
 type Engine struct {
@@ -185,47 +141,11 @@ type Engine struct {
 	// it consumes no sequence numbers and cannot reorder anything, but a
 	// hook that mutates component state would still corrupt the run. A nil
 	// hook costs one comparison per step.
-	//
-	// In parallel mode the hook runs at every globally consistent point —
-	// after each barrier event and after each epoch's canonical walk —
-	// rather than after every lane event; state invariants that hold at
-	// every serial event boundary hold at every such point.
 	AfterStep func()
-
-	// Parallel-execution state; zero/unused in serial mode.
-	parallel  bool
-	workers   int
-	lookahead units.Tick
-	epochs    uint64
-	ctx       int
-	lanes     []*Lane
-	global    Lane
-	// walkBound is the current epoch window's end while ctx == ctxWalk:
-	// a replayed closure scheduling a global event before it would mean the
-	// epoch ran past a cross-node effect (a lookahead violation).
-	walkBound    units.Tick
-	laneScratch  []*Lane
-	mergeScratch []*Lane
-	// laneFlush is the registered lane-buffer drain hook (see SetLaneFlush).
-	laneFlush func(*Lane)
 }
-
-// SetLaneFlush registers the hook the canonical walk calls for every flush
-// point recorded with Lane.DeferFlush, in canonical (time, seq) order and in
-// emission order within an event. A lane-local collector (the observability
-// layer's per-lane shards) registers the hook once and uses it to drain its
-// buffers into a canonically ordered consumer. One hook per engine; the sim
-// package itself never records flush points, so an engine without a
-// registered hook never calls it.
-func (e *Engine) SetLaneFlush(fn func(*Lane)) { e.laneFlush = fn }
 
 // New returns a fresh engine with the clock at zero.
-func New() *Engine {
-	e := &Engine{}
-	e.global.eng = e
-	e.global.id = -1
-	return e
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Tick { return e.now }
@@ -234,52 +154,13 @@ func (e *Engine) Now() units.Tick { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int {
-	n := len(e.events)
-	for _, l := range e.lanes {
-		n += len(l.heap)
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.events) }
 
-// GlobalLane returns the engine's cross-node lane. Scheduling on it is
-// identical to calling the Engine's own At/After methods.
-func (e *Engine) GlobalLane() *Lane {
-	if e.global.eng == nil {
-		// Zero-value Engine (no New): wire the embedded lane lazily.
-		e.global.eng, e.global.id = e, -1
-	}
-	return &e.global
-}
+// At schedules fn to run at absolute time t. Scheduling in the past panics:
+// a component asking for time travel is always a bug in the caller.
+func (e *Engine) At(t units.Tick, fn func()) { e.schedule(t, fn, nil) }
 
-// NodeLane returns the scheduling lane for node id (dense ids from 0),
-// creating it and any lower-numbered lanes on first use. Everything a node's
-// components schedule through their lane is declared node-confined: it may
-// read and write only that node's state. The parallel executor runs lanes
-// concurrently between global events on that promise.
-func (e *Engine) NodeLane(id int) *Lane {
-	if id < 0 {
-		panic(fmt.Sprintf("sim: negative lane id %d", id))
-	}
-	for len(e.lanes) <= id {
-		e.lanes = append(e.lanes, &Lane{eng: e, id: len(e.lanes)})
-	}
-	return e.lanes[id]
-}
-
-// At schedules fn to run at absolute time t on the global lane. Scheduling
-// in the past panics: a component asking for time travel is always a bug in
-// the caller.
-func (e *Engine) At(t units.Tick, fn func()) {
-	if !e.parallel {
-		e.scheduleSerial(t, fn, nil)
-		return
-	}
-	e.GlobalLane().At(t, fn)
-}
-
-// After schedules fn to run d ticks from now on the global lane. Negative d
-// panics.
+// After schedules fn to run d ticks from now. Negative d panics.
 func (e *Engine) After(d units.Tick, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -287,15 +168,13 @@ func (e *Engine) After(d units.Tick, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// scheduleSerial is the single-heap scheduling path: the whole story in
-// serial mode, and the global-lane path at barrier context in parallel mode.
-func (e *Engine) scheduleSerial(t units.Tick, fn func(), tm *Timer) {
+func (e *Engine) schedule(t units.Tick, fn func(), tm *Timer) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.hseq, ev.fn, ev.tm, ev.lane = t, e.seq, e.seq, fn, tm, nil
+	ev.at, ev.seq, ev.fn, ev.tm = t, e.seq, fn, tm
 	if tm != nil {
 		tm.ev = ev
 	}
@@ -312,12 +191,9 @@ func (e *Engine) alloc() *event {
 	return &event{}
 }
 
-// Run processes events until every queue is empty and returns the final
+// Run processes events until the queue is empty and returns the final
 // clock value. Events may schedule further events.
 func (e *Engine) Run() units.Tick {
-	if e.parallel {
-		return e.runParallel()
-	}
 	for len(e.events) > 0 {
 		e.step()
 	}
@@ -326,12 +202,8 @@ func (e *Engine) Run() units.Tick {
 
 // RunUntil processes events with time <= t, then advances the clock to t
 // (if it is not already past it) and returns. Events scheduled at exactly t
-// are processed. RunUntil is a serial-engine facility (component tests step
-// their fixtures mid-flight with it); a parallel engine panics.
+// are processed. Component tests use it to step their fixtures mid-flight.
 func (e *Engine) RunUntil(t units.Tick) {
-	if e.parallel {
-		panic("sim: RunUntil is not supported on a parallel engine")
-	}
 	for len(e.events) > 0 && e.events[0].at <= t {
 		e.step()
 	}
@@ -377,7 +249,7 @@ func (e *Engine) step() {
 // completion tick when the in-flight transfer set changes, or the Condor
 // negotiator retracting a superseded negotiation trigger.
 //
-// Stop removes the queued event from its owning heap, so a stopped timer
+// Stop removes the queued event from the heap, so a stopped timer
 // costs nothing at its former instant — no dead closure survives in the
 // queue (Pending drops immediately).
 //
@@ -388,29 +260,21 @@ func (e *Engine) step() {
 // recycled timer. Every current caller clears its handle in the callback
 // (or stops the timer and nils the handle in the same breath), which is the
 // pattern to keep.
-//
-// Lane confinement extends to timers: a node-lane timer may only be stopped
-// from its own lane's context, and a global timer only from barrier or walk
-// context — the same scopes that could have scheduled it.
 type Timer struct {
 	stopped bool
 	// ev is the queued event, nil once the event fired or was removed.
 	ev *event
-	// eng is the owning engine, for free-list access when Stop removes a
-	// global (lane-less) event.
+	// eng is the owning engine, for free-list access when Stop removes the
+	// event.
 	eng *Engine
 }
 
-// AtTimer schedules fn at absolute time t on the global lane and returns a
-// handle that can stop it. A stopped timer's callback is silently skipped
-// when its time arrives.
+// AtTimer schedules fn at absolute time t and returns a handle that can stop
+// it. A stopped timer's callback is silently skipped when its time arrives.
 func (e *Engine) AtTimer(t units.Tick, fn func()) *Timer {
-	if !e.parallel {
-		tm := e.allocTimer()
-		e.scheduleSerial(t, fn, tm)
-		return tm
-	}
-	return e.GlobalLane().AtTimer(t, fn)
+	tm := e.allocTimer()
+	e.schedule(t, fn, tm)
+	return tm
 }
 
 // AfterTimer schedules fn after delay d and returns a cancelable handle.
@@ -431,7 +295,7 @@ func (e *Engine) allocTimer() *Timer {
 	return &Timer{eng: e}
 }
 
-// Stop cancels the timer and removes its event from the owning heap, so
+// Stop cancels the timer and removes its event from the heap, so
 // neither struct lingers until the instant passes. Stopping a timer whose
 // callback is currently executing only marks it stopped (the event is
 // already off the heap). Stopping a spent handle is a caller bug (the
@@ -445,13 +309,6 @@ func (t *Timer) Stop() {
 	t.ev = nil
 	ev.tm = nil
 	ev.fn = nil
-	if l := ev.lane; l != nil {
-		l.heap.remove(ev.idx)
-		ev.lane = nil
-		l.free = append(l.free, ev)
-		l.tmFree = append(l.tmFree, t)
-		return
-	}
 	e := t.eng
 	e.events.remove(ev.idx)
 	e.free = append(e.free, ev)

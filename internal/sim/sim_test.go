@@ -213,25 +213,63 @@ func TestTimerStopRemovesQueuedEvent(t *testing.T) {
 	}
 }
 
-// TestLaneTimerStopRemovesQueuedEvent is the lane-heap variant: Stop on a
-// node-lane timer removes the event from the lane's private heap and returns
-// both objects to the lane pools.
-func TestLaneTimerStopRemovesQueuedEvent(t *testing.T) {
+// TestTimerChurnThenFire pins timer recycling: after a churn of stopped
+// timers, every event and timer struct is back on the free lists (Pending
+// returns to its base), and a live timer drawn from those recycled structs
+// still fires.
+func TestTimerChurnThenFire(t *testing.T) {
 	e := New()
-	l := e.NodeLane(0)
 	base := e.Pending()
 	for i := 0; i < 1000; i++ {
-		tm := l.AfterTimer(units.Tick(100+i), func() { t.Error("stopped lane timer fired") })
+		tm := e.AfterTimer(units.Tick(100+i), func() { t.Error("stopped timer fired") })
 		tm.Stop()
 	}
 	if e.Pending() != base {
-		t.Fatalf("Pending = %d after lane-timer churn, want %d", e.Pending(), base)
+		t.Fatalf("Pending = %d after timer churn, want %d", e.Pending(), base)
 	}
 	fired := false
-	l.AfterTimer(5, func() { fired = true })
+	e.AfterTimer(5, func() { fired = true })
 	e.Run()
 	if !fired {
-		t.Fatal("live lane timer did not fire after churned stops")
+		t.Fatal("live timer did not fire after churned stops")
+	}
+}
+
+// TestSameTickFIFOFromInsideEvent pins the tie-break for events scheduled
+// from inside a running event: an event at the current instant fires after
+// every event already queued for that instant, and same-instant children of
+// different parents fire in the order their parents scheduled them —
+// (time, scheduling order), with no regard for which event did the
+// scheduling. Condor's zero-delay dispatch handshakes rely on this order.
+func TestSameTickFIFOFromInsideEvent(t *testing.T) {
+	e := New()
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(10, func() {
+		got = append(got, "a")
+		e.After(0, log("a0"))  // same instant, behind b and c
+		e.At(20, log("a20"))   // ahead of b's child at 20
+		e.After(0, log("a0'")) // behind a0
+	})
+	e.At(10, func() {
+		got = append(got, "b")
+		e.At(20, log("b20"))
+		e.After(0, func() {
+			got = append(got, "b0")
+			e.After(0, log("b00")) // grandchild: behind every queued t=10 event
+		})
+	})
+	e.At(10, log("c"))
+	e.At(20, log("d20")) // scheduled before any child at 20
+	e.Run()
+	want := []string{"a", "b", "c", "a0", "a0'", "b0", "b00", "d20", "a20", "b20"}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
 	}
 }
 

@@ -163,6 +163,7 @@ func synthesize(id int, cfg Config, r *rng.Source) *job.Job {
 	// resource level so that the distributions differ only in resource
 	// requirements, as in the paper's controlled experiments.
 	k := r.UniformInt(4, 10)
+	j.Phases = make([]job.Phase, 0, 1+2*k)
 	j.Phases = append(j.Phases, job.Phase{
 		Kind:     job.HostPhase,
 		Duration: units.Tick(r.UniformInt(int(1*units.Second), int(2*units.Second))),
