@@ -23,73 +23,77 @@ import (
 // bit-identical job records, makespans, and footprints vs a bare run.
 // Instrumentation that changes a simulated outcome is never acceptable.
 func TestObservabilityPreservesOutcomes(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		jobs := job.GenerateTableOneSet(90, rng.New(seed))
-		run := func(instrumented bool) (Result, []metrics.JobRecord, *obs.Observer) {
-			var recs []metrics.JobRecord
-			cfg := RunConfig{
-				Policy:     PolicyMCCK,
-				Nodes:      3,
-				Jobs:       jobs,
-				Seed:       seed,
-				RecordSink: &recs,
+	// The event engine is serial; the subtest keeps the run mode in the
+	// test name so results stay comparable across engine changes.
+	t.Run("serial", func(t *testing.T) {
+		for _, seed := range []int64{3, 11} {
+			jobs := job.GenerateTableOneSet(90, rng.New(seed))
+			run := func(instrumented bool) (Result, []metrics.JobRecord, *obs.Observer) {
+				var recs []metrics.JobRecord
+				cfg := RunConfig{
+					Policy:     PolicyMCCK,
+					Nodes:      3,
+					Jobs:       jobs,
+					Seed:       seed,
+					RecordSink: &recs,
+				}
+				var o *obs.Observer
+				if instrumented {
+					o = obs.New()
+					cfg.Obs = o
+					cfg.EventLog = condor.NewEventLog()
+				}
+				res := Run(cfg)
+				return res, recs, o
 			}
-			var o *obs.Observer
-			if instrumented {
-				o = obs.New()
-				cfg.Obs = o
-				cfg.EventLog = condor.NewEventLog()
-			}
-			res := Run(cfg)
-			return res, recs, o
-		}
-		bare, bareRecs, _ := run(false)
-		inst, instRecs, o := run(true)
+			bare, bareRecs, _ := run(false)
+			inst, instRecs, o := run(true)
 
-		if bare.Makespan != inst.Makespan {
-			t.Fatalf("seed %d: instrumentation changed makespan: %v -> %v",
-				seed, bare.Makespan, inst.Makespan)
-		}
-		if !reflect.DeepEqual(bareRecs, instRecs) {
-			for i := range bareRecs {
-				if i < len(instRecs) && bareRecs[i] != instRecs[i] {
-					t.Errorf("seed %d: record %d differs:\nbare:         %+v\ninstrumented: %+v",
-						seed, i, bareRecs[i], instRecs[i])
-					break
+			if bare.Makespan != inst.Makespan {
+				t.Fatalf("seed %d: instrumentation changed makespan: %v -> %v",
+					seed, bare.Makespan, inst.Makespan)
+			}
+			if !reflect.DeepEqual(bareRecs, instRecs) {
+				for i := range bareRecs {
+					if i < len(instRecs) && bareRecs[i] != instRecs[i] {
+						t.Errorf("seed %d: record %d differs:\nbare:         %+v\ninstrumented: %+v",
+							seed, i, bareRecs[i], instRecs[i])
+						break
+					}
+				}
+				t.Fatalf("seed %d: instrumented record stream (%d) != bare (%d)",
+					seed, len(instRecs), len(bareRecs))
+			}
+			if !reflect.DeepEqual(bare.Summary, inst.Summary) {
+				t.Fatalf("seed %d: summaries differ:\nbare:         %+v\ninstrumented: %+v",
+					seed, bare.Summary, inst.Summary)
+			}
+
+			// Footprint runs a sweep of full simulations; instrument every
+			// one of them (sharing one observer across the sweep is fine —
+			// outcomes must not care).
+			target := bare.Makespan * 2
+			fpCfg := RunConfig{Policy: PolicyMCCK, Nodes: 1, Jobs: jobs, Seed: seed}
+			bareFP, bareOK := Footprint(fpCfg, target, 3)
+			instFPCfg := fpCfg
+			instFPCfg.Obs = obs.New()
+			instFP, instOK := Footprint(instFPCfg, target, 3)
+			if bareFP != instFP || bareOK != instOK {
+				t.Fatalf("seed %d: instrumentation changed footprint: (%d,%v) -> (%d,%v)",
+					seed, bareFP, bareOK, instFP, instOK)
+			}
+
+			// Sanity: the instrumented run actually observed all four layers.
+			for _, layer := range []string{obs.LayerCondor, obs.LayerCore, obs.LayerCosmic, obs.LayerPhi} {
+				if o.Trace.Count(layer, "") == 0 {
+					t.Errorf("seed %d: no trace events from layer %q", seed, layer)
 				}
 			}
-			t.Fatalf("seed %d: instrumented record stream (%d) != bare (%d)",
-				seed, len(instRecs), len(bareRecs))
-		}
-		if !reflect.DeepEqual(bare.Summary, inst.Summary) {
-			t.Fatalf("seed %d: summaries differ:\nbare:         %+v\ninstrumented: %+v",
-				seed, bare.Summary, inst.Summary)
-		}
-
-		// Footprint runs a sweep of full simulations; instrument every
-		// one of them (sharing one observer across the sweep is fine —
-		// outcomes must not care).
-		target := bare.Makespan * 2
-		fpCfg := RunConfig{Policy: PolicyMCCK, Nodes: 1, Jobs: jobs, Seed: seed}
-		bareFP, bareOK := Footprint(fpCfg, target, 3)
-		instFPCfg := fpCfg
-		instFPCfg.Obs = obs.New()
-		instFP, instOK := Footprint(instFPCfg, target, 3)
-		if bareFP != instFP || bareOK != instOK {
-			t.Fatalf("seed %d: instrumentation changed footprint: (%d,%v) -> (%d,%v)",
-				seed, bareFP, bareOK, instFP, instOK)
-		}
-
-		// Sanity: the instrumented run actually observed all four layers.
-		for _, layer := range []string{obs.LayerCondor, obs.LayerCore, obs.LayerCosmic, obs.LayerPhi} {
-			if o.Trace.Count(layer, "") == 0 {
-				t.Errorf("seed %d: no trace events from layer %q", seed, layer)
+			if o.Sampler().Samples() == 0 {
+				t.Errorf("seed %d: sampler recorded nothing", seed)
 			}
 		}
-		if o.Sampler().Samples() == 0 {
-			t.Errorf("seed %d: sampler recorded nothing", seed)
-		}
-	}
+	})
 }
 
 // TestMatchCacheObservable asserts the match cache is visible through the
