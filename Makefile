@@ -14,8 +14,8 @@ BENCH_LABEL ?= after
 # benchmarks that exercise the whole stack, the observability
 # overhead pairs (disabled must track BenchmarkEndToEndMCCK; instrumented
 # documents the cost of full instrumentation),
-# and the negotiation sweep (queue depths, autoclusters on/off, and the
-# 10k-machine/100k-job sharded cycle over shard counts).
+# and the negotiation sweep (queue depths, the 10k-machine/100k-job
+# scale anchor, and the saturated deep queues).
 BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|BenchmarkEndToEndMCCK|BenchmarkTable2Makespan|BenchmarkObsOverhead|BenchmarkNegotiate|BenchmarkInsertPending)$$
 
 # The chaos gate's sweep width: seeds per (policy, profile) cell. The full
@@ -26,7 +26,7 @@ BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|Benchm
 CHAOS_SEEDS ?= 15
 CHAOS_DIFF_SEEDS ?= 10
 
-.PHONY: build vet lint lint-self test race bench benchgate chaos fuzz ci
+.PHONY: build vet lint lint-self test race bench benchgate chaos fuzz experiments experiments-check ci
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,8 @@ vet:
 # sim-path packages, no float equality in value comparisons, no
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
-# from sim-path entries through any call chain; shardsafe: Fanout workers
-# write only owned state; pureselect: classad.Match and Policy Select
-# implementations are observably pure). Legitimate sites
+# from sim-path entries through any call chain; pureselect: classad.Match
+# and Policy Select implementations are observably pure). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # The findings cache keys on the SHA-256 of every loaded source file, so a
@@ -158,4 +157,19 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 	done
 
-ci: vet build lint race chaos fuzz benchgate
+# The paper artifacts report_full.txt and results_full.json are build
+# outputs: phibench at the paper's parameters (seed 42, ~10 s). `make
+# experiments` regenerates them in place; `make experiments-check`
+# regenerates both into a temporary directory and fails if either differs
+# from the committed copy, so a change that moves any table or figure must
+# commit the regenerated artifacts with it.
+experiments:
+	$(GO) run ./cmd/phibench -seed 42 -o report_full.txt -json results_full.json > /dev/null
+
+experiments-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/phibench -seed 42 -o "$$tmp/report_full.txt" -json "$$tmp/results_full.json" > /dev/null && \
+	cmp "$$tmp/report_full.txt" report_full.txt && \
+	cmp "$$tmp/results_full.json" results_full.json
+
+ci: vet build lint race chaos fuzz experiments-check benchgate

@@ -366,75 +366,47 @@ func BenchmarkKnapsackGreedyVsDP(b *testing.B) {
 // the incremental autocluster path has real invalidation work to do (the
 // seven untouched machines answer from their per-cluster verdicts). The
 // queue holds unmatchable jobs, so the cycle is pure matchmaking — no claims
-// mutate the queue between iterations. The autoclusters=false sub-runs are
-// the legacy per-(job, machine) path for comparison.
+// mutate the queue between iterations.
 func BenchmarkNegotiate(b *testing.B) {
-	for _, depth := range []int{16, 64, 256} {
-		for _, autoclusters := range []bool{true, false} {
-			b.Run(fmt.Sprintf("depth=%d/autoclusters=%v", depth, autoclusters), func(b *testing.B) {
-				eng := sim.New()
-				clu := cluster.New(eng, cluster.Config{Nodes: 8, Seed: 1})
-				pool := condor.NewPool(eng, clu, scheduler.NewExclusive(),
-					condor.Config{DisableAutoclusters: !autoclusters})
-				jobs := make([]*job.Job, depth)
-				for i := range jobs {
-					jobs[i] = &job.Job{
-						ID: i, Name: "bench", Workload: "bench",
-						// More memory than any device: never matches, so the
-						// queue is identical for every measured cycle.
-						Mem:     100_000 + units.MB(i%7)*50,
-						Threads: units.Threads(16 + (i%15)*16),
-					}
-					jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
-				}
-				pool.Submit(jobs)
-				machines := pool.Machines()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m := machines[i%len(machines)]
-					m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(4000+i%97))
-					pool.NegotiateOnce()
-				}
-			})
+	// unmatchable builds n jobs needing more memory than any device, so the
+	// queue is identical for every measured cycle.
+	unmatchable := func(n int) []*job.Job {
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			jobs[i] = &job.Job{
+				ID: i, Name: "bench", Workload: "bench",
+				Mem:     100_000 + units.MB(i%7)*50,
+				Threads: units.Threads(16 + (i%15)*16),
+			}
+			jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
+		}
+		return jobs
+	}
+	cycle := func(b *testing.B, nodes, depth int, prime bool) {
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewExclusive(), condor.Config{})
+		pool.Submit(unmatchable(depth))
+		machines := pool.Machines()
+		if prime {
+			// Measure the steady-state verdict caches, not the cold-start
+			// evaluation.
+			pool.NegotiateOnce()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m := machines[i%len(machines)]
+			m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(4000+i%97))
+			pool.NegotiateOnce()
 		}
 	}
-	// Sharded scan at the ROADMAP's 10k-node / 100k-job scale: one
-	// steady-state matchmaking cycle, shard counts 1/2/4/8. The slot
-	// collapse means the scan walks (cycle slots × machines), not (jobs ×
-	// machines), and the shards split the machine dimension across
-	// sim.Engine.Fanout workers — so on a multi-core host the cycle time
-	// drops near-linearly in the shard count until the serial pre-pass and
-	// commit phases dominate. On a single-core host the shard counts tie
-	// (Fanout runs inline); the sub-benchmarks still pin the absolute cycle
-	// cost at scale.
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("pool=10000/jobs=100000/shards=%d", shards), func(b *testing.B) {
-			eng := sim.New()
-			clu := cluster.New(eng, cluster.Config{Nodes: 10_000, Seed: 1})
-			pool := condor.NewPool(eng, clu, scheduler.NewExclusive(),
-				condor.Config{NegotiationShards: shards})
-			jobs := make([]*job.Job, 100_000)
-			for i := range jobs {
-				jobs[i] = &job.Job{
-					ID: i, Name: "bench", Workload: "bench",
-					Mem:     100_000 + units.MB(i%7)*50,
-					Threads: units.Threads(16 + (i%15)*16),
-				}
-				jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
-			}
-			pool.Submit(jobs)
-			machines := pool.Machines()
-			// Prime one cycle so the measured iterations see the
-			// steady-state verdict caches, not the cold-start evaluation.
-			pool.NegotiateOnce()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := machines[i%len(machines)]
-				m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(4000+i%97))
-				pool.NegotiateOnce()
-			}
-		})
+	for _, depth := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { cycle(b, 8, depth, false) })
 	}
+	// The scale anchor: one steady-state cycle at 10k machines / 100k jobs.
+	// Jobs with equal signatures share an autocluster, so the scan walks
+	// (autoclusters × machines), not (jobs × machines).
+	b.Run("pool=10000/jobs=100000", func(b *testing.B) { cycle(b, 10_000, 100_000, true) })
 	// Saturated deep queue, the bench deep-queue workload's steady state: an
 	// MCC pool of 200 nodes with every host slot claimed and 20,000 jobs
 	// pending in one autocluster. The first job's empty machine walk rejects

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	phibench [-exp all|motivation|table2|fig7|fig8|fig9|table3|fig10|fig23|dynamic|estimation|ablations]
-//	         [-seed N] [-nodes N] [-real N] [-syn N] [-shards K] [-o report.txt] [-json results.json]
+//	         [-seed N] [-nodes N] [-real N] [-syn N] [-o report.txt] [-json results.json]
 //
 // The defaults are the paper's parameters: 8 nodes, 1000 Table I instances,
 // 400 synthetic jobs per distribution, seed 42.
@@ -116,7 +116,6 @@ func main() {
 		nodes   = flag.Int("nodes", 8, "reference cluster size")
 		real    = flag.Int("real", 1000, "Table I job instances")
 		syn     = flag.Int("syn", 400, "synthetic jobs per distribution")
-		shards  = flag.Int("shards", 0, "negotiator shard count (0 = serial scan; outcomes are bit-identical either way)")
 		out     = flag.String("o", "", "also write the report to this file")
 		jsonOut = flag.String("json", "", "write machine-readable results to this file")
 		obsDir  = flag.String("obs", "", "run each policy instrumented at the Table II config and write per-policy metric/event/series/dashboard dumps into this directory")
@@ -159,7 +158,7 @@ func main() {
 		}()
 	}
 
-	o := experiments.Options{Seed: *seed, Nodes: *nodes, RealJobs: *real, SyntheticJobs: *syn, Shards: *shards}
+	o := experiments.Options{Seed: *seed, Nodes: *nodes, RealJobs: *real, SyntheticJobs: *syn}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -180,8 +179,8 @@ func main() {
 		selected = []string{*exp}
 	}
 
-	fmt.Fprintf(w, "phishare experiment report — seed=%d nodes=%d real=%d syn=%d shards=%d\n\n",
-		*seed, *nodes, *real, *syn, *shards)
+	fmt.Fprintf(w, "phishare experiment report — seed=%d nodes=%d real=%d syn=%d\n\n",
+		*seed, *nodes, *real, *syn)
 	results := map[string]any{"options": o}
 	for _, name := range selected {
 		start := time.Now() //philint:ignore wallclock harness timing of the driver itself, not simulation state

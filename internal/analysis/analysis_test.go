@@ -153,7 +153,7 @@ func TestScoping(t *testing.T) {
 		{SortStable, "internal/metrics", false},
 		{SimGoroutine, "internal/phi", true},
 		{SimGoroutine, "internal/condor", true},
-		{SimGoroutine, "internal/sim", false}, // the worker fork/join lives here
+		{SimGoroutine, "internal/sim", true},
 		{SimGoroutine, "internal/obs", false},
 		{SimGoroutine, "cmd/phibench", false},
 	}

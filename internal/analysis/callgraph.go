@@ -2,8 +2,8 @@ package analysis
 
 // Package-level call graph over the type-checked module. The graph is the
 // substrate of the whole-program rules: dettaint walks it forward from the
-// sim-path entry points, pureselect folds effect summaries along its edges,
-// and shardsafe follows static edges out of Fanout closures.
+// sim-path entry points, and pureselect folds effect summaries along its
+// edges.
 //
 // Resolution is deliberately conservative (a missed edge would be an
 // unsound hole, a spurious edge only costs review):

@@ -1,15 +1,14 @@
 package analysis
 
 // Effect summaries and provenance classification: the dataflow substrate of
-// pureselect and shardsafe.
+// pureselect.
 //
 // Provenance answers "whose memory does this expression reach?" for an
 // lvalue or argument inside one function: the function's own locals
 // (including locally allocated heap), its receiver, one of its parameters,
-// package-level state, a Fanout-shard-owned value, or unknown. The
-// classification is heuristic in the direction the rules need: anything not
-// provably local/owned is treated as shared, so a hole costs a review, not
-// a missed race.
+// package-level state, or unknown. The classification is heuristic in the
+// direction the rules need: anything not provably local is treated as
+// shared, so a hole costs a review, not a missed impurity.
 //
 // Effect summaries lift provenance across calls: each function gets the set
 // of observable effects it can perform — writes that escape its own frame
@@ -33,11 +32,6 @@ type prov uint8
 const (
 	// pLocal: the function's own frame or heap it allocated itself.
 	pLocal prov = iota
-	// pOwned: derived from the Fanout shard index (shardsafe only).
-	pOwned
-	// pCaptured: a local of the enclosing function captured by a worker
-	// closure — one variable shared by every shard worker (shardsafe only).
-	pCaptured
 	// pRecv: reaches the receiver.
 	pRecv
 	// pParam: reaches parameter provVal.param.
@@ -53,10 +47,6 @@ func (p prov) String() string {
 	switch p {
 	case pLocal:
 		return "local"
-	case pOwned:
-		return "shard-owned"
-	case pCaptured:
-		return "captured enclosing-function"
 	case pRecv:
 		return "receiver"
 	case pParam:
@@ -76,58 +66,22 @@ type provVal struct {
 func localVal() provVal { return provVal{kind: pLocal} }
 
 // isShared reports whether writing through this provenance escapes the
-// function's own frame (owned counts as not shared: the shard ownership
-// discipline makes it race-free).
-func (v provVal) isShared() bool {
-	switch v.kind {
-	case pLocal, pOwned:
-		return false
-	}
-	return true
-}
+// function's own frame.
+func (v provVal) isShared() bool { return v.kind != pLocal }
 
 // provEnv is the provenance environment of one declared function: bindings
 // for receiver, parameters, and locals whose initializer makes their
 // provenance evident. Function literals share the enclosing environment
-// (object identity keeps bindings unambiguous); analyzers may overlay
-// additional bindings (the Fanout index parameter, owned callee params).
+// (object identity keeps bindings unambiguous).
 type provEnv struct {
 	mod  *Module
 	fi   *FuncInfo
 	vals map[types.Object]provVal
-
-	// litLo/litHi, when valid, delimit the span of a worker func literal
-	// (shardsafe Fanout workers): locals declared OUTSIDE the span are
-	// captured enclosing-frame state — one variable shared by every shard
-	// worker — not frame-local.
-	litLo, litHi token.Pos
 }
 
-// restrictToLiteral marks the worker-literal span and re-derives local
-// bindings under the capture boundary, so a variable bound inside the
-// literal from captured state (a ranged element, an alias) inherits the
-// captured classification. rebind keeps the worse value, so this only
-// demotes.
-func (env *provEnv) restrictToLiteral(lit *ast.FuncLit) {
-	env.litLo, env.litHi = lit.Pos(), lit.End()
-	for sweep := 0; sweep < 2; sweep++ {
-		env.bindLocals(env.fi.Decl.Body)
-	}
-}
-
-// capturedLocal reports whether obj is declared outside the worker-literal
-// span (meaningful only after restrictToLiteral).
-func (env *provEnv) capturedLocal(obj types.Object) bool {
-	if !env.litLo.IsValid() {
-		return false
-	}
-	return obj.Pos() < env.litLo || obj.Pos() >= env.litHi
-}
-
-// buildProvEnv constructs the environment with the given overrides applied
-// after parameter/receiver initialization. Local bindings are inferred in
+// buildProvEnv constructs the environment. Local bindings are inferred in
 // two sweeps so forward references settle.
-func buildProvEnv(mod *Module, fi *FuncInfo, overrides map[types.Object]provVal) *provEnv {
+func buildProvEnv(mod *Module, fi *FuncInfo) *provEnv {
 	env := &provEnv{mod: mod, fi: fi, vals: map[types.Object]provVal{}}
 	sig, _ := fi.Fn.Type().(*types.Signature)
 	if sig != nil {
@@ -143,12 +97,9 @@ func buildProvEnv(mod *Module, fi *FuncInfo, overrides map[types.Object]provVal)
 			}
 		}
 	}
-	for obj, val := range overrides {
-		env.vals[obj] = val
-	}
 	// Literal parameters default to pUnknown (values arrive from whoever
-	// invokes the literal) unless overridden; bind them before the local
-	// sweeps so closure bodies resolve.
+	// invokes the literal); bind them before the local sweeps so closure
+	// bodies resolve.
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		fl, ok := n.(*ast.FuncLit)
 		if !ok {
@@ -228,8 +179,7 @@ func (env *provEnv) bindLocals(body ast.Node) {
 			if id, ok := s.Value.(*ast.Ident); ok && id.Name != "_" {
 				if obj := env.mod.Info.Defs[id]; obj != nil {
 					// Elements inherit the collection's provenance: a
-					// pointer ranged out of an owned slice is owned, out of
-					// a shared one shared.
+					// pointer ranged out of a shared slice is shared.
 					env.rebind(obj, elem)
 				}
 			}
@@ -251,21 +201,19 @@ func (env *provEnv) rebind(obj types.Object, val provVal) {
 }
 
 // provRank orders provenance by "badness" for rebinding: once shared,
-// always shared; owned loses to shared but beats local.
+// always shared.
 func provRank(p prov) int {
 	switch p {
 	case pLocal:
 		return 0
-	case pOwned:
+	case pRecv, pParam:
 		return 1
-	case pCaptured, pRecv, pParam:
-		return 2
 	case pUnknown:
-		return 3
+		return 2
 	case pGlobal:
-		return 4
+		return 3
 	}
-	return 3
+	return 2
 }
 
 // isLocalObj reports whether obj is function-local (not a package-level
@@ -294,9 +242,6 @@ func (env *provEnv) provOf(e ast.Expr) provVal {
 			return provVal{kind: pUnknown}
 		}
 		if val, ok := env.vals[obj]; ok {
-			if val.kind == pLocal && env.capturedLocal(obj) {
-				return provVal{kind: pCaptured}
-			}
 			return val
 		}
 		if !env.isLocalObj(obj) {
@@ -304,9 +249,6 @@ func (env *provEnv) provOf(e ast.Expr) provVal {
 				return provVal{kind: pGlobal}
 			}
 			return localVal() // consts, types, funcs
-		}
-		if env.capturedLocal(obj) {
-			return provVal{kind: pCaptured}
 		}
 		return localVal()
 	case *ast.SelectorExpr:
@@ -321,19 +263,8 @@ func (env *provEnv) provOf(e ast.Expr) provVal {
 		}
 		return env.provOf(v.X)
 	case *ast.IndexExpr:
-		if env.containsOwned(v.Index) {
-			// Indexing any table by the shard index yields shard-owned
-			// state: the Fanout ownership convention.
-			return provVal{kind: pOwned}
-		}
 		return env.provOf(v.X)
 	case *ast.SliceExpr:
-		if v.Low != nil && v.High != nil &&
-			env.provOf(v.Low).kind == pOwned && env.provOf(v.High).kind == pOwned {
-			// Slicing a shared table by owned bounds yields the shard's
-			// partition: owned.
-			return provVal{kind: pOwned}
-		}
 		return env.provOf(v.X)
 	case *ast.StarExpr:
 		return env.provOf(v.X)
@@ -381,37 +312,12 @@ func (env *provEnv) writeProv(w write) provVal {
 				obj = env.mod.Info.Defs[id]
 			}
 			if obj != nil && env.isLocalObj(obj) {
-				if env.capturedLocal(obj) {
-					return provVal{kind: pCaptured}
-				}
 				return localVal()
 			}
 			return provVal{kind: pGlobal}
 		}
 	}
 	return env.provOf(w.target)
-}
-
-// containsOwned reports whether any identifier inside e carries pOwned
-// provenance (e.g. the Fanout index, or sh.lo with sh owned).
-func (env *provEnv) containsOwned(e ast.Expr) bool {
-	owned := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if owned {
-			return false
-		}
-		if sub, ok := n.(ast.Expr); ok {
-			switch sub.(type) {
-			case *ast.Ident, *ast.SelectorExpr:
-				if env.provOf(sub).kind == pOwned {
-					owned = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return owned
 }
 
 // write is one store instruction: the written lvalue and its position.
@@ -571,7 +477,7 @@ func (ef *effects) summarize(fi *FuncInfo) ([]effect, int) {
 	}()
 	low := noCut
 
-	env := buildProvEnv(ef.mod, fi, nil)
+	env := buildProvEnv(ef.mod, fi)
 	seen := map[effectKey]bool{}
 	var out []effect
 	add := func(e effect) {

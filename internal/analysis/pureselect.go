@@ -3,15 +3,17 @@ package analysis
 // PureSelect is the whole-program purity rule for the two function families
 // whose contracts demand observable purity:
 //
-//   - classad.Match: evaluated concurrently by the sharded negotiator's scan
-//     workers (internal/condor/shard.go), so any observable effect — an
-//     escaping write, I/O, a nondeterminism source — is a data race or a
-//     replay divergence waiting to happen. Match is held strictly pure.
+//   - classad.Match: the negotiator memoizes one verdict per (autocluster,
+//     machine-ad version) and serves it to every job of the cluster, while
+//     the DisableMatchCache oracle evaluates every (job, machine) pair. Any
+//     observable effect — an escaping write, I/O, a nondeterminism source —
+//     would fire a different number of times on the two paths and become a
+//     replay divergence. Match is held strictly pure.
 //
 //   - every implementation of a module interface with a Select method (the
-//     Policy family): the sharded negotiator's equivalence proof rests on
-//     Select being a function of (arguments, policy RNG stream) alone, so
-//     the serial commit phase replays the exact serial decision sequence.
+//     Policy family): the fast negotiator's bit-identity with the oracle
+//     rests on Select being a function of (arguments, policy RNG stream)
+//     alone, so both paths replay the exact same decision sequence.
 //     Select implementations may draw from internal/rng — the seeded stream
 //     IS part of their replayed input, and its state advance is canonical —
 //     so effects originating in internal/rng are exempt. Everything else
@@ -62,7 +64,7 @@ func runPureSelect(p *ModulePass) {
 
 	for _, fi := range p.Mod.Funcs {
 		if fi.Fn.FullName() == ModulePath+"/internal/classad.Match" {
-			add(pureTarget{fi: fi, why: "classad.Match runs concurrently on shard workers"})
+			add(pureTarget{fi: fi, why: "one classad.Match verdict serves every job of an autocluster"})
 		}
 	}
 	for _, fi := range selectImpls(p.Graph) {

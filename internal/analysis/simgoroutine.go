@@ -16,16 +16,15 @@ import (
 // queue cannot serialize, and a component that reaches for a mutex is
 // defending against concurrency the serial engine says cannot exist.
 //
-// The rule covers every sim-path package except internal/sim itself, which
-// is the one place the worker fork/join (Engine.Fanout) legitimately lives. A genuinely
-// engine-adjacent site elsewhere carries a per-line
+// The rule covers every sim-path package, internal/sim included: the engine
+// itself is serial. A genuinely engine-adjacent site carries a per-line
 // //philint:ignore simgoroutine <reason> directive so each use is
 // individually reviewed.
 var SimGoroutine = &Analyzer{
 	Name: "simgoroutine",
 	Doc: "forbid goroutines, channels, select, and sync primitives in sim-path " +
 		"packages; concurrency belongs to the event engine",
-	AppliesTo: func(rel string) bool { return SimPath(rel) && rel != "internal/sim" },
+	AppliesTo: SimPath,
 	Run:       runSimGoroutine,
 }
 

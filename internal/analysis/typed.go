@@ -1,10 +1,10 @@
 package analysis
 
-// Typed module loading: the whole-program rules (dettaint, shardsafe,
-// pureselect) need resolved types and cross-package call targets, which the
-// per-file heuristic Index cannot provide. TypeCheck runs the stdlib
-// go/types checker over every parsed package in dependency order, chaining
-// to go/importer for the standard library, so go.mod stays dependency-free.
+// Typed module loading: the whole-program rules (dettaint, pureselect) need
+// resolved types and cross-package call targets, which the per-file
+// heuristic Index cannot provide. TypeCheck runs the stdlib go/types checker
+// over every parsed package in dependency order, chaining to go/importer for
+// the standard library, so go.mod stays dependency-free.
 
 import (
 	"fmt"
@@ -19,8 +19,7 @@ import (
 
 // ModulePath is the import-path prefix of this module's packages, matching
 // the module directive in go.mod. Fixture modules reuse it so rules keyed
-// on well-known paths (phishare/internal/sim.Engine.Fanout, classad.Match)
-// resolve against stub packages in tests.
+// on well-known paths (phishare/internal/classad.Match) resolve against stub packages in tests.
 const ModulePath = "phishare"
 
 // ImportPath returns the import path of a loaded package.

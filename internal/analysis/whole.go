@@ -70,7 +70,6 @@ func (p *ModulePass) SuppressedAt(rule string, pos token.Pos) bool {
 func WholeAnalyzers() []*WholeAnalyzer {
 	return []*WholeAnalyzer{
 		DetTaint,
-		ShardSafe,
 		PureSelect,
 	}
 }
@@ -145,7 +144,7 @@ func LintAll(pkgs []*Package, analyzers []*Analyzer, whole []*WholeAnalyzer) []F
 }
 
 // funcDisplayName renders a function for messages: "core.Schedule",
-// "condor.(*Pool).negotiateSharded".
+// "condor.(*Pool).scanSerial".
 func funcDisplayName(fi *FuncInfo) string {
 	base := fi.Pkg.Rel
 	if i := strings.LastIndex(base, "/"); i >= 0 {

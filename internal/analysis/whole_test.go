@@ -99,63 +99,6 @@ func TestDetTaintWholeProgram(t *testing.T) {
 	}
 }
 
-// TestShardSafeWholeProgram pins the ownership model: the sanctioned
-// owned-derivation chain verifies with zero findings, and every racing
-// shape — direct, transitive through a shared-mask callee, opaque worker,
-// captured enclosing-frame state — is reported at its site with the Fanout
-// call as entry.
-func TestShardSafeWholeProgram(t *testing.T) {
-	dir := filepath.Join("testdata", "shardsafe")
-	mod, _ := loadFixtureModule(t, dir)
-
-	findings := runWhole(mod, ShardSafe)
-	got := renderEntries(findings)
-	compareGolden(t, filepath.Join(dir, "expect.txt"), got)
-
-	for _, f := range findings {
-		if f.Rule != "shardsafe" {
-			t.Errorf("foreign rule %q in shardsafe run", f.Rule)
-		}
-	}
-	// GoodScan+fill (app.go:30-46) are the clean half of the fixture: any
-	// finding on their lines is a precision regression in the provenance
-	// model.
-	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
-		var ln int
-		if _, err := fmt.Sscanf(line, "app.go:%d:", &ln); err != nil {
-			continue
-		}
-		if ln >= 30 && ln <= 46 {
-			t.Errorf("finding on clean fixture line: %s", line)
-		}
-	}
-	for _, wantFrag := range []string{
-		"Fanout worker writes p.total",             // direct receiver write in BadScan
-		"concurrent shard workers would race",      // ...with the race explanation
-		"pass the Fanout worker as a func literal", // opaque worker in Queue
-		// CapturedScan: a captured enclosing-frame local is one variable
-		// shared by every worker, not frame-local.
-		"Fanout worker writes total (captured enclosing-function state",
-	} {
-		if !strings.Contains(got, wantFrag) {
-			t.Errorf("missing expected finding %q in:\n%s", wantFrag, got)
-		}
-	}
-	// CapturedScan's clean half: the worker's own local and the owned-index
-	// write into the captured table must stay unflagged.
-	for _, cleanFrag := range []string{"writes local", "sums"} {
-		if strings.Contains(got, cleanFrag) {
-			t.Errorf("finding on clean CapturedScan construct %q:\n%s", cleanFrag, got)
-		}
-	}
-	// bump's receiver write is reached from BadScan's entry AND
-	// BadScanTwin's: both attributions must survive, or an ignore at one
-	// entry would silently cover the other.
-	if n := strings.Count(got, "app.go:58: shardsafe: Fanout worker writes p.total"); n != 2 {
-		t.Errorf("bump violation attributed to %d entries, want 2 (BadScan and BadScanTwin):\n%s", n, got)
-	}
-}
-
 // TestPureSelectWholeProgram pins the purity contract: classad.Match is
 // strict (the counter write is flagged), Select implementations are
 // discovered through the interface, and the internal/rng exemption admits

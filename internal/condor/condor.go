@@ -17,7 +17,6 @@ package condor
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"phishare/internal/classad"
@@ -158,16 +157,10 @@ type Machine struct {
 
 	// acVals memoizes Match verdicts against this machine per autocluster,
 	// indexed by acID − Pool.acBase (a dense array beats a hashed map on
-	// the negotiation hot path). Truncated whenever the signature table is
-	// wholesale cleared; see Pool.autoclusterOf. During a sharded scan the
-	// array is written only by the machine's own shard worker
-	// (machine-exclusive state), which is what lets shards share it safely.
+	// the negotiation hot path): one verdict per (autocluster, machine-ad
+	// version) serves every job of the cluster. Truncated whenever the
+	// signature table is wholesale cleared; see Pool.autoclusterOf.
 	acVals []acVal
-	// claimGen stamps the negotiation cycle (Pool.cacheGen) whose commit
-	// phase last claimed this machine. The sharded commit re-validates a
-	// snapshot candidate against its live ad iff it carries the current
-	// cycle's stamp — any other machine's ad is untouched since the scan.
-	claimGen uint64
 }
 
 // AtCapacity reports whether every host slot is claimed.
@@ -207,14 +200,14 @@ type ExternalPolicy interface {
 
 // Policy is the pluggable cluster-level scheduling behaviour.
 //
-// Both negotiation scans assume machine Requirements are monotone under
-// claims: within a cycle, a claim can only shrink the set of jobs a machine
-// matches. Every shipped policy satisfies this — claims only consume free
-// memory, devices, threads and slots. The sharded commit relies on it to
-// trust snapshot verdicts for machines no commit claimed, and both scans rely
-// on it to skip the rest of an autocluster for the cycle once one of its
-// jobs found no candidate machine. A policy whose machine ads could start
-// matching a job *because* of a claim would break both.
+// The negotiator assumes machine Requirements are monotone under claims:
+// within a cycle, a claim can only shrink the set of jobs a machine matches.
+// Every shipped policy satisfies this — claims only consume free memory,
+// devices, threads and slots. The per-cycle autocluster rejection rests on
+// it: once one job of an autocluster found no candidate machine, the rest of
+// the cluster is left idle for the cycle without a machine walk. A policy
+// whose machine ads could start matching a job *because* of a claim would
+// break that skip.
 type Policy interface {
 	// Name identifies the configuration (e.g. "MC", "MCC", "MCCK").
 	Name() string
@@ -278,38 +271,16 @@ type Config struct {
 	// servers have two 8-core host Xeons; an offload job keeps roughly a
 	// socket busy, so the default is 4 slots per device. Default 4.
 	HostSlots int
-	// DisableMatchCache forces every matchmaking pair through the full
-	// classad.Match expression evaluation instead of the ad-version match
-	// cache. The cached and uncached negotiators are semantically identical
-	// (the cache keys on both ads' mutation counters, so a stale entry is
-	// impossible); the flag exists so the determinism regression can prove
-	// that by running the full stack both ways. It also disables
-	// autoclusters, which are a grouping layer over the same cache.
+	// DisableMatchCache is the negotiator's reference oracle: every
+	// matchmaking pair goes through the full classad.Match expression
+	// evaluation, with no autocluster grouping, verdict cache, constant
+	// fold, per-cycle autocluster rejection, dirty-cycle short-circuit or
+	// qedit identity elision. The fast and oracle negotiators are
+	// semantically identical (verdicts key on the machine ad's mutation
+	// counter and the job's signature, so a stale entry is impossible); the
+	// flag exists so the equivalence regressions and the chaos swarm's diff
+	// mode can prove that by running the full stack both ways.
 	DisableMatchCache bool
-	// DisableAutoclusters routes matchmaking through the legacy
-	// per-(machine, job) cache and disables the dirty-cycle short-circuit
-	// and qedit identity elision, i.e. the negotiator behaves exactly as it
-	// did before autocluster grouping. Like DisableMatchCache, it exists so
-	// the equivalence regression (and the chaos swarm's diff mode) can prove
-	// the grouped and ungrouped negotiators produce bit-identical outcomes.
-	DisableAutoclusters bool
-	// NegotiationShards partitions the machine inventory into this many
-	// contiguous shards and runs each negotiation cycle's matchmaking scan
-	// concurrently — one shard per worker, inside the negotiation event
-	// (sim.Engine.Fanout) — against the cycle-start resource snapshot.
-	// Claims are then committed serially in canonical (priority, arrival)
-	// job order with candidates assembled in (shard, machine) order, and any
-	// machine a commit-phase claim dirtied is re-validated against its live
-	// ad before being offered again, so sharded and unsharded outcomes are
-	// bit-identical (TestShardedNegotiationBitIdentical). The equivalence
-	// rests on the claim-monotonicity assumption documented on Policy.
-	//
-	// 0 (the default) keeps the serial scan; 1 exercises the sharded path on
-	// a single shard (for equivalence tests); K > 1 is clamped to the
-	// machine count. Sharding rides the autocluster snapshot, so
-	// DisableMatchCache or DisableAutoclusters force the serial scan
-	// regardless.
-	NegotiationShards int
 }
 
 func (c Config) withDefaults() Config {
@@ -382,14 +353,6 @@ type Pool struct {
 	// does not rescan the whole inventory every cycle tail.
 	offline int
 
-	// matchCache memoizes classad.Match per (machine, job) pair, keyed by
-	// both ads' mutation counters. It is the legacy (DisableAutoclusters)
-	// cache; the autocluster path below replaces the per-job key with a
-	// per-equivalence-class one. Entries carry the generation of the cycle
-	// that last touched them; sweepCaches evicts cold generations once the
-	// map outgrows its watermark, replacing the old per-terminal-job
-	// eviction scan.
-	matchCache map[matchKey]matchVal
 	// candScratch is the candidates slice reused across every pending job
 	// of every cycle (it was re-grown from nil per job before).
 	candScratch []*Machine
@@ -451,37 +414,17 @@ type Pool struct {
 	machineFold classad.Fold
 
 	// Dirty-cycle tracking: cacheGen counts full (non-skipped) negotiation
-	// cycles and stamps cache entries for eviction; dirty is set by every
-	// event that could change a future cycle's outcome (submission, qedit
-	// mutation, claim, release, offline toggle); lastNoOp records that the
-	// previous full cycle matched nothing, invoked no policy Select, and
-	// mutated no ad. A cycle beginning with !dirty && lastNoOp would repeat
+	// cycles and stamps the per-cycle rejection and cluster-count tables;
+	// dirty is set by every event that could change a future cycle's outcome
+	// (submission, qedit mutation, claim, release, offline toggle); lastNoOp
+	// records that the previous full cycle matched nothing, invoked no policy
+	// Select, and mutated no ad. A cycle beginning with !dirty && lastNoOp would repeat
 	// that no-op bit for bit, so it is skipped (see negotiate).
 	cacheGen   uint64
 	dirty      bool
 	lastNoOp   bool
 	qeditMuts  int // cumulative qedits that actually mutated an ad
 	selectCall int // policy.Select invocations in the current cycle
-
-	// Sharded negotiation state (Config.NegotiationShards; see shard.go).
-	// shards is the fixed contiguous machine partition (nil when the serial
-	// scan is in use) and shardRanges its public [lo, hi) view; the rest is
-	// per-cycle scratch reused across cycles: jobSlots maps each pending
-	// index to its cycle-local autocluster slot, cycleACs/slotJobs list the
-	// distinct autoclusters in first-appearance order with a representative
-	// job each, and slotOf is the dense acID−acBase → slot+1 table (entries
-	// are zeroed again at cycle end, so only touched slots cost anything).
-	// slotRejected is the commit's rejected-autocluster stamp, keyed by
-	// cycle slot instead of acID (the acRejected rule, same argument), and
-	// slotFold each slot's acFold verdict, read during the pre-pass.
-	shards       []negShard
-	shardRanges  [][2]int
-	jobSlots     []int32
-	cycleACs     []int
-	slotJobs     []*QueuedJob
-	slotFold     []classad.Fold
-	slotOf       []int32
-	slotRejected []uint64
 
 	// usage accumulates per-user device time (claim duration) for
 	// fair-share ordering.
@@ -529,25 +472,6 @@ type Pool struct {
 	obsCycleGap   *obs.Histogram
 	lastNegAt     units.Tick
 	hasNegotiated bool
-	// Per-shard cycle metrics (sharded negotiation): one labeled counter
-	// pair per shard, bumped serially after the scan workers join so the
-	// workers themselves never touch shared instruments.
-	obsShardEvals []*obs.Counter
-	obsShardCands []*obs.Counter
-}
-
-// matchKey identifies one matchmaking pair for the legacy match cache.
-type matchKey struct {
-	m *Machine
-	q *QueuedJob
-}
-
-// matchVal is a memoized Match result, valid while both ads' versions hold.
-// gen is the cycle generation that last touched the entry (for eviction).
-type matchVal struct {
-	mv, jv uint64
-	ok     bool
-	gen    uint64
 }
 
 // acVal is a memoized Match result for every job in an autocluster, valid
@@ -593,41 +517,14 @@ func (p *Pool) autoclusterOf(q *QueuedJob) int {
 	return id
 }
 
-// match is the cached equivalent of classad.Match(m.Ad, q.Ad), dispatching
-// to whichever cache the configuration selects.
+// match is the cached equivalent of classad.Match(m.Ad, q.Ad).
 func (p *Pool) match(m *Machine, q *QueuedJob) bool {
-	switch {
-	case p.cfg.DisableMatchCache:
+	if p.cfg.DisableMatchCache {
 		// No cache, no cache counters: the observability test asserts every
 		// cache series stays zero in this configuration.
 		return classad.Match(m.Ad, q.Ad)
-	case p.cfg.DisableAutoclusters:
-		return p.matchLegacy(m, q)
-	default:
-		return p.matchCluster(m, q, p.autoclusterOf(q))
 	}
-}
-
-// matchLegacy is the pre-autocluster per-(machine, job) cache path.
-func (p *Pool) matchLegacy(m *Machine, q *QueuedJob) bool {
-	k := matchKey{m, q}
-	mv, jv := m.Ad.Version(), q.Ad.Version()
-	if v, hit := p.matchCache[k]; hit {
-		if v.mv == mv && v.jv == jv {
-			if v.gen != p.cacheGen {
-				v.gen = p.cacheGen
-				p.matchCache[k] = v
-			}
-			p.obsCacheHit.Inc()
-			return v.ok
-		}
-		p.obsCacheInv.Inc() // present but stale: an ad mutated since caching
-	} else {
-		p.obsCacheMiss.Inc()
-	}
-	ok := classad.Match(m.Ad, q.Ad)
-	p.matchCache[k] = matchVal{mv: mv, jv: jv, ok: ok, gen: p.cacheGen}
-	return ok
+	return p.matchCluster(m, q, p.autoclusterOf(q))
 }
 
 // matchCluster consults the autocluster cache: one Match evaluation serves
@@ -662,32 +559,10 @@ func (p *Pool) matchCluster(m *Machine, q *QueuedJob, ac int) bool {
 	return ok
 }
 
-// cacheKeepGens is how many full cycles an untouched cache entry survives
-// once its map is over the sweep watermark.
-const cacheKeepGens = 4
-
-// sweepCaches evicts match-cache entries not touched for cacheKeepGens full
-// cycles, but only once a map outgrows a watermark proportional to the live
-// pair population — the steady state never pays the sweep. This replaces the
-// old per-terminal-job eviction scan (O(machines) deletes per completion)
-// and, unlike it, also bounds entries for jobs that leave the pending set by
-// matching.
-func (p *Pool) sweepCaches() {
-	live := len(p.pending) + p.inFlight + 1
-	if limit := 64 + 4*len(p.machines)*live; len(p.matchCache) > limit {
-		for k, v := range p.matchCache { //philint:ignore mapiter eviction is keyed on per-entry state only, so iteration order cannot change the surviving set
-			if v.gen+cacheKeepGens <= p.cacheGen {
-				delete(p.matchCache, k)
-			}
-		}
-	}
-}
-
-// MatchCacheLen reports the total number of memoized match results across
-// both caches (the legacy per-pair map plus every machine's autocluster
-// verdict array), for cache-growth regression tests.
+// MatchCacheLen reports the number of memoized match results across every
+// machine's autocluster verdict array, for cache-growth regression tests.
 func (p *Pool) MatchCacheLen() int {
-	n := len(p.matchCache)
+	n := 0
 	for _, m := range p.machines {
 		n += len(m.acVals)
 	}
@@ -701,12 +576,11 @@ func (p *Pool) AutoclusterCount() int { return len(p.acIDs) }
 // NewPool builds a pool over the cluster with the given policy.
 func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *Pool {
 	p := &Pool{eng: eng, clu: clu, cfg: cfg.withDefaults(), policy: policy,
-		usage:      map[string]units.Tick{},
-		matchCache: map[matchKey]matchVal{},
-		acIDs:      map[string]int{},
-		acSeen:     map[int]uint64{},
-		signer:     classad.NewSigner(),
-		dirty:      true}
+		usage:  map[string]units.Tick{},
+		acIDs:  map[string]int{},
+		acSeen: map[int]uint64{},
+		signer: classad.NewSigner(),
+		dirty:  true}
 	for _, unit := range clu.Units {
 		m := &Machine{
 			Name:      unit.SlotName,
@@ -741,7 +615,6 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 		p.sigRoots = append(p.sigRoots, r)
 	}
 	sort.Strings(p.sigRoots)
-	p.planShards()
 	return p
 }
 
@@ -771,15 +644,6 @@ func (p *Pool) SetObserver(o *obs.Observer) {
 	p.obsAutoclu = o.Gauge("condor_autoclusters_pending")
 	p.obsCycleGap = o.Histogram("condor_negotiation_gap_seconds",
 		[]float64{1, 2, 5, 10, 20, 30, 60, 120})
-	p.obsShardEvals = p.obsShardEvals[:0]
-	p.obsShardCands = p.obsShardCands[:0]
-	for k := range p.shards {
-		id := strconv.Itoa(k)
-		p.obsShardEvals = append(p.obsShardEvals,
-			o.Counter("condor_shard_match_evals_total", "shard", id))
-		p.obsShardCands = append(p.obsShardCands,
-			o.Counter("condor_shard_candidates_total", "shard", id))
-	}
 }
 
 // Machines exposes the machine inventory (fixed order).
@@ -849,9 +713,9 @@ func (p *Pool) SubmitAs(user string, jobs []*job.Job, priority int) {
 // insertPending keeps the pending queue ordered by (priority desc, arrival)
 // so the FIFO scan of negotiate respects priorities. The insertion point is
 // found by binary search — the old backward linear compare walk was O(n) per
-// insert, O(n²) to build the 100k-job queues the sharded negotiator targets
-// (the tail shift itself is a single memmove either way; see
-// BenchmarkInsertPending and TestInsertPendingMatchesLinearScan).
+// insert, O(n²) to build a 100k-job queue (the tail shift itself is a single
+// memmove either way; see BenchmarkInsertPending and
+// TestInsertPendingMatchesLinearScan).
 func (p *Pool) insertPending(q *QueuedJob) {
 	p.dirty = true
 	i := sort.Search(len(p.pending), func(k int) bool {
@@ -874,7 +738,7 @@ func (p *Pool) Qedit(q *QueuedJob, requirements string) {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "qedit",
 			obs.F("job", q.Job.ID), obs.F("requirements", requirements))
 	}
-	if !p.cfg.DisableAutoclusters &&
+	if !p.cfg.DisableMatchCache &&
 		q.reqVer == q.Ad.Version() && q.reqStr == requirements {
 		// The ad already holds exactly this expression (MCCK re-pins the
 		// same plan every steady-state cycle). Matchmaking cannot tell the
@@ -952,8 +816,7 @@ func (p *Pool) negotiate() {
 			obs.F("in_flight", p.inFlight))
 	}
 
-	if !p.cfg.DisableAutoclusters && !p.cfg.DisableMatchCache &&
-		!p.dirty && p.lastNoOp {
+	if !p.cfg.DisableMatchCache && !p.dirty && p.lastNoOp {
 		// Nothing relevant changed since a full cycle that matched nothing,
 		// called no policy Select (so no policy RNG draw can be owed), and
 		// mutated no ad: re-running the scan would reproduce that no-op bit
@@ -984,12 +847,7 @@ func (p *Pool) negotiate() {
 		})
 	}
 
-	var matched int
-	if len(p.shards) > 0 {
-		matched = p.negotiateSharded()
-	} else {
-		matched = p.scanSerial()
-	}
+	matched := p.scanSerial()
 	p.stats.Matches += matched
 
 	p.policy.PostNegotiation(p)
@@ -999,7 +857,6 @@ func (p *Pool) negotiate() {
 	// (submission, completion, fault, qedit) can.
 	p.lastNoOp = matched == 0 && p.selectCall == 0 && p.qeditMuts == qedits0
 	p.dirty = false
-	p.sweepCaches()
 
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "negotiation_end",
@@ -1011,17 +868,15 @@ func (p *Pool) negotiate() {
 	p.finishCycle(matched)
 }
 
-// scanSerial is the classic single-threaded matchmaking scan: for each
-// pending job in order, evaluate every machine's live ad and hand the
-// matches to the policy. It remains the only path when sharding is off and
-// the reference path for the cache-disabled replay configurations. On the
-// autocluster path a job whose cluster was already rejected this cycle skips
-// the machine walk, so a saturated cycle costs O(autoclusters × machines)
-// rather than O(pending × machines), and a folded cluster (Pool.acFold) costs
-// no Match evaluation at all; the cache-disabled paths keep the full per-job
-// walk as the oracle.
+// scanSerial is the matchmaking scan: for each pending job in order,
+// evaluate every machine's live ad and hand the matches to the policy. On
+// the autocluster path a job whose cluster was already rejected this cycle
+// skips the machine walk, so a saturated cycle costs O(autoclusters ×
+// machines) rather than O(pending × machines), and a folded cluster
+// (Pool.acFold) costs no Match evaluation at all; DisableMatchCache keeps the
+// full per-job walk as the oracle.
 func (p *Pool) scanSerial() (matched int) {
-	autoclusters := !p.cfg.DisableMatchCache && !p.cfg.DisableAutoclusters
+	autoclusters := !p.cfg.DisableMatchCache
 	countClusters := autoclusters && p.obs != nil
 	if countClusters {
 		clear(p.acSeen)
@@ -1060,14 +915,11 @@ func (p *Pool) scanSerial() (matched int) {
 			if m.Offline || m.AtCapacity() {
 				continue
 			}
-			ok := false
-			switch {
-			case ac >= 0:
+			var ok bool
+			if ac >= 0 {
 				ok = p.matchCluster(m, q, ac)
-			case p.cfg.DisableMatchCache:
+			} else {
 				ok = classad.Match(m.Ad, q.Ad)
-			default:
-				ok = p.matchLegacy(m, q)
 			}
 			if ok {
 				candidates = append(candidates, m)
@@ -1212,7 +1064,6 @@ func (p *Pool) NegotiateOnce() {
 // through the shadow/starter path.
 func (p *Pool) claim(q *QueuedJob, m *Machine) {
 	p.dirty = true
-	m.claimGen = p.cacheGen
 	q.State = Dispatched
 	q.Machine = m
 	m.FreeMem -= q.Job.Mem

@@ -780,105 +780,75 @@ func TestUsageSingleChargeAcrossResubmit(t *testing.T) {
 }
 
 // TestMatchCacheBoundedUnderDynamicArrivals is the cache-growth regression
-// test for the generation-swept match cache and the autocluster verdict
-// arrays: across a long dynamic-arrival run whose 6000 jobs all carry
-// distinct ad signatures (the worst case for both caches — every job is its
-// own autocluster, every pair its own legacy entry), the resident cache size
-// must stay within each design's bound rather than grow with the total
-// number of jobs ever processed:
-//
-//   - the autocluster verdict arrays are bounded by the signature-table cap
-//     per machine — the run interns 6000 distinct signatures, overflowing
-//     the 4096-entry table, so the era reset that enforces the cap is
-//     exercised for real;
-//   - the legacy per-pair map is bounded by its live-population sweep
-//     watermark, far below the 24000 pairs the run presents in total.
-//
-// Waves are spaced so the queue drains between arrivals; a permanently
-// backlogged queue would make every pair live at once and the bound
-// meaningless.
+// test for the autocluster verdict arrays: across a long dynamic-arrival run
+// whose 6000 jobs all carry distinct ad signatures (the worst case — every
+// job is its own autocluster), the resident cache size must stay bounded by
+// the signature-table cap per machine rather than grow with the total number
+// of jobs ever processed. The run interns 6000 distinct signatures,
+// overflowing the 4096-entry table, so the era reset that enforces the cap is
+// exercised for real.
 func TestMatchCacheBoundedUnderDynamicArrivals(t *testing.T) {
 	const (
 		waves    = 250
 		waveSize = 25
 		nodes    = 4
 	)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"autoclusters", false}, {"legacy", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			eng := sim.New()
-			eng.MaxSteps = 100_000_000
-			clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
-			// Exclusive's machine Requirements reference the job's memory
-			// request, so the distinct per-job requests below yield distinct
-			// signatures (RandomPack's "true" would collapse them all into
-			// one autocluster).
-			pool := condor.NewPool(eng, clu, scheduler.NewExclusive(),
-				condor.Config{DisableAutoclusters: mode.disable})
-			peak, maxLive, maxClusters := 0, 0, 0
-			sample := func() {
-				if n := pool.MatchCacheLen(); n > peak {
-					peak = n
+	t.Run("autoclusters", func(t *testing.T) {
+		eng := sim.New()
+		eng.MaxSteps = 100_000_000
+		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
+		// Exclusive's machine Requirements reference the job's memory
+		// request, so the distinct per-job requests below yield distinct
+		// signatures (RandomPack's "true" would collapse them all into
+		// one autocluster).
+		pool := condor.NewPool(eng, clu, scheduler.NewExclusive(),
+			condor.Config{})
+		peak, maxLive, maxClusters := 0, 0, 0
+		sample := func() {
+			if n := pool.MatchCacheLen(); n > peak {
+				peak = n
+			}
+			if n := len(pool.Pending()) + pool.InFlight() + 1; n > maxLive {
+				maxLive = n
+			}
+			if n := pool.AutoclusterCount(); n > maxClusters {
+				maxClusters = n
+			}
+		}
+		for w := 0; w < waves; w++ {
+			wave := w
+			eng.After(units.Tick(wave)*50*units.Second, func() {
+				jobs := make([]*job.Job, waveSize)
+				for i := range jobs {
+					id := wave*waveSize + i
+					// A distinct memory request per job: every ad signs
+					// into its own autocluster.
+					jobs[i] = mkJob(id, units.MB(50+id), 16, 1)
 				}
-				if n := len(pool.Pending()) + pool.InFlight() + 1; n > maxLive {
-					maxLive = n
-				}
-				if n := pool.AutoclusterCount(); n > maxClusters {
-					maxClusters = n
-				}
-			}
-			for w := 0; w < waves; w++ {
-				wave := w
-				eng.After(units.Tick(wave)*50*units.Second, func() {
-					jobs := make([]*job.Job, waveSize)
-					for i := range jobs {
-						id := wave*waveSize + i
-						// A distinct memory request per job: every ad signs
-						// into its own autocluster.
-						jobs[i] = mkJob(id, units.MB(50+id), 16, 1)
-					}
-					sample()
-					pool.Submit(jobs)
-					sample()
-				})
-			}
-			eng.Run()
-			sample()
-			if !pool.Done() {
-				t.Fatal("pool not done after engine drained")
-			}
-			if got := completedCount(pool); got != waves*waveSize {
-				t.Fatalf("completed %d/%d", got, waves*waveSize)
-			}
-			totalPairs := waves * waveSize * nodes
-			var bound int
-			if mode.disable {
-				// Sweep watermark over the live population, with headroom
-				// for churn between the wave-boundary samples.
-				bound = 2 * (64 + 4*nodes*(maxLive+waveSize))
-			} else {
-				// One verdict slot per (machine, signature-table entry).
-				bound = nodes*4096 + 64
-				if maxClusters > 4096 {
-					t.Errorf("signature table grew to %d entries: era reset not enforcing the cap", maxClusters)
-				}
-			}
-			if peak > bound {
-				t.Errorf("peak cache size %d exceeds bound %d", peak, bound)
-			}
-			// The proportionality claim only makes sense for the legacy map,
-			// whose watermark scales with the live population; the autocluster
-			// arrays are pinned to the fixed table cap instead.
-			if mode.disable && peak >= totalPairs/4 {
-				t.Errorf("peak cache size %d is proportional to total pairs %d: eviction not working",
-					peak, totalPairs)
-			}
-			t.Logf("peak cache %d (bound %d, total pairs %d, max live %d, autoclusters %d)",
-				peak, bound, totalPairs, maxLive, maxClusters)
-		})
-	}
+				sample()
+				pool.Submit(jobs)
+				sample()
+			})
+		}
+		eng.Run()
+		sample()
+		if !pool.Done() {
+			t.Fatal("pool not done after engine drained")
+		}
+		if got := completedCount(pool); got != waves*waveSize {
+			t.Fatalf("completed %d/%d", got, waves*waveSize)
+		}
+		// One verdict slot per (machine, signature-table entry).
+		bound := nodes*4096 + 64
+		if maxClusters > 4096 {
+			t.Errorf("signature table grew to %d entries: era reset not enforcing the cap", maxClusters)
+		}
+		if peak > bound {
+			t.Errorf("peak cache size %d exceeds bound %d", peak, bound)
+		}
+		t.Logf("peak cache %d (bound %d, total pairs %d, max live %d, autoclusters %d)",
+			peak, bound, waves*waveSize*nodes, maxLive, maxClusters)
+	})
 
 	// An era reset in the middle of a cycle must not leave that cycle's
 	// rejection stamps behind: the new era reuses verdict indices from 0, so

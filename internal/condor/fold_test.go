@@ -97,28 +97,20 @@ func TestUnpinnedMCCKQueueLooksUpOnlyPinnedClusters(t *testing.T) {
 
 // TestMCCCycleMakesNoMatchEvaluations: MCC's Requirements are "true" on
 // both sides, so every autocluster folds to FoldTrue and a cycle dispatches
-// without a single Match evaluation — no cache lookup on the serial scan, no
-// shard evaluation on the sharded one.
+// without a single Match evaluation or cache lookup.
 func TestMCCCycleMakesNoMatchEvaluations(t *testing.T) {
-	for _, shards := range []int{0, 1, 3} {
-		eng := sim.New()
-		clu := cluster.New(eng, cluster.Config{Nodes: 4, Seed: 1})
-		pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(3)),
-			condor.Config{NegotiationShards: shards})
-		o := obs.New()
-		pool.SetObserver(o)
-		pool.Submit(job.GenerateTableOneSet(40, rng.New(7).Fork("tableI")))
-		pool.NegotiateOnce()
-		if pool.InFlight() != 16 {
-			t.Fatalf("shards=%d: %d jobs matched, want every one of the 16 host slots filled",
-				shards, pool.InFlight())
-		}
-		if got := cacheLookups(o); got != 0 {
-			t.Errorf("shards=%d: MCC cycle made %d match-cache lookups, want 0", shards, got)
-		}
-		if got := o.Reg.CounterValue("condor_shard_match_evals_total"); got != 0 {
-			t.Errorf("shards=%d: MCC cycle made %d shard Match evaluations, want 0", shards, got)
-		}
+	eng := sim.New()
+	clu := cluster.New(eng, cluster.Config{Nodes: 4, Seed: 1})
+	pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(3)), condor.Config{})
+	o := obs.New()
+	pool.SetObserver(o)
+	pool.Submit(job.GenerateTableOneSet(40, rng.New(7).Fork("tableI")))
+	pool.NegotiateOnce()
+	if pool.InFlight() != 16 {
+		t.Fatalf("%d jobs matched, want every one of the 16 host slots filled", pool.InFlight())
+	}
+	if got := cacheLookups(o); got != 0 {
+		t.Errorf("MCC cycle made %d match-cache lookups, want 0", got)
 	}
 }
 
@@ -129,43 +121,39 @@ func TestMCCCycleMakesNoMatchEvaluations(t *testing.T) {
 // the signature table with const-false clusters (MY.JobId < 0 renders each
 // job's id into its signature), then queue a "true" job behind them.
 func TestEraResetDropsStaleFolds(t *testing.T) {
-	for _, shards := range []int{0, 1} {
-		eng := sim.New()
-		clu := cluster.New(eng, cluster.Config{Nodes: 2, Seed: 1})
-		const tableCap = 4096
-		policy := &foldPolicy{machineReq: "true", jobReq: func(id int) string {
-			if id < tableCap {
-				return "MY.JobId < 0"
-			}
-			return "true"
-		}}
-		pool := condor.NewPool(eng, clu, policy, condor.Config{NegotiationShards: shards})
-		ghosts := make([]*job.Job, tableCap)
-		for i := range ghosts {
-			ghosts[i] = mkJob(i, 500, 60, 1)
+	eng := sim.New()
+	clu := cluster.New(eng, cluster.Config{Nodes: 2, Seed: 1})
+	const tableCap = 4096
+	policy := &foldPolicy{machineReq: "true", jobReq: func(id int) string {
+		if id < tableCap {
+			return "MY.JobId < 0"
 		}
-		pool.Submit(ghosts)
-		pool.NegotiateOnce()
-		if n := pool.AutoclusterCount(); n != tableCap {
-			t.Fatalf("shards=%d: signature table holds %d entries, want it full at %d",
-				shards, n, tableCap)
-		}
-		pool.Submit([]*job.Job{mkJob(tableCap, 500, 60, 1)})
-		pool.NegotiateOnce()
-		if n := pool.AutoclusterCount(); n != 1 {
-			t.Fatalf("shards=%d: signature table holds %d entries after the overflowing cycle, "+
-				"want 1 (the era reset did not happen mid-cycle)", shards, n)
-		}
-		if q := pool.Jobs()[tableCap]; q.State != condor.Dispatched {
-			t.Fatalf("shards=%d: the \"true\" job is %v after the cycle, want dispatched: "+
-				"a stale fold survived the era reset", shards, q.State)
-		}
+		return "true"
+	}}
+	pool := condor.NewPool(eng, clu, policy, condor.Config{})
+	ghosts := make([]*job.Job, tableCap)
+	for i := range ghosts {
+		ghosts[i] = mkJob(i, 500, 60, 1)
+	}
+	pool.Submit(ghosts)
+	pool.NegotiateOnce()
+	if n := pool.AutoclusterCount(); n != tableCap {
+		t.Fatalf("signature table holds %d entries, want it full at %d", n, tableCap)
+	}
+	pool.Submit([]*job.Job{mkJob(tableCap, 500, 60, 1)})
+	pool.NegotiateOnce()
+	if n := pool.AutoclusterCount(); n != 1 {
+		t.Fatalf("signature table holds %d entries after the overflowing cycle, "+
+			"want 1 (the era reset did not happen mid-cycle)", n)
+	}
+	if q := pool.Jobs()[tableCap]; q.State != condor.Dispatched {
+		t.Fatalf("the \"true\" job is %v after the cycle, want dispatched: "+
+			"a stale fold survived the era reset", q.State)
 	}
 }
 
 // TestFoldedNegotiationMatchesOracle runs full simulations of fold-heavy
-// policies on the serial scan and the sharded scan (K = 1, 3), with and
-// without claim reuse, and requires every job record and activity counter
+// policies, with and without claim reuse, and requires every job record and activity counter
 // to equal the DisableMatchCache oracle's, which evaluates every pair. The
 // policies cover a job Requirements that reaches TARGET only through
 // MY.Pin, one that is a constant undefined or error, and a machine side
@@ -229,12 +217,10 @@ func TestFoldedNegotiationMatchesOracle(t *testing.T) {
 			if want.stats.Matches == 0 && name != "machine-false" {
 				t.Fatalf("%s: oracle matched nothing; the policy does not exercise the scan", name)
 			}
-			for _, shards := range []int{0, 1, 3} {
-				got := run(mk, condor.Config{NegotiationShards: shards, ClaimReuse: reuse})
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s reuse=%v shards=%d: outcome diverges from the DisableMatchCache oracle:\n"+
-						"got  %+v\nwant %+v", name, reuse, shards, got.stats, want.stats)
-				}
+			got := run(mk, condor.Config{ClaimReuse: reuse})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s reuse=%v: outcome diverges from the DisableMatchCache oracle:\n"+
+					"got  %+v\nwant %+v", name, reuse, got.stats, want.stats)
 			}
 		}
 	}

@@ -2,12 +2,10 @@ package condor_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
-	"phishare/internal/core"
 	"phishare/internal/job"
 	"phishare/internal/rng"
 	"phishare/internal/scheduler"
@@ -188,117 +186,40 @@ func TestOfflineCounterTracksScan(t *testing.T) {
 	}
 }
 
-// TestShardedNegotiationBitIdentical is the acceptance test named by
-// Config.NegotiationShards: across policies × seeds × shard counts, a full
-// run on the sharded negotiator must be bit-for-bit identical to the serial
-// scan — every job record, every activity counter. K beyond the machine
-// count exercises the clamp. The saturated deep-queue leg keeps every host
-// slot claimed behind thousands of pending jobs, the regime where both scans
-// reject whole autoclusters per cycle.
-func TestShardedNegotiationBitIdentical(t *testing.T) {
-	policies := map[string]func() condor.Policy{
-		"MC":   func() condor.Policy { return scheduler.NewExclusive() },
-		"MCC":  func() condor.Policy { return scheduler.NewRandomPack(rng.New(3)) },
-		"MCCK": func() condor.Policy { return core.New(core.Config{}) },
-	}
-	run := func(mk func() condor.Policy, seed int64, jobs, shards int) (condor.Stats, []interface{}) {
+// TestMatchCacheOracleDisablesEveryShortcut pins that DisableMatchCache is
+// the one oracle for every negotiator shortcut, including the two that do
+// not consult the verdict cache: the qedit identity elision (re-applying the
+// installed Requirements keeps the ad version) and the dirty-cycle
+// short-circuit (a cycle that provably repeats a no-op is skipped). On the
+// default path both fire; under the oracle neither may.
+func TestMatchCacheOracleDisablesEveryShortcut(t *testing.T) {
+	for _, oracle := range []bool{false, true} {
 		eng := sim.New()
-		eng.MaxSteps = 10_000_000
-		clu := cluster.New(eng, cluster.Config{Nodes: 4, UseCosmic: true, Seed: 1})
-		pool := condor.NewPool(eng, clu, mk(), condor.Config{
-			MaxRetries:        2,
-			NegotiationShards: shards,
+		clu := cluster.New(eng, cluster.Config{Nodes: 2, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewExclusive(), condor.Config{
+			DisableMatchCache: oracle,
+			StallLimit:        1 << 30,
 		})
-		pool.Submit(job.GenerateTableOneSet(jobs, rng.New(seed).Fork("tableI")))
-		eng.Run()
-		if !pool.Done() {
-			t.Fatal("pool not done after engine drained")
+		pool.Submit([]*job.Job{unmatchableJob(1)})
+		q := pool.Pending()[0]
+		const req = "TARGET.PhiFreeMemory >= MY.RequestPhiMemory"
+		pool.Qedit(q, req)
+		v := q.Ad.Version()
+		pool.Qedit(q, req)
+		if kept := q.Ad.Version() == v; kept == oracle {
+			want := map[bool]string{false: "kept", true: "bumped"}[oracle]
+			t.Errorf("oracle=%v: ad version %d -> %d across an identical re-qedit, want it %s",
+				oracle, v, q.Ad.Version(), want)
 		}
-		recs := make([]interface{}, 0, len(pool.Records()))
-		for _, r := range pool.Records() {
-			recs = append(recs, r)
+		// The unmatchable job keeps every cycle a no-op: after the first
+		// full scan the default path skips the rest.
+		eng.RunUntil(60 * units.Second)
+		skips := pool.Stats().CycleSkips
+		if oracle && skips != 0 {
+			t.Errorf("oracle run skipped %d cycles, want 0", skips)
 		}
-		return pool.Stats(), recs
-	}
-	check := func(name string, seed int64, jobs int, shards []int) {
-		t.Helper()
-		wantStats, wantRecs := run(policies[name], seed, jobs, 0)
-		for _, k := range shards {
-			gotStats, gotRecs := run(policies[name], seed, jobs, k)
-			if gotStats != wantStats {
-				t.Errorf("%s seed %d jobs=%d shards=%d: stats diverge:\ngot  %+v\nwant %+v",
-					name, seed, jobs, k, gotStats, wantStats)
-			}
-			if !reflect.DeepEqual(gotRecs, wantRecs) {
-				for i := range wantRecs {
-					if i >= len(gotRecs) || !reflect.DeepEqual(gotRecs[i], wantRecs[i]) {
-						t.Fatalf("%s seed %d jobs=%d shards=%d: record %d diverges:\ngot  %+v\nwant %+v",
-							name, seed, jobs, k, i, gotRecs[i], wantRecs[i])
-					}
-				}
-				t.Fatalf("%s seed %d jobs=%d shards=%d: record count %d != %d",
-					name, seed, jobs, k, len(gotRecs), len(wantRecs))
-			}
-		}
-	}
-	for name := range policies {
-		for seed := int64(1); seed <= 5; seed++ {
-			check(name, seed, 40, []int{1, 3, 8})
-		}
-	}
-	// Saturated deep queues against 16 host slots (MC, whose exclusive
-	// claims saturate the 4 devices, is the slower simulation per job).
-	check("MCC", 7, 3_000, []int{1, 3})
-	check("MC", 7, 1_000, []int{1, 3})
-}
-
-// TestShardRangesPlanning pins the partition plan: contiguous, covering,
-// near-even, clamped to the machine count, and collapsed to one full range
-// whenever sharding is off or a cache-disabled replay forces the serial scan.
-func TestShardRangesPlanning(t *testing.T) {
-	plan := func(nodes int, cfg condor.Config) [][2]int {
-		eng := sim.New()
-		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
-		return condor.NewPool(eng, clu, scheduler.NewExclusive(), cfg).ShardRanges()
-	}
-	// Serial configurations: one full range.
-	for _, cfg := range []condor.Config{
-		{},
-		{NegotiationShards: 4, DisableAutoclusters: true},
-		{NegotiationShards: 4, DisableMatchCache: true},
-	} {
-		r := plan(6, cfg)
-		if len(r) != 1 || r[0] != [2]int{0, 6} {
-			t.Fatalf("config %+v: ranges %v, want one full range", cfg, r)
-		}
-	}
-	// Sharded: contiguous cover, sizes differing by at most one, K clamped.
-	for _, tc := range []struct{ nodes, k, wantShards int }{
-		{6, 1, 1}, {6, 2, 2}, {6, 4, 4}, {6, 100, 6}, {3, 8, 3},
-	} {
-		r := plan(tc.nodes, condor.Config{NegotiationShards: tc.k})
-		if len(r) != tc.wantShards {
-			t.Fatalf("nodes=%d K=%d: %d shards, want %d", tc.nodes, tc.k, len(r), tc.wantShards)
-		}
-		lo, minSz, maxSz := 0, tc.nodes, 0
-		for _, pr := range r {
-			if pr[0] != lo {
-				t.Fatalf("nodes=%d K=%d: ranges %v not contiguous", tc.nodes, tc.k, r)
-			}
-			sz := pr[1] - pr[0]
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			lo = pr[1]
-		}
-		if lo != tc.nodes {
-			t.Fatalf("nodes=%d K=%d: ranges %v do not cover the inventory", tc.nodes, tc.k, r)
-		}
-		if maxSz-minSz > 1 {
-			t.Fatalf("nodes=%d K=%d: shard sizes spread %d..%d, want near-even", tc.nodes, tc.k, minSz, maxSz)
+		if !oracle && skips == 0 {
+			t.Error("default run skipped no cycle over an unchanging no-op queue")
 		}
 	}
 }

@@ -77,22 +77,18 @@ func (decliner) Select(_ *condor.Pool, q *condor.QueuedJob, _ []*condor.Machine)
 // TestDeclinedSelectDoesNotRejectAutocluster pins the rule's trigger: only an
 // empty candidate list rejects an autocluster for the cycle. A Select that
 // declines non-empty candidates says nothing about the cluster's next job,
-// which must still be offered its candidates — on the serial scan and on the
-// sharded commit alike.
+// which must still be offered its candidates.
 func TestDeclinedSelectDoesNotRejectAutocluster(t *testing.T) {
-	for _, shards := range []int{0, 1} {
-		eng := sim.New()
-		clu := cluster.New(eng, cluster.Config{Nodes: 2, Seed: 1})
-		pool := condor.NewPool(eng, clu, decliner{scheduler.NewExclusive()},
-			condor.Config{NegotiationShards: shards})
-		// Both jobs sign into one autocluster; job 1 is declined first.
-		pool.Submit([]*job.Job{mkJob(1, 500, 60, 1), mkJob(2, 500, 60, 1)})
-		pool.NegotiateOnce()
-		jobs := pool.Jobs()
-		if jobs[0].State != condor.Idle || jobs[1].State != condor.Dispatched {
-			t.Fatalf("shards=%d: job states %v, %v after the cycle, want idle, dispatched: "+
-				"a declined Select rejected its autocluster", shards, jobs[0].State, jobs[1].State)
-		}
+	eng := sim.New()
+	clu := cluster.New(eng, cluster.Config{Nodes: 2, Seed: 1})
+	pool := condor.NewPool(eng, clu, decliner{scheduler.NewExclusive()}, condor.Config{})
+	// Both jobs sign into one autocluster; job 1 is declined first.
+	pool.Submit([]*job.Job{mkJob(1, 500, 60, 1), mkJob(2, 500, 60, 1)})
+	pool.NegotiateOnce()
+	jobs := pool.Jobs()
+	if jobs[0].State != condor.Idle || jobs[1].State != condor.Dispatched {
+		t.Fatalf("job states %v, %v after the cycle, want idle, dispatched: "+
+			"a declined Select rejected its autocluster", jobs[0].State, jobs[1].State)
 	}
 }
 

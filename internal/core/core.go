@@ -291,44 +291,26 @@ func (s *Scheduler) computePlan(p *condor.Pool) map[*condor.QueuedJob]string {
 
 	clear(s.planScratch)
 	plan := s.planScratch
-	// The greedy per-device loop of Fig. 4 runs in per-shard rounds: the
-	// machine ranges come from the pool's sharded-negotiation partition (a
-	// single full range on an unsharded pool), so the plan's device order —
-	// and therefore the plan itself — is identical either way, while the
-	// per-shard observability below shows how the pinned load spreads over
-	// the partition the scan phase will walk concurrently.
-	machines := p.Machines()
-	ranges := p.ShardRanges()
-	for ri, r := range ranges {
-		before := len(plan)
-		for _, m := range machines[r[0]:r[1]] {
-			if len(remaining) == 0 {
-				break
-			}
-			picked := s.packDevice(p, m, remaining)
-			if len(picked) == 0 {
-				continue
-			}
-			for _, q := range picked {
-				plan[q] = m.Name
-			}
-			// In-place filter: drop the jobs this device took (picked is
-			// always a subset of remaining, so a plan lookup identifies them).
-			rest := remaining[:0]
-			for _, q := range remaining {
-				if _, ok := plan[q]; !ok {
-					rest = append(rest, q)
-				}
-			}
-			remaining = rest
+	for _, m := range p.Machines() {
+		if len(remaining) == 0 {
+			break
 		}
-		if s.obs != nil && len(ranges) > 1 {
-			s.obs.Emit(p.Now(), obs.LayerCore, "plan_shard",
-				obs.F("shard", ri),
-				obs.F("machines", r[1]-r[0]),
-				obs.F("planned", len(plan)-before),
-				obs.F("remaining", len(remaining)))
+		picked := s.packDevice(p, m, remaining)
+		if len(picked) == 0 {
+			continue
 		}
+		for _, q := range picked {
+			plan[q] = m.Name
+		}
+		// In-place filter: drop the jobs this device took (picked is always a
+		// subset of remaining, so a plan lookup identifies them).
+		rest := remaining[:0]
+		for _, q := range remaining {
+			if _, ok := plan[q]; !ok {
+				rest = append(rest, q)
+			}
+		}
+		remaining = rest
 	}
 	s.obsRounds.Inc()
 	s.obsPlanned.Add(int64(len(plan)))

@@ -35,15 +35,14 @@ type ChaosConfig struct {
 	// headroom for injected crashes, or every fault cascades into a
 	// Failed job and nothing exercises the resubmit path).
 	Retries int
-	// DiffReference makes every cell run four times — once on the
-	// optimized fast paths, once with autoclusters, the match cache and
-	// the sparse knapsack solver all force-disabled, and once each with
-	// the negotiator sharded at K=1 and K=4 — and diffs the runs' summary
-	// metrics and full per-job record streams bit for bit. Any divergence
-	// is reported as a violation: under fault injection the caches see
-	// invalidation orders — and the sharded commit sees claim-conflict
-	// orders — that the clean-path equivalence tests never produce, so
-	// this is the adversarial version of those guarantees.
+	// DiffReference makes every cell run twice — once on the optimized
+	// fast paths, once with the match cache (and with it autoclusters) and
+	// the sparse knapsack solver force-disabled — and diffs the runs'
+	// summary metrics and full per-job record streams bit for bit. Any
+	// divergence is reported as a violation: under fault injection the
+	// caches see invalidation orders that the clean-path equivalence tests
+	// never produce, so this is the adversarial version of those
+	// guarantees.
 	DiffReference bool
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -99,33 +98,24 @@ func (f ChaosFailure) String() string {
 // ChaosRun executes one (seed, profile, policy) cell under the invariant
 // checker and returns its violations (nil when clean). With
 // c.DiffReference set it also replays the cell on the reference scheduler
-// paths and with the negotiator sharded, and reports any outcome
-// divergence. Panics propagate to the caller.
+// paths and reports any outcome divergence. Panics propagate to the caller.
 func ChaosRun(c ChaosConfig, seed int64, prof faults.Profile, policy string) []string {
 	c = c.withDefaults()
-	res, records, violations := chaosCell(c, seed, prof, policy, false, 0)
+	res, records, violations := chaosCell(c, seed, prof, policy, false)
 	if !c.DiffReference {
 		return violations
 	}
-	refRes, refRecords, refViolations := chaosCell(c, seed, prof, policy, true, 0)
+	refRes, refRecords, refViolations := chaosCell(c, seed, prof, policy, true)
 	violations = append(violations, refViolations...)
-	violations = append(violations, diffOutcomes("reference", res, records, refRes, refRecords)...)
-	for _, k := range []int{1, 4} {
-		shRes, shRecords, shViolations := chaosCell(c, seed, prof, policy, false, k)
-		violations = append(violations, shViolations...)
-		violations = append(violations,
-			diffOutcomes(fmt.Sprintf("sharded(K=%d) replay", k), res, records, shRes, shRecords)...)
-	}
-	return violations
+	return append(violations, diffOutcomes(res, records, refRes, refRecords)...)
 }
 
 // chaosCell runs one swarm cell under a fresh fault harness — on the
-// optimized configuration, the reference-path configuration, or (shards > 0)
-// with the negotiator sharded K ways — and returns the run outcome plus the
-// harness's invariant violations. Every configuration sees
-// the identical injection schedule: the injector is driven purely by
-// (profile, seed).
-func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, reference bool, shards int) (Result, []metrics.JobRecord, []string) {
+// optimized configuration or the reference-path configuration — and returns
+// the run outcome plus the harness's invariant violations. Both
+// configurations see the identical injection schedule: the injector is
+// driven purely by (profile, seed).
+func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, reference bool) (Result, []metrics.JobRecord, []string) {
 	h := &faults.Harness{Profile: prof, Seed: seed, Check: true}
 	cfg := RunConfig{
 		Policy: policy,
@@ -137,55 +127,43 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 	}
 	if reference {
 		cfg.Condor.DisableMatchCache = true
-		cfg.Condor.DisableAutoclusters = true
 		cfg.Core = core.Config{ReferenceSolver: true}
-	}
-	if shards > 0 {
-		cfg.Condor.NegotiationShards = shards
 	}
 	var records []metrics.JobRecord
 	cfg.RecordSink = &records
 	res := Run(cfg)
 	violations := h.Finish()
-	label := ""
-	switch {
-	case reference:
-		label = "reference path: "
-	case shards > 0:
-		label = fmt.Sprintf("sharded(K=%d) replay: ", shards)
-	}
-	if label != "" {
+	if reference {
 		for i, v := range violations {
-			violations[i] = label + v
+			violations[i] = "reference path: " + v
 		}
 	}
 	return res, records, violations
 }
 
-// diffOutcomes compares an optimized run against a replay (reference paths
-// or sharded negotiation) and describes every observable divergence. The
-// record streams must match bit for bit — same jobs, same states, same
-// timestamps, same placements.
-func diffOutcomes(label string, res Result, records []metrics.JobRecord, refRes Result, refRecords []metrics.JobRecord) []string {
+// diffOutcomes compares an optimized run against its reference-path replay
+// and describes every observable divergence. The record streams must match
+// bit for bit — same jobs, same states, same timestamps, same placements.
+func diffOutcomes(res Result, records []metrics.JobRecord, refRes Result, refRecords []metrics.JobRecord) []string {
 	var diffs []string
 	if res.Makespan != refRes.Makespan {
-		diffs = append(diffs, fmt.Sprintf("diff: makespan %v != %s %v", res.Makespan, label, refRes.Makespan))
+		diffs = append(diffs, fmt.Sprintf("diff: makespan %v != reference %v", res.Makespan, refRes.Makespan))
 	}
 	if res.Utilization != refRes.Utilization {
-		diffs = append(diffs, fmt.Sprintf("diff: utilization %v != %s %v", res.Utilization, label, refRes.Utilization))
+		diffs = append(diffs, fmt.Sprintf("diff: utilization %v != reference %v", res.Utilization, refRes.Utilization))
 	}
 	if res.MaxConcurrency != refRes.MaxConcurrency {
-		diffs = append(diffs, fmt.Sprintf("diff: max concurrency %d != %s %d", res.MaxConcurrency, label, refRes.MaxConcurrency))
+		diffs = append(diffs, fmt.Sprintf("diff: max concurrency %d != reference %d", res.MaxConcurrency, refRes.MaxConcurrency))
 	}
 	if res.Summary != refRes.Summary {
-		diffs = append(diffs, fmt.Sprintf("diff: summary %+v != %s %+v", res.Summary, label, refRes.Summary))
+		diffs = append(diffs, fmt.Sprintf("diff: summary %+v != reference %+v", res.Summary, refRes.Summary))
 	}
 	if len(records) != len(refRecords) {
-		return append(diffs, fmt.Sprintf("diff: %d job records != %s %d", len(records), label, len(refRecords)))
+		return append(diffs, fmt.Sprintf("diff: %d job records != reference %d", len(records), len(refRecords)))
 	}
 	for i := range records {
 		if !reflect.DeepEqual(records[i], refRecords[i]) {
-			diffs = append(diffs, fmt.Sprintf("diff: record %d: %+v != %s %+v", i, records[i], label, refRecords[i]))
+			diffs = append(diffs, fmt.Sprintf("diff: record %d: %+v != reference %+v", i, records[i], refRecords[i]))
 			break // the first divergence is the reproduction recipe; the rest is noise
 		}
 	}

@@ -87,7 +87,7 @@ func Dynamic(o Options, dc DynamicConfig) []DynamicRow {
 }
 
 func runDynamic(o Options, policy string, jobs []*job.Job, arrivals []units.Tick) DynamicRow {
-	cfg := RunConfig{Policy: policy, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}
+	cfg := RunConfig{Policy: policy, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}
 	eng := sim.New()
 	eng.MaxSteps = 500_000_000
 	clu := cluster.New(eng, cluster.Config{

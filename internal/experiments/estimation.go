@@ -45,7 +45,7 @@ func Estimation(o Options) []EstimationRow {
 	jobs := o.realJobSet()
 
 	conservative := runEstimation(o, jobs, nil)
-	oracle := Run(RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()})
+	oracle := Run(RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed})
 	est := estimator.New(estimator.Config{})
 	estimated := runEstimation(o, jobs, est)
 
@@ -89,7 +89,7 @@ func runEstimation(o Options, jobs []*job.Job, est *estimator.Estimator) estimat
 	eng := sim.New()
 	eng.MaxSteps = 500_000_000
 	clu := cluster.New(eng, cluster.Config{Nodes: o.Nodes, UseCosmic: true, Seed: o.Seed})
-	cfg := RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}
+	cfg := RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}
 	pool := condor.NewPool(eng, clu, cfg.buildPolicy(), cfg.Condor)
 
 	conservative := estimator.New(estimator.Config{})

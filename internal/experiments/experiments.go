@@ -26,11 +26,6 @@ type Options struct {
 	RealJobs int
 	// SyntheticJobs is the per-distribution synthetic count (paper: 400).
 	SyntheticJobs int
-	// Shards sets condor.Config.NegotiationShards for every run a driver
-	// launches (cmd/phibench -shards). 0 keeps the serial scan. Sharded and
-	// serial negotiation are bit-identical by contract, so this knob changes
-	// wall-clock only — never a table or figure.
-	Shards int
 }
 
 // Defaults fills zero fields with the paper's values.
@@ -48,11 +43,6 @@ func (o Options) Defaults() Options {
 		o.SyntheticJobs = 400
 	}
 	return o
-}
-
-// condorCfg seeds a run's pool configuration with the driver-level knobs.
-func (o Options) condorCfg() condor.Config {
-	return condor.Config{NegotiationShards: o.Shards}
 }
 
 // realJobSet draws the Table I workload.
@@ -81,12 +71,10 @@ func Motivation(o Options) MotivationResult {
 	res := MotivationResult{Synthetic: map[workload.Distribution]float64{}}
 	res.Real = Run(RunConfig{
 		Policy: PolicyMC, Nodes: o.Nodes, Jobs: o.realJobSet(), Seed: o.Seed,
-		Condor: o.condorCfg(),
 	}).Utilization
 	for _, d := range workload.Distributions() {
 		res.Synthetic[d] = Run(RunConfig{
 			Policy: PolicyMC, Nodes: o.Nodes, Jobs: o.syntheticJobSet(d), Seed: o.Seed,
-			Condor: o.condorCfg(),
 		}).Utilization
 	}
 	return res
@@ -122,12 +110,12 @@ func Table2(o Options) Table2Result {
 	out := Table2Result{Nodes: o.Nodes, Jobs: len(jobs)}
 
 	out.LowerBound = job.MakespanLowerBound(jobs, o.Nodes)
-	base := Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()})
+	base := Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed})
 	out.Rows = append(out.Rows, Table2Row{Policy: PolicyMC, Makespan: base.Makespan})
 
 	for _, p := range []string{PolicyMCC, PolicyMCCK} {
-		r := Run(RunConfig{Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()})
-		fp, ok := Footprint(RunConfig{Policy: p, Jobs: jobs, Seed: o.Seed, Nodes: 1, Condor: o.condorCfg()}, base.Makespan, o.Nodes)
+		r := Run(RunConfig{Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed})
+		fp, ok := Footprint(RunConfig{Policy: p, Jobs: jobs, Seed: o.Seed, Nodes: 1}, base.Makespan, o.Nodes)
 		row := Table2Row{
 			Policy:    p,
 			Makespan:  r.Makespan,
@@ -185,9 +173,9 @@ func Fig8(o Options) Fig8Result {
 	for _, d := range workload.Distributions() {
 		jobs := o.syntheticJobSet(d)
 		row := Fig8Row{Dist: d}
-		row.MC = Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
-		row.MCC = Run(RunConfig{Policy: PolicyMCC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
-		row.MCCK = Run(RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
+		row.MC = Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}).Makespan
+		row.MCC = Run(RunConfig{Policy: PolicyMCC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}).Makespan
+		row.MCCK = Run(RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}).Makespan
 		out.Rows = append(out.Rows, row)
 	}
 	return out
@@ -229,9 +217,9 @@ func Fig9(o Options) Fig9Result {
 		jobs := jobSets[idx/len(sizes)]
 		n := sizes[idx%len(sizes)]
 		return cell{
-			mc:   Run(RunConfig{Policy: PolicyMC, Nodes: n, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan,
-			mcc:  Run(RunConfig{Policy: PolicyMCC, Nodes: n, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan,
-			mcck: Run(RunConfig{Policy: PolicyMCCK, Nodes: n, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan,
+			mc:   Run(RunConfig{Policy: PolicyMC, Nodes: n, Jobs: jobs, Seed: o.Seed}).Makespan,
+			mcc:  Run(RunConfig{Policy: PolicyMCC, Nodes: n, Jobs: jobs, Seed: o.Seed}).Makespan,
+			mcck: Run(RunConfig{Policy: PolicyMCCK, Nodes: n, Jobs: jobs, Seed: o.Seed}).Makespan,
 		}
 	})
 
@@ -275,12 +263,12 @@ func Table3(o Options) Table3Result {
 	rows := parmap(len(dists), func(i int) Table3Row {
 		d := dists[i]
 		jobs := o.syntheticJobSet(d)
-		base := Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
+		base := Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}).Makespan
 		row := Table3Row{Dist: d, MC: o.Nodes}
-		if fp, ok := Footprint(RunConfig{Policy: PolicyMCC, Jobs: jobs, Seed: o.Seed, Nodes: 1, Condor: o.condorCfg()}, base, o.Nodes); ok {
+		if fp, ok := Footprint(RunConfig{Policy: PolicyMCC, Jobs: jobs, Seed: o.Seed, Nodes: 1}, base, o.Nodes); ok {
 			row.MCC = fp
 		}
-		if fp, ok := Footprint(RunConfig{Policy: PolicyMCCK, Jobs: jobs, Seed: o.Seed, Nodes: 1, Condor: o.condorCfg()}, base, o.Nodes); ok {
+		if fp, ok := Footprint(RunConfig{Policy: PolicyMCCK, Jobs: jobs, Seed: o.Seed, Nodes: 1}, base, o.Nodes); ok {
 			row.MCCK = fp
 		}
 		return row
@@ -314,9 +302,9 @@ func Fig10(o Options) Fig10Result {
 			Dist: workload.Normal, N: perNode * n, Seed: o.Seed,
 		})
 		pt := Fig10Point{Nodes: n, Jobs: len(jobs)}
-		pt.MC = Run(RunConfig{Policy: PolicyMC, Nodes: n, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
-		pt.MCC = Run(RunConfig{Policy: PolicyMCC, Nodes: n, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
-		pt.MCCK = Run(RunConfig{Policy: PolicyMCCK, Nodes: n, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
+		pt.MC = Run(RunConfig{Policy: PolicyMC, Nodes: n, Jobs: jobs, Seed: o.Seed}).Makespan
+		pt.MCC = Run(RunConfig{Policy: PolicyMCC, Nodes: n, Jobs: jobs, Seed: o.Seed}).Makespan
+		pt.MCCK = Run(RunConfig{Policy: PolicyMCCK, Nodes: n, Jobs: jobs, Seed: o.Seed}).Makespan
 		out.Points = append(out.Points, pt)
 	}
 	return out
@@ -396,7 +384,7 @@ type AblationRow struct {
 func AblationValueFunction(o Options) []AblationRow {
 	o = o.Defaults()
 	jobs := o.realJobSet()
-	base := Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Condor: o.condorCfg()}).Makespan
+	base := Run(RunConfig{Policy: PolicyMC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed}).Makespan
 	variants := []struct {
 		name string
 		cfg  core.Config
@@ -409,7 +397,7 @@ func AblationValueFunction(o Options) []AblationRow {
 	}
 	rows := []AblationRow{{Name: "MC baseline", Makespan: base}}
 	for _, v := range variants {
-		m := Run(RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Core: v.cfg, Condor: o.condorCfg()}).Makespan
+		m := Run(RunConfig{Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Core: v.cfg}).Makespan
 		rows = append(rows, AblationRow{
 			Name:      "MCCK " + v.name,
 			Makespan:  m,
@@ -443,11 +431,11 @@ func AblationOversubscription(o Options) []OversubRow {
 	// coprocessor, so up to 16 jobs pile onto one card — the §III setup.
 	raw := Run(RunConfig{
 		Policy: PolicyAgnostic, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed,
-		Condor: condor.Config{MaxRetries: 5, HostSlots: 16, NegotiationShards: o.Shards},
+		Condor: condor.Config{MaxRetries: 5, HostSlots: 16},
 	})
 	safe := Run(RunConfig{
 		Policy: PolicyMCC, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed,
-		Condor: condor.Config{MaxRetries: 5, NegotiationShards: o.Shards},
+		Condor: condor.Config{MaxRetries: 5},
 	})
 	return []OversubRow{
 		{Name: "Agnostic + raw MPSS", Makespan: raw.Makespan, Crashes: raw.Summary.Crashes, Failed: raw.Summary.Failed},
@@ -473,7 +461,7 @@ func AblationNegotiationCycle(o Options) []CycleRow {
 	for _, c := range []units.Tick{5 * units.Second, 10 * units.Second, 30 * units.Second, 60 * units.Second} {
 		m := Run(RunConfig{
 			Policy: PolicyMCCK, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed,
-			Condor: condor.Config{NegotiationCycle: c, NotifyDelay: c / 5, NegotiationShards: o.Shards},
+			Condor: condor.Config{NegotiationCycle: c, NotifyDelay: c / 5},
 		}).Makespan
 		rows = append(rows, CycleRow{Cycle: c, Makespan: m})
 	}
@@ -499,7 +487,7 @@ func AblationClaimReuse(o Options) []AblationRow {
 			}
 			m := Run(RunConfig{
 				Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed,
-				Condor: condor.Config{ClaimReuse: reuse, NegotiationShards: o.Shards},
+				Condor: condor.Config{ClaimReuse: reuse},
 			}).Makespan
 			rows = append(rows, AblationRow{Name: name, Makespan: m})
 		}
@@ -564,7 +552,7 @@ func AblationTransferContention(o Options) []TransferRow {
 		for _, p := range Policies() {
 			m := Run(RunConfig{
 				Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed,
-				LinkBandwidthMBps: bw, Condor: o.condorCfg(),
+				LinkBandwidthMBps: bw,
 			}).Makespan
 			rows = append(rows, TransferRow{Policy: p, BandwidthMBps: bw, Makespan: m})
 		}
@@ -589,7 +577,6 @@ func AblationDispatchDiscipline(o Options) []AblationRow {
 			}
 			m := Run(RunConfig{
 				Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, CosmicBypass: bypass,
-				Condor: o.condorCfg(),
 			}).Makespan
 			rows = append(rows, AblationRow{Name: name, Makespan: m})
 		}

@@ -633,10 +633,10 @@ func TestMeanStd(t *testing.T) {
 // policies × fault regimes, a run with every optimization enabled must be
 // bit-for-bit identical — job record stream, makespan, summary, utilization,
 // concurrency — to the same run with every optimization forced onto its
-// reference path (legacy per-pair matchmaking, no match cache, reference
-// dense knapsack). Faulted cells run under the light chaos
-// profile with invariant checking, so the equivalence also covers the
-// dirty-cycle bookkeeping that fault transitions exercise.
+// reference path (no match cache, reference dense knapsack). Faulted cells
+// run under the light chaos profile with invariant checking, so the
+// equivalence also covers the dirty-cycle bookkeeping that fault transitions
+// exercise.
 func TestReferencePathOutcomeEquivalence(t *testing.T) {
 	type outcome struct {
 		makespan       units.Tick
@@ -645,16 +645,15 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		summary        metrics.Summary
 		records        []metrics.JobRecord
 	}
-	cell := func(policy string, seed int64, faulted, reference bool, shards, n, nodes int) outcome {
+	cell := func(t *testing.T, policy string, seed int64, faulted, reference bool, n, nodes int) outcome {
 		jobs := job.GenerateTableOneSet(n, rng.New(seed).Fork("tableI"))
 		cfg := RunConfig{Policy: policy, Nodes: nodes, Jobs: jobs, Seed: seed}
 		var recs []metrics.JobRecord
 		cfg.RecordSink = &recs
 		if reference {
-			cfg.Condor = condor.Config{DisableMatchCache: true, DisableAutoclusters: true}
+			cfg.Condor = condor.Config{DisableMatchCache: true}
 			cfg.Core = core.Config{ReferenceSolver: true}
 		}
-		cfg.Condor.NegotiationShards = shards
 		var h *faults.Harness
 		if faulted {
 			h = &faults.Harness{Profile: faults.LightProfile(), Seed: seed, Check: true}
@@ -669,7 +668,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		}
 		return outcome{res.Makespan, res.Utilization, res.MaxConcurrency, res.Summary, recs}
 	}
-	compare := func(policy string, seed int64, faulted bool, label string, got, want outcome) {
+	compare := func(t *testing.T, policy string, seed int64, faulted bool, label string, got, want outcome) {
 		t.Helper()
 		if got.makespan != want.makespan || got.utilization != want.utilization ||
 			got.maxConcurrency != want.maxConcurrency || got.summary != want.summary {
@@ -691,17 +690,9 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 	for _, policy := range []string{PolicyMC, PolicyMCC, PolicyMCCK} {
 		for seed := int64(1); seed <= 10; seed++ {
 			for _, faulted := range []bool{false, true} {
-				// opt is the optimized configuration; ref forces every
-				// scheduler optimization onto its reference path; sh1/sh4
-				// run the sharded negotiator at K=1 and K=4. All four must
-				// be bit-identical.
-				opt := cell(policy, seed, faulted, false, 0, 60, 3)
-				ref := cell(policy, seed, faulted, true, 0, 60, 3)
-				compare(policy, seed, faulted, "reference path", opt, ref)
-				for _, k := range []int{1, 4} {
-					sh := cell(policy, seed, faulted, false, k, 60, 3)
-					compare(policy, seed, faulted, fmt.Sprintf("sharded K=%d", k), opt, sh)
-				}
+				opt := cell(t, policy, seed, faulted, false, 60, 3)
+				ref := cell(t, policy, seed, faulted, true, 60, 3)
+				compare(t, policy, seed, faulted, "reference path", opt, ref)
 			}
 		}
 	}
@@ -710,15 +701,21 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 	// the negotiator rejects whole autoclusters per cycle. The small cells
 	// above rarely reach it; the DisableMatchCache oracle never applies the
 	// rule. MC's oracle re-evaluates every (pending job, machine) pair each
-	// cycle, so its cell is smaller at the same jobs-per-node depth.
+	// cycle, so its cell is smaller at the same jobs-per-node depth. These
+	// cells dominate the test's cost and share no state, so they run as
+	// parallel subtests.
 	for _, deep := range []struct {
 		policy   string
 		n, nodes int
 	}{{PolicyMCC, 2_000, 20}, {PolicyMC, 500, 5}} {
 		for _, faulted := range []bool{false, true} {
-			opt := cell(deep.policy, 1, faulted, false, 0, deep.n, deep.nodes)
-			ref := cell(deep.policy, 1, faulted, true, 0, deep.n, deep.nodes)
-			compare(deep.policy, 1, faulted, fmt.Sprintf("saturated %d jobs reference path", deep.n), opt, ref)
+			name := fmt.Sprintf("saturated/%s-%dx%d/faulted=%v", deep.policy, deep.n, deep.nodes, faulted)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				opt := cell(t, deep.policy, 1, faulted, false, deep.n, deep.nodes)
+				ref := cell(t, deep.policy, 1, faulted, true, deep.n, deep.nodes)
+				compare(t, deep.policy, 1, faulted, fmt.Sprintf("saturated %d jobs reference path", deep.n), opt, ref)
+			})
 		}
 	}
 	// Footprint (the paper's cluster-size-for-equal-makespan metric) runs a
@@ -731,7 +728,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 			base.Makespan, 6)
 		refFP, refOK := Footprint(RunConfig{
 			Policy: PolicyMCCK, Nodes: 3, Jobs: jobs, Seed: seed,
-			Condor: condor.Config{DisableMatchCache: true, DisableAutoclusters: true},
+			Condor: condor.Config{DisableMatchCache: true},
 			Core:   core.Config{ReferenceSolver: true},
 		}, base.Makespan, 6)
 		if optFP != refFP || optOK != refOK {

@@ -112,10 +112,10 @@ func TestInvariantSwarm(t *testing.T) {
 }
 
 // TestChaosDiffSwarm is the reference-diff half of the `make chaos` gate:
-// a seed sweep where every cell replays with autoclusters, the match
-// cache and the sparse knapsack solver force-disabled, and again with the
-// negotiator sharded at K=1 and K=4, and every run's job-record stream must
-// agree bit for bit. Each cell costs four full runs (the reference solver is the expensive dense DP), so the sweep is
+// a seed sweep where every cell replays with the match cache (and with it
+// autoclusters) and the sparse knapsack solver force-disabled, and both
+// runs' job-record streams must agree bit for bit. Each cell costs two full
+// runs (the reference solver is the expensive dense DP), so the sweep is
 // narrower than TestInvariantSwarm's.
 func TestChaosDiffSwarm(t *testing.T) {
 	seeds := 10

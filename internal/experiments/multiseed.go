@@ -41,7 +41,6 @@ func Table2Multi(o Options, seeds []int64) []SeedStats {
 		for _, p := range Policies() {
 			t.makespans[p] = Run(RunConfig{
 				Policy: p, Nodes: opts.Nodes, Jobs: jobs, Seed: opts.Seed,
-				Condor: opts.condorCfg(),
 			}).Makespan
 		}
 		return t

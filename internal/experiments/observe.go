@@ -87,7 +87,7 @@ func DumpObserved(o Options, dir string) ([]Result, error) {
 	var results []Result
 	for _, p := range Policies() {
 		ob := obs.New()
-		res := Run(RunConfig{Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Obs: ob, Condor: o.condorCfg()})
+		res := Run(RunConfig{Policy: p, Nodes: o.Nodes, Jobs: jobs, Seed: o.Seed, Obs: ob})
 		results = append(results, res)
 		title := fmt.Sprintf("%s: %d jobs on %d nodes, seed %d", p, len(jobs), o.Nodes, o.Seed)
 		for _, art := range []struct {
