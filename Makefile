@@ -41,7 +41,7 @@ vet:
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
 # from sim-path entries through any call chain; pureselect: classad.Match
-# and Policy Select implementations are observably pure). Legitimate sites
+# and Policy Select/SelectN implementations are observably pure). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # The findings cache keys on the SHA-256 of every loaded source file, so a

@@ -407,6 +407,31 @@ func BenchmarkNegotiate(b *testing.B) {
 	// Jobs with equal signatures share an autocluster, so the scan walks
 	// (autoclusters × machines), not (jobs × machines).
 	b.Run("pool=10000/jobs=100000", func(b *testing.B) { cycle(b, 10_000, 100_000, true) })
+	// Shallow MCC queue on a large, mostly free pool: each iteration submits
+	// 64 jobs, matches them in one cycle and runs them to completion on
+	// 10,000 machines. RandomPack places each job by rank in the free-slot
+	// index, so the cost scales with matches, not machines; a machine walk
+	// visits all 10,000 machines per job.
+	b.Run("mcc-free/pool=10000/jobs=64", func(b *testing.B) {
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: 10_000, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(1)), condor.Config{})
+		batch := make([]*job.Job, 64)
+		for i := range batch {
+			batch[i] = &job.Job{ID: i, Name: "bench", Workload: "bench", Mem: 500, Threads: 60}
+			batch[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.Submit(batch)
+			pool.NegotiateOnce()
+			eng.RunUntil(eng.Now() + 10*units.Second)
+		}
+		b.StopTimer()
+		if pool.InFlight() != 0 || len(pool.Pending()) != 0 {
+			b.Fatalf("batch not drained: %d in flight, %d pending", pool.InFlight(), len(pool.Pending()))
+		}
+	})
 	// Saturated deep queue, the bench deep-queue workload's steady state: an
 	// MCC pool of 200 nodes with every host slot claimed and 20,000 jobs
 	// pending in one autocluster. The first job's empty machine walk rejects

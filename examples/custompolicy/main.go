@@ -24,6 +24,13 @@ import (
 // BestFit packs each job onto the machine where it fits most tightly,
 // leaving big holes intact for big jobs. Node-level safety still comes
 // from COSMIC, exactly as for MCC.
+//
+// A policy whose Select depends only on the number of candidates (a uniform
+// random pick, "take the first") may also implement condor.IndexSelector's
+// SelectN(n int) int, returning what Select would for n candidates, and the
+// negotiator then places its jobs without building candidate lists (see
+// scheduler.RandomPack). BestFit reads each candidate's free memory, so it
+// must not.
 type BestFit struct{}
 
 func (*BestFit) Name() string { return "BestFit" }

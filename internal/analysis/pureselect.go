@@ -11,12 +11,14 @@ package analysis
 //     replay divergence. Match is held strictly pure.
 //
 //   - every implementation of a module interface with a Select method (the
-//     Policy family): the fast negotiator's bit-identity with the oracle
-//     rests on Select being a function of (arguments, policy RNG stream)
-//     alone, so both paths replay the exact same decision sequence.
-//     Select implementations may draw from internal/rng — the seeded stream
-//     IS part of their replayed input, and its state advance is canonical —
-//     so effects originating in internal/rng are exempt. Everything else
+//     Policy family) or a SelectN method (condor.IndexSelector): the fast
+//     negotiator's bit-identity with the oracle rests on Select being a
+//     function of (arguments, policy RNG stream) alone, so both paths replay
+//     the exact same decision sequence — and the fast path calls SelectN
+//     where the oracle calls Select, so SelectN is held to the same rule.
+//     Implementations may draw from internal/rng — the seeded stream IS part
+//     of their replayed input, and its state advance is canonical — so
+//     effects originating in internal/rng are exempt. Everything else
 //     (receiver counters, package state, I/O) is flagged.
 //
 // Effects are computed transitively over the call graph via per-function
@@ -34,9 +36,10 @@ import (
 // PureSelect is the whole-program purity rule.
 var PureSelect = &WholeAnalyzer{
 	Name: "pureselect",
-	Doc: "require classad.Match and every Policy-style Select implementation " +
-		"to be observably pure (no escaping writes, I/O, or nondeterminism " +
-		"sources, transitively); Select may draw from internal/rng",
+	Doc: "require classad.Match and every Policy-style Select and SelectN " +
+		"implementation to be observably pure (no escaping writes, I/O, or " +
+		"nondeterminism sources, transitively); Select and SelectN may draw " +
+		"from internal/rng",
 	Run: runPureSelect,
 }
 
@@ -67,9 +70,11 @@ func runPureSelect(p *ModulePass) {
 			add(pureTarget{fi: fi, why: "one classad.Match verdict serves every job of an autocluster"})
 		}
 	}
-	for _, fi := range selectImpls(p.Graph) {
-		add(pureTarget{fi: fi, exemptRNG: true,
-			why: "policy Select must replay from (arguments, policy RNG) alone"})
+	for _, method := range []string{"Select", "SelectN"} {
+		for _, fi := range methodImpls(p.Graph, method) {
+			add(pureTarget{fi: fi, exemptRNG: true,
+				why: "policy " + method + " must replay from (arguments, policy RNG) alone"})
+		}
 	}
 	sort.Slice(targets, func(i, j int) bool {
 		return targets[i].fi.Decl.Pos() < targets[j].fi.Decl.Pos()
@@ -91,20 +96,20 @@ func runPureSelect(p *ModulePass) {
 	}
 }
 
-// selectImpls returns every module function implementing the Select method
+// methodImpls returns every module function implementing the named method
 // of any module interface that declares one, deduplicated, in declaration
 // order.
-func selectImpls(g *Graph) []*FuncInfo {
+func methodImpls(g *Graph, method string) []*FuncInfo {
 	var out []*FuncInfo
 	have := map[*FuncInfo]bool{}
 	for _, path := range sortedKeys(g.Mod.TPkg) {
 		scope := g.Mod.TPkg[path].Scope()
 		for _, name := range scope.Names() {
 			iface := namedInterface(scope.Lookup(name))
-			if iface == nil || !interfaceHasMethod(iface, "Select") {
+			if iface == nil || !interfaceHasMethod(iface, method) {
 				continue
 			}
-			for _, fi := range g.Implementations(iface, "Select") {
+			for _, fi := range g.Implementations(iface, method) {
 				if !have[fi] {
 					have[fi] = true
 					out = append(out, fi)

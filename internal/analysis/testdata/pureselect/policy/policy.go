@@ -1,7 +1,7 @@
-// Package scheduler defines the Policy interface whose Select
-// implementations pureselect discovers by CHA: Random's only effect is
-// drawing from the deterministic stream (exempt), Sticky memoizes on its
-// receiver (flagged).
+// Package scheduler defines the Policy and IndexPolicy interfaces whose
+// Select and SelectN implementations pureselect discovers by CHA: Random's
+// only effect is drawing from the deterministic stream (exempt), Sticky
+// memoizes on its receiver (flagged) in both methods.
 package scheduler
 
 import "phishare/internal/rng"
@@ -9,6 +9,11 @@ import "phishare/internal/rng"
 // Policy picks one candidate index.
 type Policy interface {
 	Select(cands []int) int
+}
+
+// IndexPolicy picks one of n candidates by rank.
+type IndexPolicy interface {
+	SelectN(n int) int
 }
 
 // Random consults the deterministic stream: allowed by the rng exemption.
@@ -19,6 +24,11 @@ type Random struct {
 // Select draws one candidate uniformly from the stream.
 func (r *Random) Select(cands []int) int {
 	return cands[int(r.src.Uint64()%uint64(len(cands)))]
+}
+
+// SelectN draws one rank uniformly from the stream.
+func (r *Random) SelectN(n int) int {
+	return int(r.src.Uint64() % uint64(n))
 }
 
 // Sticky memoizes its last pick on the receiver: observably impure, two
@@ -33,6 +43,12 @@ func (s *Sticky) Select(cands []int) int {
 		s.last = cands[0]
 	}
 	return s.last
+}
+
+// SelectN returns rank 0 and remembers the candidate count.
+func (s *Sticky) SelectN(n int) int {
+	s.last = n
+	return 0
 }
 
 var traced int

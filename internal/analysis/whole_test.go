@@ -100,8 +100,8 @@ func TestDetTaintWholeProgram(t *testing.T) {
 }
 
 // TestPureSelectWholeProgram pins the purity contract: classad.Match is
-// strict (the counter write is flagged), Select implementations are
-// discovered through the interface, and the internal/rng exemption admits
+// strict (the counter write is flagged), Select and SelectN implementations
+// are discovered through their interfaces, and the internal/rng exemption admits
 // the deterministic stream draw while receiver memoization stays flagged.
 func TestPureSelectWholeProgram(t *testing.T) {
 	dir := filepath.Join("testdata", "pureselect")
@@ -114,11 +114,15 @@ func TestPureSelectWholeProgram(t *testing.T) {
 	if !strings.Contains(got, "classad.Match must be observably pure") {
 		t.Errorf("Match's counter write not flagged:\n%s", got)
 	}
-	if !strings.Contains(got, "Sticky") {
+	if !strings.Contains(got, "Sticky).Select must") {
 		t.Errorf("Sticky.Select's receiver memoization not flagged:\n%s", got)
 	}
+	// SelectN implementations are discovered through their own interface.
+	if !strings.Contains(got, "Sticky).SelectN must") {
+		t.Errorf("Sticky.SelectN's receiver memoization not flagged:\n%s", got)
+	}
 	if strings.Contains(got, "Random") {
-		t.Errorf("Random.Select's rng draw should be exempt:\n%s", got)
+		t.Errorf("Random.Select's and Random.SelectN's rng draws should be exempt:\n%s", got)
 	}
 	// The trace↔chase cycle: Looper.Select enters at the impure member,
 	// Chaser.Select at the pure one, and Looper is analyzed first. Both

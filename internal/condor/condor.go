@@ -16,6 +16,7 @@ package condor
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -155,6 +156,10 @@ type Machine struct {
 	// failure that accompanies a node loss does that.
 	Offline bool
 
+	// idx is the machine's position in Pool.machines and its bit in
+	// Pool.free.
+	idx int
+
 	// acVals memoizes Match verdicts against this machine per autocluster,
 	// indexed by acID − Pool.acBase (a dense array beats a hashed map on
 	// the negotiation hot path): one verdict per (autocluster, machine-ad
@@ -223,11 +228,25 @@ type Policy interface {
 	// one batch of qedits.
 	PreNegotiation(p *Pool)
 	// Select chooses among machines whose ads matched the job; return -1
-	// to leave the job idle this cycle. candidates is non-empty.
+	// to leave the job idle this cycle. candidates is non-empty, in machine
+	// order. A policy whose choice depends only on len(candidates) may also
+	// implement IndexSelector.
 	Select(p *Pool, q *QueuedJob, candidates []*Machine) int
 	// PostNegotiation runs after matchmaking, for policies that want to
 	// observe the cycle's outcome.
 	PostNegotiation(p *Pool)
+}
+
+// IndexSelector is an optional Policy extension for policies blind to
+// candidate identity. Implementing it promises that Select(p, q, cands)
+// depends only on len(cands) and equals SelectN(len(cands)), RNG draws
+// included. The negotiator then matches a job whose autocluster folds to
+// const-true (every machine with a free slot is a candidate) by calling
+// SelectN(free machines) and claiming that free machine by rank, with no
+// machine walk and no candidate slice. A policy that reads its candidates
+// (best fit, affinity) must not implement it.
+type IndexSelector interface {
+	SelectN(n int) int
 }
 
 // Config tunes the Condor mechanics.
@@ -352,6 +371,21 @@ type Pool struct {
 	// SetOffline (the mandated funnel) so finishCycle's stall accounting
 	// does not rescan the whole inventory every cycle tail.
 	offline int
+
+	// free is the free-slot index: bit i of free[i/64] is set iff
+	// machines[i] is online with a free host slot, and freeCount is the
+	// number of set bits. syncFree keeps both current and is called by
+	// every writer of Machine.Resident and Machine.Offline (claim, jobDone,
+	// SetOffline). The scan walks only set bits, in machine order, so
+	// candidate lists are exactly those of a full walk that skips offline
+	// and full machines.
+	free      []uint64
+	freeCount int
+	// indexSel is the policy's IndexSelector, or nil.
+	indexSel IndexSelector
+	// visits counts machines examined by matchmaking walks, for tests that
+	// pin which paths walk the inventory.
+	visits int
 
 	// candScratch is the candidates slice reused across every pending job
 	// of every cycle (it was re-grown from nil per job before).
@@ -583,6 +617,7 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 		dirty:  true}
 	for _, unit := range clu.Units {
 		m := &Machine{
+			idx:       len(p.machines),
 			Name:      unit.SlotName,
 			Unit:      unit,
 			Ad:        classad.NewAd(),
@@ -601,6 +636,11 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 	if len(p.machines) > 0 {
 		p.machineFold = classad.FoldConstant(p.machines[0].Ad)
 	}
+	p.free = make([]uint64, (len(p.machines)+63)/64)
+	for _, m := range p.machines {
+		p.syncFree(m)
+	}
+	p.indexSel, _ = policy.(IndexSelector)
 	// Job signatures must cover everything a machine's Requirements can read
 	// from the job ad, plus the job's own Requirements. Machine Requirements
 	// come from the policy at construction and are never rewritten, so the
@@ -872,9 +912,11 @@ func (p *Pool) negotiate() {
 // evaluate every machine's live ad and hand the matches to the policy. On
 // the autocluster path a job whose cluster was already rejected this cycle
 // skips the machine walk, so a saturated cycle costs O(autoclusters ×
-// machines) rather than O(pending × machines), and a folded cluster
-// (Pool.acFold) costs no Match evaluation at all; DisableMatchCache keeps the
-// full per-job walk as the oracle.
+// machines) rather than O(pending × machines); a folded cluster
+// (Pool.acFold) costs no Match evaluation at all; the walk visits only the
+// machines in the free-slot index; and a FoldTrue cluster under an
+// IndexSelector policy visits none (selectFree). DisableMatchCache keeps the
+// full per-job walk over every machine as the oracle.
 func (p *Pool) scanSerial() (matched int) {
 	autoclusters := !p.cfg.DisableMatchCache
 	countClusters := autoclusters && p.obs != nil
@@ -900,29 +942,48 @@ func (p *Pool) scanSerial() (matched int) {
 				still = append(still, q)
 				continue
 			}
-			if p.acFold[ac-p.acBase] == classad.FoldFalse {
+			switch p.acFold[ac-p.acBase] {
+			case classad.FoldFalse:
 				// No machine can match: the walk would build an empty list.
 				p.rejectAutocluster(ac)
 				still = append(still, q)
 				continue
+			case classad.FoldTrue:
+				if p.indexSel != nil {
+					// Every free machine is a candidate and the policy reads
+					// only their number: pick by rank, without the list.
+					if p.selectFree(q, ac) {
+						matched++
+					} else {
+						still = append(still, q)
+					}
+					continue
+				}
 			}
 		}
 		candidates := p.candScratch[:0]
-		for _, m := range p.machines {
-			// A machine with no free host slot cannot accept any job,
-			// whatever the ads say: the starter has nowhere to run. An
-			// offline machine's startd is not advertising at all.
-			if m.Offline || m.AtCapacity() {
-				continue
+		if ac >= 0 {
+			for w, x := range p.free {
+				for ; x != 0; x &= x - 1 {
+					m := p.machines[w<<6|bits.TrailingZeros64(x)]
+					p.visits++
+					if p.matchCluster(m, q, ac) {
+						candidates = append(candidates, m)
+					}
+				}
 			}
-			var ok bool
-			if ac >= 0 {
-				ok = p.matchCluster(m, q, ac)
-			} else {
-				ok = classad.Match(m.Ad, q.Ad)
-			}
-			if ok {
-				candidates = append(candidates, m)
+		} else {
+			for _, m := range p.machines {
+				p.visits++
+				// A machine with no free host slot cannot accept any job,
+				// whatever the ads say: the starter has nowhere to run. An
+				// offline machine's startd is not advertising at all.
+				if m.Offline || m.AtCapacity() {
+					continue
+				}
+				if classad.Match(m.Ad, q.Ad) {
+					candidates = append(candidates, m)
+				}
 			}
 		}
 		idx := -1
@@ -947,6 +1008,68 @@ func (p *Pool) scanSerial() (matched int) {
 		p.obsAutoclu.Set(float64(clusters))
 	}
 	return matched
+}
+
+// selectFree matches q, of FoldTrue autocluster ac, under an IndexSelector
+// policy: the candidates a walk would build are exactly the free machines,
+// so the policy's choice among them is SelectN(freeCount), and the chosen
+// candidate is the free machine of that rank. The rejection stamp, the Select
+// count and the decline rule are those of the walk. It reports whether q was
+// claimed.
+func (p *Pool) selectFree(q *QueuedJob, ac int) bool {
+	n := p.freeCount
+	if n == 0 {
+		p.rejectAutocluster(ac)
+		return false
+	}
+	p.selectCall++
+	k := p.indexSel.SelectN(n)
+	if k < 0 || k >= n {
+		return false
+	}
+	p.claim(q, p.machines[p.nthFree(k)])
+	return true
+}
+
+// nthFree returns the machine index of the free machine of rank k (0-based,
+// in machine order); 0 <= k < freeCount.
+func (p *Pool) nthFree(k int) int {
+	for w, x := range p.free {
+		if c := bits.OnesCount64(x); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			x &= x - 1
+		}
+		return w<<6 | bits.TrailingZeros64(x)
+	}
+	panic("condor: free-slot rank out of range")
+}
+
+// syncFree sets m's bit in the free-slot index to !Offline && !AtCapacity().
+func (p *Pool) syncFree(m *Machine) {
+	w, bit := m.idx>>6, uint64(1)<<(m.idx&63)
+	if (p.free[w]&bit != 0) == (!m.Offline && !m.AtCapacity()) {
+		return
+	}
+	p.free[w] ^= bit
+	if p.free[w]&bit != 0 {
+		p.freeCount++
+	} else {
+		p.freeCount--
+	}
+}
+
+// FreeMachines reports how many machines are online with a free host slot,
+// from the free-slot index. The faults invariant checker compares it, and
+// each machine's bit (InFreeIndex), against a full scan at every event
+// boundary.
+func (p *Pool) FreeMachines() int { return p.freeCount }
+
+// InFreeIndex reports whether m's bit is set in the free-slot index.
+func (p *Pool) InFreeIndex(m *Machine) bool {
+	return p.free[m.idx>>6]&(uint64(1)<<(m.idx&63)) != 0
 }
 
 // autoclusterRejected reports whether a job of autocluster ac already found
@@ -1035,6 +1158,7 @@ func (p *Pool) SetOffline(m *Machine, offline bool) {
 	} else {
 		p.offline--
 	}
+	p.syncFree(m)
 	p.dirty = true
 }
 
@@ -1072,6 +1196,7 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 	if len(m.Resident) > m.MaxResident {
 		m.MaxResident = len(m.Resident)
 	}
+	p.syncFree(m)
 	m.updateAd()
 	p.inFlight++
 	if p.inFlight > p.peakInFlight {
@@ -1113,6 +1238,7 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 			break
 		}
 	}
+	p.syncFree(m)
 	m.updateAd()
 	p.inFlight--
 

@@ -97,7 +97,9 @@ func TestUnpinnedMCCKQueueLooksUpOnlyPinnedClusters(t *testing.T) {
 
 // TestMCCCycleMakesNoMatchEvaluations: MCC's Requirements are "true" on
 // both sides, so every autocluster folds to FoldTrue and a cycle dispatches
-// without a single Match evaluation or cache lookup.
+// without a single Match evaluation or cache lookup. RandomPack is an
+// IndexSelector, so the cycle does not visit a single machine either: each
+// job is placed by rank in the free-slot index.
 func TestMCCCycleMakesNoMatchEvaluations(t *testing.T) {
 	eng := sim.New()
 	clu := cluster.New(eng, cluster.Config{Nodes: 4, Seed: 1})
@@ -111,6 +113,9 @@ func TestMCCCycleMakesNoMatchEvaluations(t *testing.T) {
 	}
 	if got := cacheLookups(o); got != 0 {
 		t.Errorf("MCC cycle made %d match-cache lookups, want 0", got)
+	}
+	if got := pool.MachineVisits(); got != 0 {
+		t.Errorf("MCC cycle visited %d machines, want 0", got)
 	}
 }
 

@@ -186,6 +186,62 @@ func TestOfflineCounterTracksScan(t *testing.T) {
 	}
 }
 
+// TestFreeIndexTracksScan runs a pool through claims, completions and random
+// SetOffline flips and checks the free-slot index (each machine's bit and the
+// count) against a full !Offline && !AtCapacity() scan after every event.
+func TestFreeIndexTracksScan(t *testing.T) {
+	eng := sim.New()
+	eng.MaxSteps = 10_000_000
+	clu := cluster.New(eng, cluster.Config{Nodes: 6, UseCosmic: true, Seed: 1})
+	pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(3)),
+		condor.Config{HostSlots: 2})
+	machines := pool.Machines()
+
+	var events, full int
+	check := func() {
+		scan := 0
+		for _, m := range machines {
+			free := !m.Offline && !m.AtCapacity()
+			if free {
+				scan++
+			}
+			if got := pool.InFreeIndex(m); got != free {
+				t.Fatalf("event %d: %s indexed free=%v, scan says %v (offline=%v, %d/%d slots)",
+					events, m.Name, got, free, m.Offline, len(m.Resident), m.HostSlots)
+			}
+		}
+		if got := pool.FreeMachines(); got != scan {
+			t.Fatalf("event %d: FreeMachines() = %d, scan counts %d", events, got, scan)
+		}
+		if scan == 0 {
+			full++
+		}
+		events++
+	}
+	check()
+	eng.AfterStep = check
+
+	r := rng.New(5).Fork("flips")
+	var flip func()
+	flip = func() {
+		if pool.Done() {
+			return
+		}
+		pool.SetOffline(machines[r.Intn(len(machines))], r.Intn(3) == 0)
+		eng.After(units.Tick(1+r.Intn(20))*units.Second, flip)
+	}
+	eng.After(units.Second, flip)
+	pool.Submit(job.GenerateTableOneSet(120, rng.New(7).Fork("tableI")))
+	eng.Run()
+
+	if !pool.Done() {
+		t.Fatal("pool not done after the engine drained")
+	}
+	if full == 0 {
+		t.Fatal("the pool never ran out of free machines: claims never emptied the index")
+	}
+}
+
 // TestMatchCacheOracleDisablesEveryShortcut pins that DisableMatchCache is
 // the one oracle for every negotiator shortcut, including the two that do
 // not consult the verdict cache: the qedit identity elision (re-applying the

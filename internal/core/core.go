@@ -270,6 +270,9 @@ func pinExpr(slot string) string {
 // designated slot; take it.
 func (*Scheduler) Select(_ *condor.Pool, _ *condor.QueuedJob, _ []*condor.Machine) int { return 0 }
 
+// SelectN implements condor.IndexSelector: Select reads no candidate.
+func (*Scheduler) SelectN(int) int { return 0 }
+
 // PostNegotiation implements condor.Policy (no-op; planning happens in
 // PreNegotiation so qedits land in the cycle that follows the triggering
 // collector update).

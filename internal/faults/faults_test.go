@@ -1,12 +1,14 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
 	"phishare/internal/job"
+	"phishare/internal/metrics"
 	"phishare/internal/rng"
 	"phishare/internal/scheduler"
 	"phishare/internal/sim"
@@ -148,24 +150,47 @@ func TestMTBFInjectionRunsClean(t *testing.T) {
 	}
 }
 
-// TestCheckerCatchesCorruption corrupts machine bookkeeping mid-run and
-// asserts the per-event checker flags it — proof the swarm's green runs
-// mean something.
+// TestCheckerCatchesCorruption corrupts machine and queue bookkeeping
+// mid-run and asserts the per-event checker flags it with the violation
+// meant — proof the swarm's green runs mean something.
 func TestCheckerCatchesCorruption(t *testing.T) {
 	corruptions := []struct {
 		name    string
+		jobs    int // submitted at t=0, IDs firstID, firstID+1, …
+		firstID int
 		corrupt func(p *condor.Pool)
+		want    string
 	}{
-		{"negative free memory", func(p *condor.Pool) {
+		{"negative free memory", 1, 0, func(p *condor.Pool) {
 			p.Machines()[0].FreeMem = -5
-		}},
-		{"negative resident threads", func(p *condor.Pool) {
+		}, "FreeMem -5MB != memory"},
+		{"negative resident threads", 1, 0, func(p *condor.Pool) {
 			p.Machines()[0].ResidentThreads = -1
-		}},
-		{"phantom resident job", func(p *condor.Pool) {
+		}, "ResidentThreads negative"},
+		{"phantom resident job", 1, 0, func(p *condor.Pool) {
 			m := p.Machines()[0]
 			m.Resident = append(m.Resident, &condor.QueuedJob{Job: mkJob(99, 100, 10, units.Second)})
-		}},
+		}, "resident job 99 in state idle"},
+		// Writers that bypass the pool's funnels leave the free-slot index
+		// stale: the machine fills up, or goes offline, behind its back.
+		{"resident bypass fills the machine", 1, 0, func(p *condor.Pool) {
+			m := p.Machines()[0]
+			for len(m.Resident) < m.HostSlots {
+				m.Resident = append(m.Resident, &condor.QueuedJob{Job: mkJob(99, 100, 10, units.Second)})
+			}
+		}, "free-slot index says free=true"},
+		{"offline bypass", 1, 0, func(p *condor.Pool) {
+			p.Machines()[0].Offline = true
+		}, "free-slot index says free=true"},
+		// Six jobs on one four-slot machine leave two pending.
+		{"job queued twice", 6, 0, func(p *condor.Pool) {
+			q := p.Pending()
+			q[1] = q[0]
+		}, "queued twice"},
+		{"job with a sparse ID queued twice", 6, 1000, func(p *condor.Pool) {
+			q := p.Pending()
+			q[1] = q[0]
+		}, "queued twice"},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,12 +198,79 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			h := &Harness{Check: true}
 			h.Wire(r.eng, r.clu, r.pool)
 			r.eng.After(2500, func() { tc.corrupt(r.pool) })
-			r.pool.Submit([]*job.Job{mkJob(0, 500, 60, 5*units.Second)})
+			jobs := make([]*job.Job, tc.jobs)
+			for i := range jobs {
+				jobs[i] = mkJob(tc.firstID+i, 500, 60, 5*units.Second)
+			}
+			r.pool.Submit(jobs)
 			r.eng.Run()
-			if len(h.Violations()) == 0 {
-				t.Error("checker missed the corruption")
+			v := h.Violations()
+			if !strings.Contains(strings.Join(v, "\n"), tc.want) {
+				t.Errorf("checker missed the corruption: no violation mentions %q in %q", tc.want, v)
 			}
 		})
+	}
+}
+
+// indexBlind hides a policy's condor.IndexSelector, so the negotiator must
+// build every candidate list and call Select.
+type indexBlind struct{ condor.Policy }
+
+// TestIndexSelectMatchesCandidateSelect runs MCC and Agnostic cells under the
+// heavy fault profile twice — the policy as is, and wrapped so its SelectN is
+// hidden — and requires identical records, pool and injector counters, and
+// the same next draw from the policy's RNG: choosing by rank in the free-slot
+// index is the walk's choice, draw for draw. Agnostic's machine Requirements
+// read ResidentJobs, so its clusters never fold to const-true and both of its
+// runs walk the index; its leg pins that SelectN is only a shortcut.
+func TestIndexSelectMatchesCandidateSelect(t *testing.T) {
+	type outcome struct {
+		stats   condor.Stats
+		inj     Stats
+		records []metrics.JobRecord
+		next    int
+	}
+	policies := []struct {
+		name   string
+		mk     func(*rng.Source) condor.Policy
+		cosmic bool
+	}{
+		{"MCC", func(r *rng.Source) condor.Policy { return scheduler.NewRandomPack(r) }, true},
+		{"Agnostic", func(r *rng.Source) condor.Policy { return scheduler.NewAgnostic(r) }, false},
+	}
+	for _, pc := range policies {
+		run := func(hide bool) outcome {
+			eng := sim.New()
+			eng.MaxSteps = 50_000_000
+			clu := cluster.New(eng, cluster.Config{Nodes: 6, UseCosmic: pc.cosmic, Seed: 3})
+			src := rng.New(9)
+			policy := pc.mk(src)
+			if _, ok := policy.(condor.IndexSelector); !ok {
+				t.Fatalf("%s does not implement condor.IndexSelector", pc.name)
+			}
+			if hide {
+				policy = indexBlind{policy}
+			}
+			pool := condor.NewPool(eng, clu, policy, condor.Config{MaxRetries: 3})
+			h := &Harness{Profile: HeavyProfile(), Seed: 4, Check: true}
+			h.Wire(eng, clu, pool)
+			pool.Submit(job.GenerateTableOneSet(200, rng.New(5).Fork("tableI")))
+			eng.Run()
+			if v := h.Finish(); len(v) != 0 {
+				t.Fatalf("%s hide=%v: invariant violations: %v", pc.name, hide, v)
+			}
+			return outcome{pool.Stats(), h.InjectorStats(), pool.Records(), src.Intn(1 << 30)}
+		}
+		want, got := run(true), run(false)
+		if want.inj.DeviceFailures == 0 || want.inj.NodeLosses == 0 || want.stats.Resubmits == 0 {
+			t.Fatalf("%s: the fault profile did not bite (%+v, %d resubmits)",
+				pc.name, want.inj, want.stats.Resubmits)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: index selection diverges from candidate selection:\n"+
+				"got  %+v %+v next=%d\nwant %+v %+v next=%d",
+				pc.name, got.stats, got.inj, got.next, want.stats, want.inj, want.next)
+		}
 	}
 }
 

@@ -41,6 +41,14 @@ type Checker struct {
 	// tooling depends on — fires exactly once per job. Keyed by job ID;
 	// wired by Harness through the pool's OnTerminal chain.
 	terminalCount map[int]int
+
+	// checkPool's duplicate detector, reused across events: seenAt[id] ==
+	// sweep marks job ID id as seen in the current sweep, for IDs in
+	// [0, len(pool.Jobs())) (every generated job set); seenOther holds any
+	// other ID and is cleared per sweep.
+	seenAt    []uint64
+	seenOther map[int]bool
+	sweep     uint64
 }
 
 // NewChecker builds a checker over an assembled stack. Wire Check into
@@ -60,6 +68,7 @@ func NewChecker(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) *Check
 		eng: eng, clu: clu, pool: pool,
 		memGuarded:    strings.Contains(pool.Policy().MachineRequirements(), condor.AttrPhiFreeMemory),
 		terminalCount: map[int]int{},
+		seenOther:     map[int]bool{},
 	}
 }
 
@@ -94,18 +103,31 @@ func (c *Checker) Check() {
 }
 
 // checkMachines verifies each machine's claim bookkeeping against the
-// resident set it implies, and the pool's offline counter against a full
-// scan (finishCycle trusts the counter; SetOffline is its only writer, so
-// drift here means a bypass wrote Machine.Offline directly).
+// resident set it implies, and the pool's offline counter and free-slot
+// index against a full scan (finishCycle trusts the counter and the
+// negotiator the index; claim, jobDone and SetOffline are their only
+// writers, so drift here means a bypass wrote Machine.Offline or
+// Machine.Resident directly).
 func (c *Checker) checkMachines() {
-	offline := 0
+	offline, free := 0, 0
 	for _, m := range c.pool.Machines() {
 		if m.Offline {
 			offline++
 		}
+		isFree := !m.Offline && !m.AtCapacity()
+		if isFree {
+			free++
+		}
+		if got := c.pool.InFreeIndex(m); got != isFree {
+			c.fail("machine %s: free-slot index says free=%v, but offline=%v with %d/%d slots claimed",
+				m.Name, got, m.Offline, len(m.Resident), m.HostSlots)
+		}
 	}
 	if got := c.pool.OfflineMachines(); got != offline {
 		c.fail("pool: offline counter %d != %d machines marked offline", got, offline)
+	}
+	if got := c.pool.FreeMachines(); got != free {
+		c.fail("pool: free-slot count %d != %d machines online with a free slot", got, free)
 	}
 	for _, m := range c.pool.Machines() {
 		if c.memGuarded && m.FreeMem < 0 {
@@ -163,16 +185,37 @@ func (c *Checker) checkPool() {
 	if len(pending) != idle {
 		c.fail("pool: pending queue has %d jobs, %d jobs in Idle state", len(pending), idle)
 	}
-	seen := map[int]bool{}
+	c.sweep++
+	clear(c.seenOther)
 	for _, q := range pending {
 		if q.State != condor.Idle {
 			c.fail("pool: pending job %d in state %v", q.Job.ID, q.State)
 		}
-		if seen[q.Job.ID] {
+		if c.seenTwice(q.Job.ID) {
 			c.fail("pool: job %d queued twice", q.Job.ID)
 		}
-		seen[q.Job.ID] = true
 	}
+}
+
+// seenTwice marks id seen in the current checkPool sweep and reports whether
+// it already was.
+func (c *Checker) seenTwice(id int) bool {
+	n := len(c.pool.Jobs())
+	if id < 0 || id >= n {
+		if c.seenOther[id] {
+			return true
+		}
+		c.seenOther[id] = true
+		return false
+	}
+	if len(c.seenAt) < n {
+		c.seenAt = append(c.seenAt, make([]uint64, n-len(c.seenAt))...)
+	}
+	if c.seenAt[id] == c.sweep {
+		return true
+	}
+	c.seenAt[id] = c.sweep
+	return false
 }
 
 // checkDevices verifies device- and COSMIC-level resource sanity.

@@ -60,6 +60,9 @@ func (*Exclusive) PreNegotiation(*condor.Pool) {}
 // behaviour of plain Condor matchmaking.
 func (*Exclusive) Select(_ *condor.Pool, _ *condor.QueuedJob, _ []*condor.Machine) int { return 0 }
 
+// SelectN implements condor.IndexSelector: Select reads no candidate.
+func (*Exclusive) SelectN(int) int { return 0 }
+
 // PostNegotiation implements condor.Policy (no-op).
 func (*Exclusive) PostNegotiation(*condor.Pool) {}
 
@@ -96,8 +99,12 @@ func (*RandomPack) PreNegotiation(*condor.Pool) {}
 
 // Select implements condor.Policy: uniform random choice among matches.
 func (r *RandomPack) Select(_ *condor.Pool, _ *condor.QueuedJob, candidates []*condor.Machine) int {
-	return r.rand.Intn(len(candidates))
+	return r.SelectN(len(candidates))
 }
+
+// SelectN implements condor.IndexSelector: the same uniform draw over n
+// candidates.
+func (r *RandomPack) SelectN(n int) int { return r.rand.Intn(n) }
 
 // PostNegotiation implements condor.Policy (no-op).
 func (*RandomPack) PostNegotiation(*condor.Pool) {}
@@ -144,8 +151,12 @@ func (*Agnostic) PreNegotiation(*condor.Pool) {}
 
 // Select implements condor.Policy.
 func (a *Agnostic) Select(_ *condor.Pool, _ *condor.QueuedJob, candidates []*condor.Machine) int {
-	return a.rand.Intn(len(candidates))
+	return a.SelectN(len(candidates))
 }
+
+// SelectN implements condor.IndexSelector: the same uniform draw over n
+// candidates.
+func (a *Agnostic) SelectN(n int) int { return a.rand.Intn(n) }
 
 // PostNegotiation implements condor.Policy (no-op).
 func (*Agnostic) PostNegotiation(*condor.Pool) {}
