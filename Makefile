@@ -44,22 +44,18 @@ vet:
 # and Policy Select/SelectN implementations are observably pure). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
-# The findings cache keys on the SHA-256 of every loaded source file, so a
-# warm run costs hashing, not type checking. The machine-readable report
-# (.philint-report.json, schema pinned by TestPhilintJSONGolden) is
-# written first — even when the gate fails, CI annotation tooling gets
-# the findings — and shares the cache, so the enforcing human-format run
-# right after is warm. gofmt cleanliness over the whole tree rides along.
+# Every rule reads one go/types check of the module, so the gate is one
+# analyzer run (~2 s cold); `go run ./cmd/philint -json ./...` gives the
+# same findings machine-readably. gofmt cleanliness over the whole tree
+# rides along.
 lint:
-	@$(GO) run ./cmd/philint -cache .philint-cache -json ./... > .philint-report.json || true
-	$(GO) run ./cmd/philint -cache .philint-cache ./...
+	$(GO) run ./cmd/philint ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
 
 # The analyzer is not above its own law: lint-self reports philint findings
 # whose primary or entry position lies in internal/analysis (whole-program
-# rules still see the full module). Uncached, so analyzer edits in flight
-# are always re-checked.
+# rules still see the full module).
 lint-self:
 	$(GO) run ./cmd/philint ./internal/analysis
 

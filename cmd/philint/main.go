@@ -11,18 +11,13 @@
 //	go run ./cmd/philint -json ./...    # JSON findings on stdout
 //	go run ./cmd/philint -rules         # describe the rules and exit
 //
-// The whole module is always parsed and type-checked — the whole-program
-// rules (dettaint, pureselect) follow call chains across package
-// boundaries, so a narrower load would silently weaken them. Package
+// The whole module is always parsed and type-checked, once, and every rule
+// reads that one check. The whole-program rules (dettaint, pureselect)
+// follow call chains across package boundaries, so a narrower load would
+// silently weaken them. Package
 // patterns only scope which findings are REPORTED: a finding is shown when
 // its primary position or its entry attribution falls inside a matched
 // package.
-//
-// -cache DIR memoizes a run's findings keyed on the SHA-256 of every loaded
-// source file, so a warm `make lint` skips parsing, type checking, and
-// analysis entirely. The analyzer's own sources (internal/analysis,
-// cmd/philint) are part of the module walk and therefore of the key: editing
-// a rule invalidates the cache automatically.
 //
 // Test files and the runnable demos under examples/ are outside the
 // enforcement scope; everything else in internal/... and cmd/... is walked,
@@ -41,10 +36,9 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "print each rule's name and contract, then exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	cacheDir := flag.String("cache", "", "directory for the findings cache (empty disables caching)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: philint [-rules] [-json] [-cache dir] [packages]\n\n"+
+			"usage: philint [-rules] [-json] [packages]\n\n"+
 				"packages scope reporting and default to ./... relative to the module root;\n"+
 				"the whole module is always analyzed\n")
 		flag.PrintDefaults()
@@ -81,11 +75,7 @@ func main() {
 		fatal(err)
 	}
 
-	findings, cached := cachedFindings(root, *cacheDir, pkgs)
-	if !cached {
-		findings = analysis.LintAll(pkgs, analysis.Analyzers(), analysis.WholeAnalyzers())
-		writeCache(root, *cacheDir, pkgs, findings)
-	}
+	findings := analysis.LintAll(pkgs, analysis.Analyzers(), analysis.WholeAnalyzers())
 	findings = filterByPatterns(root, findings, patterns)
 
 	if *jsonOut {

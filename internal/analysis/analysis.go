@@ -5,16 +5,17 @@
 // MC/MCC/MCCK outcomes across the optimized paths, outcome-neutral
 // observability, replayable (seed, profile, policy) chaos triples — rests
 // on the simulation being deterministic. philint turns that contract from
-// a convention into a machine-checked CI gate: five analyzers walk the
-// module's ASTs (stdlib go/parser + go/ast only, so go.mod stays
-// dependency-free) and flag the source-level constructs that silently
-// break replayability.
+// a convention into a machine-checked CI gate: the analyzers walk the
+// module's ASTs and flag the source-level constructs that silently break
+// replayability.
 //
-// The analyzers are deliberately heuristic: without full type checking
-// they resolve types from package-local declarations (see Index), which
-// covers every hazard class this codebase exhibits while keeping the
-// tool a sub-second `go run`. A construct the analyzers cannot prove
-// safe is flagged; a reviewed-and-legitimate site is annotated in place:
+// Every rule reads types from one go/types check of the whole module (see
+// TypeCheck; stdlib only, so go.mod stays dependency-free). Package
+// members resolve through the checker's Uses table, so an import rename or
+// a dot import names the same object as the plain form. A module that
+// does not type-check gets no rule findings, only one "philint" finding
+// naming the type error. A construct the analyzers cannot prove safe is
+// flagged; a reviewed-and-legitimate site is annotated in place:
 //
 //	start := time.Now() //philint:ignore wallclock harness timing, not sim state
 //
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -52,11 +54,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Message)
 }
 
-// Pass carries one package's parsed state through one analyzer run.
+// Pass carries one package's parsed state, and the module's type
+// information, through one analyzer run.
 type Pass struct {
-	Fset  *token.FileSet
-	Pkg   *Package
-	Index *Index
+	Fset *token.FileSet
+	Pkg  *Package
+	Info *types.Info
 
 	findings *[]Finding
 }
@@ -121,51 +124,70 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerNames returns the rule names accepted by ignore directives.
-func AnalyzerNames() map[string]bool {
-	names := map[string]bool{}
-	for _, a := range Analyzers() {
-		names[a.Name] = true
+// RunPackage type-checks one package on its own and applies one analyzer
+// to it, ignoring AppliesTo and suppression directives. It is the
+// primitive the golden tests drive.
+func RunPackage(a *Analyzer, pkg *Package) ([]Finding, error) {
+	mod, err := TypeCheck([]*Package{pkg})
+	if err != nil {
+		return nil, err
 	}
-	return names
-}
-
-// RunPackage applies one analyzer to one package, ignoring AppliesTo and
-// suppression directives. It is the primitive the golden tests drive.
-func RunPackage(a *Analyzer, pkg *Package) []Finding {
 	var findings []Finding
-	pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Index: pkg.Index(), findings: &findings}
-	a.Run(pass)
+	a.Run(&Pass{Fset: pkg.Fset, Pkg: pkg, Info: mod.Info, findings: &findings})
 	sortFindings(findings)
-	return findings
+	return findings, nil
 }
 
-// Lint runs the whole suite over the packages with package scoping and
-// suppression applied: the entry point behind cmd/philint. Malformed
-// directives surface as findings under the pseudo-rule "philint".
-func Lint(pkgs []*Package, analyzers []*Analyzer) []Finding {
+// LintAll is the gate behind cmd/philint. It type-checks the module, runs
+// the per-file suite with package scoping, then the whole-program suite
+// over the module and its call graph, and applies suppression across both
+// (a whole-program finding is suppressed by a directive at its primary
+// position or at its entry attribution). Malformed directives surface as
+// findings under the pseudo-rule "philint". Every rule reads types, so a
+// module that fails to type-check yields exactly one "philint" finding
+// naming the type error and nothing else.
+func LintAll(pkgs []*Package, analyzers []*Analyzer, whole []*WholeAnalyzer) []Finding {
+	if len(pkgs) == 0 {
+		return nil
+	}
+	mod, err := TypeCheck(pkgs)
+	if err != nil {
+		return []Finding{{
+			Pos:     token.Position{Filename: "(module)"},
+			Rule:    "philint",
+			Message: fmt.Sprintf("no rule ran, the module does not type-check: %v", err),
+		}}
+	}
+
 	// The directive rule namespace is global: a //philint:ignore naming a
 	// whole-program rule is well-formed even on a per-file-only run.
 	known := AllRuleNames()
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	var out []Finding
+
+	var out, raw []Finding
+	var dirs []directive
 	for _, pkg := range pkgs {
-		var findings []Finding
-		pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Index: pkg.Index(), findings: &findings}
+		pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Info: mod.Info, findings: &raw}
 		for _, a := range analyzers {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Rel) {
 				continue
 			}
 			a.Run(pass)
 		}
-		dirs, malformed := directives(pkg, known)
+		pkgDirs, malformed := directives(pkg, known)
 		out = append(out, malformed...)
-		for _, f := range findings {
-			if !suppressed(f, dirs) {
-				out = append(out, f)
-			}
+		dirs = append(dirs, pkgDirs...)
+	}
+
+	if len(whole) > 0 {
+		mp := &ModulePass{Mod: mod, Graph: BuildGraph(mod), dirs: dirs, findings: &raw}
+		for _, wa := range whole {
+			wa.Run(mp)
+		}
+	}
+
+	for _, f := range raw {
+		if !suppressed(f, dirs) {
+			out = append(out, f)
 		}
 	}
 	sortFindings(out)
@@ -269,15 +291,42 @@ func sortFindings(fs []Finding) {
 	})
 }
 
-// walkFuncs calls fn for every function or method body in the file,
-// with the function's heuristic variable environment prebuilt. Function
-// literals are visited inline by the statement scanners, not separately.
-func walkFuncs(pass *Pass, file *ast.File, fn func(env *Env, body *ast.BlockStmt)) {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		fn(pass.Index.FuncEnv(fd), fd.Body)
+// pkgMember resolves e, a qualified identifier (pkg.Name under any import
+// name) or a bare identifier (a dot import, or a member of the package
+// itself), through the type checker's Uses table to the import path and
+// name of the package-level object it denotes. Locals, struct fields and
+// methods are not package members and yield ok == false.
+func pkgMember(info *types.Info, e ast.Expr) (path, name string, ok bool) {
+	id, _ := e.(*ast.Ident)
+	if sel, isSel := e.(*ast.SelectorExpr); isSel {
+		id = sel.Sel
 	}
+	if id == nil {
+		return "", "", false
+	}
+	obj := info.Uses[id]
+	if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return "", "", false
+	}
+	return obj.Pkg().Path(), obj.Name(), true
+}
+
+// inspectMembers calls fn for every reference under root to a
+// package-level object, once per reference: ref is the qualified selector
+// or the bare identifier as written.
+func inspectMembers(info *types.Info, root ast.Node, fn func(ref ast.Expr, path, name string)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		e, ok := n.(ast.Expr)
+		if !ok {
+			return true
+		}
+		switch e.(type) {
+		case *ast.Ident, *ast.SelectorExpr:
+			if path, name, ok := pkgMember(info, e); ok {
+				fn(e, path, name)
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -44,7 +44,10 @@ func TestGolden(t *testing.T) {
 		t.Run(a.Name, func(t *testing.T) {
 			dir := filepath.Join("testdata", a.Name)
 			pkg := loadFixture(t, dir)
-			findings := RunPackage(a, pkg)
+			findings, err := RunPackage(a, pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			flaggedSeen := false
 			for _, f := range findings {
@@ -80,14 +83,14 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSuppression runs the full suite through Lint over the suppression
+// TestSuppression runs the full suite through LintAll over the suppression
 // fixture, with the package placed in a sim-path directory so every rule
 // is in scope. It pins that a directive silences exactly its rule on
 // exactly its line, and that malformed directives are findings.
 func TestSuppression(t *testing.T) {
 	pkg := loadFixture(t, filepath.Join("testdata", "suppress"))
 	pkg.Rel = "internal/sim" // engage the sim-path-scoped rules
-	got := render(Lint([]*Package{pkg}, Analyzers()))
+	got := render(LintAll([]*Package{pkg}, Analyzers(), nil))
 
 	goldenPath := filepath.Join("testdata", "suppress", "expect.txt")
 	if *update {
@@ -124,6 +127,49 @@ func TestSuppression(t *testing.T) {
 		if !strings.Contains(got, wantFrag) {
 			t.Errorf("missing expected finding %q in:\n%s", wantFrag, got)
 		}
+	}
+}
+
+// TestTypedHoles pins hazards that only resolved types reveal, in a
+// sim-path package where every per-file rule is in scope: a range over a
+// map that a method returns, a name that is a map in one closure and a
+// slice in its sibling, a dot-imported time.Now and a renamed sort import.
+// Each is reported exactly once, by its per-file rule; dettaint, which
+// sees the same sites, defers to it.
+func TestTypedHoles(t *testing.T) {
+	dir := filepath.Join("testdata", "typedholes")
+	_, pkgs := loadFixtureModule(t, dir)
+	findings := LintAll(pkgs, Analyzers(), WholeAnalyzers())
+	compareGolden(t, filepath.Join(dir, "expect.txt"), render(findings))
+
+	perRule := map[string]int{}
+	for _, f := range findings {
+		perRule[f.Rule]++
+	}
+	want := map[string]int{"mapiter": 2, "wallclock": 1, "sortstable": 1}
+	if len(findings) != 4 || len(perRule) != len(want) {
+		t.Fatalf("want 4 findings %v, got:\n%s", want, render(findings))
+	}
+	for rule, n := range want {
+		if perRule[rule] != n {
+			t.Errorf("%s: %d findings, want %d:\n%s", rule, perRule[rule], n, render(findings))
+		}
+	}
+}
+
+// TestTypeErrorIsOneFinding: every rule reads types, so a package that
+// does not type-check yields exactly one "philint" finding naming the
+// error, and no rule runs on it.
+func TestTypeErrorIsOneFinding(t *testing.T) {
+	pkg := loadFixture(t, filepath.Join("testdata", "typeerror"))
+	pkg.Rel = "internal/core" // in scope for every per-file rule
+	findings := LintAll([]*Package{pkg}, Analyzers(), WholeAnalyzers())
+	if len(findings) != 1 {
+		t.Fatalf("want exactly one finding, got:\n%s", render(findings))
+	}
+	f := findings[0]
+	if f.Rule != "philint" || !strings.Contains(f.Message, "bad.go:5") || !strings.Contains(f.Message, "cannot use") {
+		t.Errorf("finding does not name the type error: %s", f)
 	}
 }
 

@@ -24,58 +24,23 @@ var DetRand = &Analyzer{
 
 func runDetRand(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		names := randImports(file)
-		if len(names) > 0 {
-			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); ok && names[id.Name] {
-					pass.Reportf("detrand", sel.Pos(),
-						"%s.%s uses math/rand directly; draw from an internal/rng.Source seeded by the experiment config",
-						id.Name, sel.Sel.Name)
-				}
-				return true
-			})
-		}
-		// Blank and dot imports have no reviewable call sites (init-time
-		// side effects, or names merged into the file scope); the import
-		// line itself is the finding.
+		inspectMembers(pass.Info, file, func(ref ast.Expr, path, name string) {
+			if isRandPath(path) {
+				pass.Reportf("detrand", ref.Pos(),
+					"rand.%s uses math/rand directly; draw from an internal/rng.Source seeded by the experiment config",
+					name)
+			}
+		})
+		// A blank import has no reviewable use (only init-time side
+		// effects); the import line itself is the finding.
 		for _, imp := range file.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
-			if !isRandPath(path) {
-				continue
-			}
-			if imp.Name != nil && (imp.Name.Name == "_" || imp.Name.Name == ".") {
+			if isRandPath(path) && imp.Name != nil && imp.Name.Name == "_" {
 				pass.Reportf("detrand", imp.Pos(),
-					"%s import of %s outside internal/rng; use a seeded rng.Source", imp.Name.Name, path)
+					"_ import of %s outside internal/rng; use a seeded rng.Source", path)
 			}
 		}
 	}
-}
-
-// randImports maps the local names under which the file imports
-// math/rand or math/rand/v2.
-func randImports(file *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || !isRandPath(path) {
-			continue
-		}
-		name := "rand"
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == "_" || name == "." {
-			// Dot imports hide call sites; report the import itself below
-			// by leaving it out of the usable-name set.
-			continue
-		}
-		names[name] = true
-	}
-	return names
 }
 
 func isRandPath(path string) bool {

@@ -31,7 +31,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // DetTaint is the whole-program banned-nondeterminism-source rule.
@@ -45,7 +44,6 @@ var DetTaint = &WholeAnalyzer{
 
 // taintSource is one banned construct found anywhere in the module.
 type taintSource struct {
-	fn   *FuncInfo
 	pos  token.Pos
 	desc string
 	// v1rule names the per-file rule that owns this hazard class.
@@ -105,92 +103,43 @@ func runDetTaint(p *ModulePass) {
 }
 
 // taintSources scans one declared function (function literals included) for
-// banned constructs.
+// banned constructs. It finds them with the same typed lookups the per-file
+// rules use (inspectMembers, unorderedMapRanges), so a source whose per-file
+// rule is in scope is exactly a site that rule reports.
 func taintSources(p *ModulePass, fi *FuncInfo) []taintSource {
 	var out []taintSource
-
-	// Call-shaped sources come from the call graph's external-call table.
-	for _, ext := range p.Graph.External[fi] {
-		pkg := ext.Fn.Pkg()
-		if pkg == nil {
-			continue
-		}
+	info := p.Mod.Info
+	inspectMembers(info, fi.Decl.Body, func(ref ast.Expr, path, name string) {
 		switch {
-		case isRandPath(pkg.Path()):
+		case isRandPath(path):
 			if fi.Pkg.Rel == "internal/rng" {
-				continue // the sanctioned wrapper
+				return // the sanctioned wrapper
 			}
 			out = append(out, taintSource{
-				fn:     fi,
-				pos:    ext.Pos,
-				desc:   "rand." + ext.Fn.Name() + " (unseeded math/rand)",
-				v1rule: DetRand.Name,
-				// detrand is module-wide outside internal/rng.
+				pos:       ref.Pos(),
+				desc:      "rand." + name + " (unseeded math/rand)",
+				v1rule:    DetRand.Name,
 				v1covered: DetRand.AppliesTo(fi.Pkg.Rel),
 			})
-		case pkg.Path() == "time" && wallClockIdents[ext.Fn.Name()]:
+		case isWallClock(path, name):
 			out = append(out, taintSource{
-				fn:        fi,
-				pos:       ext.Pos,
-				desc:      "time." + ext.Fn.Name() + " (wall clock)",
+				pos:       ref.Pos(),
+				desc:      "time." + name + " (wall clock)",
 				v1rule:    WallClock.Name,
-				v1covered: true, // wallclock is module-wide
+				v1covered: WallClock.AppliesTo(fi.Pkg.Rel),
 			})
 		}
-	}
-
-	// Map-range sources need the statement tail for the collect-then-sort
-	// idiom, so walk statement lists rather than bare nodes.
-	info := p.Mod.Info
-	check := func(stmts []ast.Stmt) {
-		for i, stmt := range stmts {
-			rs, ok := unlabel(stmt).(*ast.RangeStmt)
-			if !ok {
-				continue
-			}
-			t := info.TypeOf(rs.X)
-			if t == nil {
-				continue
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				continue
-			}
-			if orderInsensitive(rs.Body.List, rs) || collectedAndSorted(rs, stmts[i+1:]) {
-				continue
-			}
-			out = append(out, taintSource{
-				fn:        fi,
-				pos:       rs.Pos(),
-				desc:      "order-sensitive range over map " + exprString(rs.X),
-				v1rule:    MapIter.Name,
-				v1covered: SimPath(fi.Pkg.Rel),
-			})
-		}
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.BlockStmt:
-			check(s.List)
-		case *ast.CaseClause:
-			check(s.Body)
-		case *ast.CommClause:
-			check(s.Body)
-		}
-		return true
 	})
-
+	for _, rs := range unorderedMapRanges(info, fi.Decl.Body) {
+		out = append(out, taintSource{
+			pos:       rs.Pos(),
+			desc:      "order-sensitive range over map " + exprString(rs.X),
+			v1rule:    MapIter.Name,
+			v1covered: MapIter.AppliesTo(fi.Pkg.Rel),
+		})
+	}
 	sortSources(out)
 	return out
-}
-
-func unlabel(stmt ast.Stmt) ast.Stmt {
-	for {
-		ls, ok := stmt.(*ast.LabeledStmt)
-		if !ok {
-			return stmt
-		}
-		stmt = ls.Stmt
-	}
 }
 
 func sortSources(srcs []taintSource) {

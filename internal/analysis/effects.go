@@ -716,8 +716,5 @@ func isBannedFunc(fn *types.Func) bool {
 	if pkg == nil {
 		return false
 	}
-	if isRandPath(pkg.Path()) {
-		return true
-	}
-	return pkg.Path() == "time" && wallClockIdents[fn.Name()]
+	return isRandPath(pkg.Path()) || isWallClock(pkg.Path(), fn.Name())
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // FloatEq flags == and != between floating-point expressions in the value
@@ -31,19 +32,26 @@ var FloatEq = &Analyzer{
 
 func runFloatEq(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		walkFuncs(pass, file, func(env *Env, body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
-				be, ok := n.(*ast.BinaryExpr)
-				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-					return true
-				}
-				if env.IsFloat(be.X) || env.IsFloat(be.Y) {
-					pass.Reportf("floateq", be.OpPos,
-						"floating-point %s comparison (%s %s %s); compare integer-scaled values or use an epsilon",
-						be.Op, exprString(be.X), be.Op, exprString(be.Y))
-				}
+		ast.Inspect(file, func(n ast.Node) bool {
+			be, ok := n.(*ast.BinaryExpr)
+			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
-			})
+			}
+			if isFloat(pass.Info.TypeOf(be.X)) || isFloat(pass.Info.TypeOf(be.Y)) {
+				pass.Reportf("floateq", be.OpPos,
+					"floating-point %s comparison (%s %s %s); compare integer-scaled values or use an epsilon",
+					be.Op, exprString(be.X), be.Op, exprString(be.Y))
+			}
+			return true
 		})
 	}
+}
+
+// isFloat reports whether t is a (named or untyped) floating-point type.
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

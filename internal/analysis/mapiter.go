@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -32,82 +33,64 @@ var MapIter = &Analyzer{
 
 func runMapIter(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		walkFuncs(pass, file, func(env *Env, body *ast.BlockStmt) {
-			scanStmts(body.List, env, pass)
-		})
+		for _, rs := range unorderedMapRanges(pass.Info, file) {
+			pass.Reportf("mapiter", rs.Pos(),
+				"range over map %s has nondeterministic iteration order; collect and sort the keys, "+
+					"use an insertion-ordered structure, or make the body order-insensitive",
+				exprString(rs.X))
+		}
 	}
 }
 
-// scanStmts walks a statement list, recursing into every nested block
-// (including function literals), and checks each map range against the
-// safe shapes. The slice is passed whole so a range at index i can look
-// at the statements after it for the collect-and-sort pattern.
-func scanStmts(stmts []ast.Stmt, env *Env, pass *Pass) {
-	for i, stmt := range stmts {
-		if rs, ok := stmt.(*ast.RangeStmt); ok && env.IsMap(rs.X) {
-			checkMapRange(rs, stmts[i+1:], env, pass)
+// unorderedMapRanges returns every range over a map-typed operand under
+// root, function literals included, whose loop is neither
+// order-insensitive nor collect-then-sort. It is the one map-range
+// detector: mapiter reports its results per file, dettaint per reachable
+// function. Ranges are found through the statement lists that hold them,
+// so the collect-then-sort check can see the statements that follow.
+func unorderedMapRanges(info *types.Info, root ast.Node) []*ast.RangeStmt {
+	var out []*ast.RangeStmt
+	check := func(stmts []ast.Stmt) {
+		for i, stmt := range stmts {
+			rs, ok := unlabel(stmt).(*ast.RangeStmt)
+			if !ok {
+				continue
+			}
+			t := info.TypeOf(rs.X)
+			if t == nil {
+				continue
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				continue
+			}
+			if orderInsensitive(rs.Body.List, rs) || collectedAndSorted(rs, stmts[i+1:]) {
+				continue
+			}
+			out = append(out, rs)
 		}
-		scanNested(stmt, env, pass)
 	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.BlockStmt:
+			check(s.List)
+		case *ast.CaseClause:
+			check(s.Body)
+		case *ast.CommClause:
+			check(s.Body)
+		}
+		return true
+	})
+	return out
 }
 
-// scanNested recurses into the blocks hanging off one statement.
-func scanNested(stmt ast.Stmt, env *Env, pass *Pass) {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		scanStmts(s.List, env, pass)
-	case *ast.IfStmt:
-		scanStmts(s.Body.List, env, pass)
-		if s.Else != nil {
-			scanNested(s.Else, env, pass)
+func unlabel(stmt ast.Stmt) ast.Stmt {
+	for {
+		ls, ok := stmt.(*ast.LabeledStmt)
+		if !ok {
+			return stmt
 		}
-	case *ast.ForStmt:
-		scanStmts(s.Body.List, env, pass)
-	case *ast.RangeStmt:
-		scanStmts(s.Body.List, env, pass)
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanStmts(cc.Body, env, pass)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanStmts(cc.Body, env, pass)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				scanStmts(cc.Body, env, pass)
-			}
-		}
-	case *ast.LabeledStmt:
-		scanNested(s.Stmt, env, pass)
-	case *ast.ExprStmt, *ast.AssignStmt, *ast.DeclStmt, *ast.GoStmt, *ast.DeferStmt, *ast.ReturnStmt:
-		// Function literals can hide anywhere an expression can.
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				scanStmts(fl.Body.List, env, pass)
-				return false
-			}
-			return true
-		})
+		stmt = ls.Stmt
 	}
-}
-
-func checkMapRange(rs *ast.RangeStmt, following []ast.Stmt, env *Env, pass *Pass) {
-	if orderInsensitive(rs.Body.List, rs) {
-		return
-	}
-	if collectedAndSorted(rs, following) {
-		return
-	}
-	pass.Reportf("mapiter", rs.Pos(),
-		"range over map %s has nondeterministic iteration order; collect and sort the keys, "+
-			"use an insertion-ordered structure, or make the body order-insensitive",
-		exprString(rs.X))
 }
 
 // orderInsensitive reports whether every statement's effect is independent

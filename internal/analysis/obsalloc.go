@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
 )
 
 // ObsAlloc enforces the zero-alloc-when-disabled observability contract at
@@ -30,8 +29,8 @@ import (
 //   - fmt.Sprint/Sprintf/Sprintln anywhere in an unguarded Emit call's
 //     arguments — string formatting allocates regardless of arity.
 //
-// Guard detection is textual, matching the suite's no-type-checker design:
-// an enclosing `if x != nil { ... }` (including `&&` conjunctions) guards
+// Guard detection is textual; only the fmt lookup reads types. An
+// enclosing `if x != nil { ... }` (including `&&` conjunctions) guards
 // every Emit whose receiver prints as x. Disjunctions (`||`) guarantee
 // nothing and do not count. Nil-safe metric handles (Counter.Inc,
 // Histogram.Observe) are method calls on non-variadic receivers and stay
@@ -50,13 +49,6 @@ const emitFixedArgs = 3
 
 func runObsAlloc(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		fmtName := "fmt"
-		for _, imp := range file.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "fmt" && imp.Name != nil {
-				fmtName = imp.Name.Name
-			}
-		}
-
 		// Pass 1: collect the body ranges guarded by a receiver nil-check.
 		type guardRange struct {
 			recv     string
@@ -107,13 +99,11 @@ func runObsAlloc(pass *Pass) {
 					if !ok {
 						return true
 					}
-					if s, ok := c.Fun.(*ast.SelectorExpr); ok {
-						if id, ok := s.X.(*ast.Ident); ok && id.Name == fmtName &&
-							(s.Sel.Name == "Sprintf" || s.Sel.Name == "Sprint" || s.Sel.Name == "Sprintln") {
-							pass.Reportf("obsalloc", c.Pos(),
-								"%s.%s allocates inside an unguarded %s.Emit; format under `if %s != nil` only",
-								fmtName, s.Sel.Name, recv, recv)
-						}
+					path, name, ok := pkgMember(pass.Info, c.Fun)
+					if ok && path == "fmt" && (name == "Sprintf" || name == "Sprint" || name == "Sprintln") {
+						pass.Reportf("obsalloc", c.Pos(),
+							"fmt.%s allocates inside an unguarded %s.Emit; format under `if %s != nil` only",
+							name, recv, recv)
 					}
 					return true
 				})

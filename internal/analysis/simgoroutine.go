@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
 )
 
 // SimGoroutine forbids host concurrency in sim-path component packages:
@@ -30,25 +29,6 @@ var SimGoroutine = &Analyzer{
 
 func runSimGoroutine(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		// Selector-based detection for the sync and sync/atomic packages,
-		// keyed on this file's import names (mirrors the wallclock rule).
-		syncNames := map[string]string{}
-		for _, imp := range file.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			if path != "sync" && path != "sync/atomic" {
-				continue
-			}
-			name := path
-			if path == "sync/atomic" {
-				name = "atomic"
-			}
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			if name != "_" && name != "." {
-				syncNames[name] = path
-			}
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.GoStmt:
@@ -68,16 +48,15 @@ func runSimGoroutine(pass *Pass) {
 			case *ast.ChanType:
 				pass.Reportf("simgoroutine", v.Pos(),
 					"channel type in a sim-path component; simulated hand-offs are scheduled events, not channels")
-			case *ast.SelectorExpr:
-				if id, ok := v.X.(*ast.Ident); ok {
-					if path, hit := syncNames[id.Name]; hit {
-						pass.Reportf("simgoroutine", v.Pos(),
-							"%s.%s guards against host concurrency the serial engine rules out; sim-path state is single-threaded",
-							pkgBase(path), v.Sel.Name)
-					}
-				}
 			}
 			return true
+		})
+		inspectMembers(pass.Info, file, func(ref ast.Expr, path, name string) {
+			if path == "sync" || path == "sync/atomic" {
+				pass.Reportf("simgoroutine", ref.Pos(),
+					"%s.%s guards against host concurrency the serial engine rules out; sim-path state is single-threaded",
+					pkgBase(path), name)
+			}
 		})
 	}
 }

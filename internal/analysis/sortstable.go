@@ -35,11 +35,7 @@ func runSortStable(pass *Pass) {
 			if !ok || len(call.Args) != 2 {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Slice" {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "sort" {
+			if path, name, ok := pkgMember(pass.Info, call.Fun); !ok || path != "sort" || name != "Slice" {
 				return true
 			}
 			cmp, ok := call.Args[1].(*ast.FuncLit)

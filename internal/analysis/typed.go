@@ -1,10 +1,11 @@
 package analysis
 
-// Typed module loading: the whole-program rules (dettaint, pureselect) need
-// resolved types and cross-package call targets, which the per-file
-// heuristic Index cannot provide. TypeCheck runs the stdlib go/types checker
-// over every parsed package in dependency order, chaining to go/importer for
-// the standard library, so go.mod stays dependency-free.
+// Typed module loading: every rule reads types from here. The per-file
+// rules take expression types and package members from Module.Info; the
+// whole-program rules (dettaint, pureselect) also need the cross-package
+// call targets the call graph builds on it. TypeCheck runs the stdlib
+// go/types checker over every parsed package in dependency order, chaining
+// to go/importer for the standard library, so go.mod stays dependency-free.
 
 import (
 	"fmt"

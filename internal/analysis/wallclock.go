@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strconv"
-)
+import "go/ast"
 
 // WallClock forbids reading the host's clock. Simulated components must
 // take time from the sim.Engine's virtual clock; a time.Now in a
@@ -39,31 +36,17 @@ var wallClockIdents = map[string]bool{
 	"NewTimer":  true,
 }
 
+// isWallClock reports whether the package member path.name reads the host
+// clock.
+func isWallClock(path, name string) bool { return path == "time" && wallClockIdents[name] }
+
 func runWallClock(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		timeName := ""
-		for _, imp := range file.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
-				timeName = "time"
-				if imp.Name != nil {
-					timeName = imp.Name.Name
-				}
+		inspectMembers(pass.Info, file, func(ref ast.Expr, path, name string) {
+			if isWallClock(path, name) {
+				pass.Reportf("wallclock", ref.Pos(),
+					"time.%s reads the wall clock; simulation state must advance on the sim.Engine clock", name)
 			}
-		}
-		if timeName == "" || timeName == "_" || timeName == "." {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == timeName && wallClockIdents[sel.Sel.Name] {
-				pass.Reportf("wallclock", sel.Pos(),
-					"%s.%s reads the wall clock; simulation state must advance on the sim.Engine clock",
-					timeName, sel.Sel.Name)
-			}
-			return true
 		})
 	}
 }

@@ -1,14 +1,13 @@
 package analysis
 
-// Whole-program analyzer plumbing. The per-file Analyzers see one parsed
-// package at a time; WholeAnalyzers see the type-checked module and its
-// call graph, so their findings can cross function and package boundaries.
-// A transitive finding is attributed to two locations — the offending site
+// Whole-program analyzer plumbing. The per-file Analyzers see one package
+// at a time; WholeAnalyzers see the type-checked module and its call
+// graph, so their findings can cross function and package boundaries. A
+// transitive finding is attributed to two locations — the offending site
 // (primary position) and the sim-path entry whose call chain reaches it —
 // and an ignore directive at either location suppresses it.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -42,15 +41,6 @@ func (p *ModulePass) Position(pos token.Pos) token.Position {
 // Report records a finding.
 func (p *ModulePass) Report(f Finding) { *p.findings = append(*p.findings, f) }
 
-// Reportf records a finding at pos with no entry attribution.
-func (p *ModulePass) Reportf(rule string, pos token.Pos, format string, args ...any) {
-	p.Report(Finding{
-		Pos:     p.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
 // SuppressedAt reports whether an ignore directive for rule covers pos —
 // the hook dettaint uses to decide whether a per-file rule already
 // sanctioned a source site, and whether that sanction extends to the sim
@@ -78,69 +68,14 @@ func WholeAnalyzers() []*WholeAnalyzer {
 // per-file rules, whole-program rules, and the pseudo-rule for malformed
 // directives is excluded (it cannot be suppressed).
 func AllRuleNames() map[string]bool {
-	names := AnalyzerNames()
+	names := map[string]bool{}
+	for _, a := range Analyzers() {
+		names[a.Name] = true
+	}
 	for _, wa := range WholeAnalyzers() {
 		names[wa.Name] = true
 	}
 	return names
-}
-
-// LintAll is the full gate behind cmd/philint: the per-file suite with
-// package scoping, then the whole-program suite over the type-checked
-// module, with suppression applied across both (a whole-program finding is
-// suppressed by a directive at its primary position or at its entry
-// attribution). Per-file rules never require type information, so a module
-// that fails to type-check still gets per-file findings plus one "philint"
-// finding describing the type error.
-func LintAll(pkgs []*Package, analyzers []*Analyzer, whole []*WholeAnalyzer) []Finding {
-	known := map[string]bool{}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	for _, wa := range whole {
-		known[wa.Name] = true
-	}
-
-	var out []Finding
-	var raw []Finding
-	var dirs []directive
-	for _, pkg := range pkgs {
-		pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Index: pkg.Index(), findings: &raw}
-		for _, a := range analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.Rel) {
-				continue
-			}
-			a.Run(pass)
-		}
-		pkgDirs, malformed := directives(pkg, known)
-		out = append(out, malformed...)
-		dirs = append(dirs, pkgDirs...)
-	}
-
-	if len(whole) > 0 && len(pkgs) > 0 {
-		mod, err := TypeCheck(pkgs)
-		if err != nil {
-			raw = append(raw, Finding{
-				Pos:     token.Position{Filename: "(module)"},
-				Rule:    "philint",
-				Message: fmt.Sprintf("whole-program rules skipped: %v", err),
-			})
-		} else {
-			graph := BuildGraph(mod)
-			mp := &ModulePass{Mod: mod, Graph: graph, dirs: dirs, findings: &raw}
-			for _, wa := range whole {
-				wa.Run(mp)
-			}
-		}
-	}
-
-	for _, f := range raw {
-		if !suppressed(f, dirs) {
-			out = append(out, f)
-		}
-	}
-	sortFindings(out)
-	return out
 }
 
 // funcDisplayName renders a function for messages: "core.Schedule",

@@ -61,7 +61,7 @@ func TestDetTaintWholeProgram(t *testing.T) {
 	// The old per-file suite is structurally blind here: mapiter is out of
 	// scope in internal/estimator, and the wallclock site carries a local
 	// suppression.
-	if v1 := Lint(pkgs, Analyzers()); len(v1) != 0 {
+	if v1 := LintAll(pkgs, Analyzers(), nil); len(v1) != 0 {
 		t.Fatalf("per-file suite should pass this fixture clean, got:\n%s", render(v1))
 	}
 
