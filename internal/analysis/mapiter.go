@@ -8,9 +8,11 @@ import (
 )
 
 // MapIter flags `for … range` over map-typed expressions in sim-path
-// packages. Go randomizes map iteration order per run, so any observable
-// effect of the loop's order — kill order, dispatch order, even the order
-// of recorded violations — breaks replayability.
+// packages, and over the maps package's iterators (maps.Keys, maps.Values,
+// maps.All), which visit a map in the same order. Go randomizes map
+// iteration order per run, so any observable effect of the loop's order —
+// kill order, dispatch order, even the order of recorded violations —
+// breaks replayability.
 //
 // Two loop shapes are recognized as safe and not flagged:
 //
@@ -42,8 +44,8 @@ func runMapIter(pass *Pass) {
 	}
 }
 
-// unorderedMapRanges returns every range over a map-typed operand under
-// root, function literals included, whose loop is neither
+// unorderedMapRanges returns every range over a map (see rangesOverMap)
+// under root, function literals included, whose loop is neither
 // order-insensitive nor collect-then-sort. It is the one map-range
 // detector: mapiter reports its results per file, dettaint per reachable
 // function. Ranges are found through the statement lists that hold them,
@@ -56,11 +58,7 @@ func unorderedMapRanges(info *types.Info, root ast.Node) []*ast.RangeStmt {
 			if !ok {
 				continue
 			}
-			t := info.TypeOf(rs.X)
-			if t == nil {
-				continue
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
+			if !rangesOverMap(info, rs.X) {
 				continue
 			}
 			if orderInsensitive(rs.Body.List, rs) || collectedAndSorted(rs, stmts[i+1:]) {
@@ -81,6 +79,38 @@ func unorderedMapRanges(info *types.Info, root ast.Node) []*ast.RangeStmt {
 		return true
 	})
 	return out
+}
+
+// rangesOverMap reports whether the range operand x visits a map in Go's
+// randomized order: x is map-typed, or a call of maps.Keys, maps.Values or
+// maps.All.
+func rangesOverMap(info *types.Info, x ast.Expr) bool {
+	if call, ok := x.(*ast.CallExpr); ok {
+		if path, name, ok := pkgMember(info, uninstantiate(call.Fun)); ok && path == "maps" {
+			switch name {
+			case "Keys", "Values", "All":
+				return true
+			}
+		}
+	}
+	t := info.TypeOf(x)
+	if t == nil {
+		return false
+	}
+	_, isMap := t.Underlying().(*types.Map)
+	return isMap
+}
+
+// uninstantiate strips explicit type arguments from a generic function
+// reference: F[T] and F[T, U] become F.
+func uninstantiate(e ast.Expr) ast.Expr {
+	switch v := e.(type) {
+	case *ast.IndexExpr:
+		return v.X
+	case *ast.IndexListExpr:
+		return v.X
+	}
+	return e
 }
 
 func unlabel(stmt ast.Stmt) ast.Stmt {

@@ -1,6 +1,10 @@
 package fixture
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 type tally struct {
 	counts map[string]int
@@ -45,5 +49,32 @@ func (t *tally) cleanCollectSort() []string {
 func cleanKeyedWrite(in map[string]int, out map[string]int) {
 	for k, v := range in {
 		out[k] = v * 2
+	}
+}
+
+// cleanValuesSum accumulates over maps.Values: the iterator keeps the
+// order-insensitive exemption.
+func (t *tally) cleanValuesSum() int {
+	total := 0
+	for n := range maps.Values(t.counts) {
+		total += n
+	}
+	return total
+}
+
+// cleanKeysSorted collects maps.Keys and sorts before use.
+func (t *tally) cleanKeysSorted() []string {
+	var names []string
+	for k := range maps.Keys(t.counts) {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// cleanSortedKeys ranges over a sorted slice of the keys, not the map.
+func (t *tally) cleanSortedKeys(emit func(string)) {
+	for _, k := range slices.Sorted(maps.Keys(t.counts)) {
+		emit(k)
 	}
 }

@@ -1,5 +1,7 @@
 package fixture
 
+import "maps"
+
 type sched struct {
 	waiting map[int]string
 }
@@ -29,4 +31,26 @@ func flaggedFirst(pool map[string]int) string {
 		return k
 	}
 	return ""
+}
+
+// flaggedKeysIter ranges over maps.Keys, which visits the map in the same
+// randomized order as a plain range.
+func flaggedKeysIter(pool map[string]int, emit func(string)) {
+	for k := range maps.Keys(pool) {
+		emit(k)
+	}
+}
+
+// flaggedValuesIter ranges over maps.Values.
+func flaggedValuesIter(pool map[string]int, emit func(int)) {
+	for v := range maps.Values(pool) {
+		emit(v)
+	}
+}
+
+// flaggedAllIter ranges over an explicitly instantiated maps.All.
+func flaggedAllIter(pool map[string]int, emit func(string, int)) {
+	for k, v := range maps.All[map[string]int](pool) {
+		emit(k, v)
+	}
 }

@@ -1,6 +1,10 @@
 package fixture
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 type rjob struct {
 	value int64
@@ -35,4 +39,31 @@ func cleanWholeElement(xs []int) {
 // cleanStable is already stable; ties keep insertion order.
 func cleanStable(jobs []rjob) {
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].value > jobs[j].value })
+}
+
+// cleanSortFuncOr chains the key and a total-order tiebreak with cmp.Or.
+func cleanSortFuncOr(jobs []rjob) {
+	slices.SortFunc(jobs, func(a, b rjob) int {
+		return cmp.Or(cmp.Compare(b.value, a.value), cmp.Compare(a.id, b.id))
+	})
+}
+
+// cleanSortFuncIfChain is the multi-key fall-through shape.
+func cleanSortFuncIfChain(jobs []rjob) {
+	slices.SortFunc(jobs, func(a, b rjob) int {
+		if c := cmp.Compare(b.value, a.value); c != 0 {
+			return c
+		}
+		return a.id - b.id
+	})
+}
+
+// cleanSortFuncWholeElement compares the elements themselves.
+func cleanSortFuncWholeElement(xs []int) {
+	slices.SortFunc(xs, func(a, b int) int { return cmp.Compare(a, b) })
+}
+
+// cleanSortStableFunc is stable; ties keep insertion order.
+func cleanSortStableFunc(jobs []rjob) {
+	slices.SortStableFunc(jobs, func(a, b rjob) int { return cmp.Compare(a.value, b.value) })
 }

@@ -1,6 +1,10 @@
 package fixture
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 type qjob struct {
 	value   int64
@@ -24,3 +28,23 @@ func flaggedComplex(jobs []qjob) {
 }
 
 func rank(q qjob) int64 { return q.value*2 + q.arrival }
+
+type pjob struct {
+	prio, id int
+}
+
+// flaggedSortFuncSub sorts by one key with unstable slices.SortFunc; the
+// subtraction is a three-way comparison of that key alone.
+func flaggedSortFuncSub(jobs []pjob) {
+	slices.SortFunc(jobs, func(a, b pjob) int { return a.prio - b.prio })
+}
+
+// flaggedSortFuncCompare is the same single key through cmp.Compare.
+func flaggedSortFuncCompare(jobs []qjob) {
+	slices.SortFunc(jobs, func(a, b qjob) int { return cmp.Compare(a.arrival, b.arrival) })
+}
+
+// flaggedSortFuncOpaque passes a named comparator.
+func flaggedSortFuncOpaque(jobs []qjob, order func(a, b qjob) int) {
+	slices.SortFunc(jobs, order)
+}

@@ -105,13 +105,14 @@ func (u *DeviceUnit) Admit(j *job.Job, ready func(*phi.Process)) {
 
 // Offload runs an offload, through COSMIC's admission control when present;
 // raw devices start it immediately (§II-B: MPSS schedules offloads with no
-// regard for oversubscription).
-func (u *DeviceUnit) Offload(p *phi.Process, threads units.Threads, work units.Tick, done func(phi.OffloadOutcome)) {
+// regard for oversubscription). Either way one event at the offload's end
+// calls h.Fire(tag|outcome); see phi.OutcomeOf.
+func (u *DeviceUnit) Offload(p *phi.Process, threads units.Threads, work units.Tick, h sim.Handler, tag uint64) {
 	if u.Cosmic != nil {
-		u.Cosmic.Offload(p, threads, work, done)
+		u.Cosmic.Offload(p, threads, work, h, tag)
 		return
 	}
-	u.Device.StartOffload(p, threads, work, done)
+	u.Device.StartOffload(p, threads, work, h, tag)
 }
 
 // Detach removes a job's process.

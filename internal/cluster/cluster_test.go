@@ -56,6 +56,24 @@ func TestUseCosmicInstallsManagers(t *testing.T) {
 	}
 }
 
+// outcomeFunc adapts a closure to an offload's end notification.
+type outcomeFunc func(phi.OffloadOutcome)
+
+func (f outcomeFunc) Fire(tag uint64) { f(phi.OutcomeOf(tag)) }
+
+// offload runs an offload on u whose end runs done.
+func offload(u *DeviceUnit, p *phi.Process, threads units.Threads, work units.Tick, done func(phi.OffloadOutcome)) {
+	u.Offload(p, threads, work, outcomeFunc(done), 0)
+}
+
+// fnHandler adapts a closure to a transfer's completion notification.
+type fnHandler func()
+
+func (f fnHandler) Fire(uint64) { f() }
+
+// transfer starts a transfer on l whose completion runs done.
+func transfer(l *phi.Link, size units.MB, done func()) { l.Transfer(size, fnHandler(done), 0) }
+
 func testJob(id int) *job.Job {
 	return &job.Job{
 		ID: id, Name: "t", Workload: "t",
@@ -70,7 +88,7 @@ func TestUnitDelegationCosmic(t *testing.T) {
 	u := c.Units[0]
 	p := u.Attach(testJob(1))
 	var end units.Tick
-	u.Offload(p, 120, 2000, func(o phi.OffloadOutcome) {
+	offload(u, p, 120, 2000, func(o phi.OffloadOutcome) {
 		if o != phi.OffloadCompleted {
 			t.Errorf("outcome %v", o)
 		}
@@ -94,8 +112,8 @@ func TestUnitDelegationRaw(t *testing.T) {
 	p1 := u.Attach(testJob(1))
 	p2 := u.Attach(testJob(2))
 	var e1 units.Tick
-	u.Offload(p1, 240, 2000, func(phi.OffloadOutcome) { e1 = eng.Now() })
-	u.Offload(p2, 240, 2000, func(phi.OffloadOutcome) {})
+	offload(u, p1, 240, 2000, func(phi.OffloadOutcome) { e1 = eng.Now() })
+	offload(u, p2, 240, 2000, func(phi.OffloadOutcome) {})
 	eng.Run()
 	if e1 != 4000 {
 		t.Errorf("raw overlapping offload ended at %v, want 4000 (2x slowdown)", e1)
@@ -109,7 +127,7 @@ func TestAvgCoreUtilization(t *testing.T) {
 	// device utils are 0.5 and 0 -> average 0.25.
 	u := c.Units[0]
 	p := u.Attach(testJob(1))
-	u.Offload(p, 240, 1000, func(phi.OffloadOutcome) {})
+	offload(u, p, 240, 1000, func(phi.OffloadOutcome) {})
 	eng.Run()
 	got := c.AvgCoreUtilization(2000)
 	if got != 0.25 {
@@ -165,7 +183,7 @@ func TestLinkBandwidthConfigurable(t *testing.T) {
 	eng := sim.New()
 	c := New(eng, Config{Nodes: 1, LinkBandwidthMBps: 1000})
 	var end units.Tick
-	c.Units[0].Link.Transfer(500, func() { end = eng.Now() })
+	transfer(c.Units[0].Link, 500, func() { end = eng.Now() })
 	eng.Run()
 	if end != 500 { // 500 MB at 1 MB/ms
 		t.Errorf("transfer at custom bandwidth ended at %v, want 500", end)

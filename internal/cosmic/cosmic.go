@@ -63,12 +63,17 @@ type Stats struct {
 	MaxAdmitted int
 }
 
-// request is one offload waiting for thread capacity.
+// request is one offload, from Offload until its end notification. While
+// dispatched it is the device-side handler of that notification: its Fire
+// passes the outcome on to the owner's h and tag, then re-runs dispatch and
+// memory admission.
 type request struct {
+	m        *Manager
 	proc     *phi.Process
 	threads  units.Threads
 	work     units.Tick
-	done     func(phi.OffloadOutcome)
+	h        sim.Handler
+	tag      uint64
 	enqueued units.Tick
 	waited   bool
 }
@@ -95,9 +100,11 @@ type Manager struct {
 	stats    Stats
 
 	// reqFree recycles request structs: one is taken per Offload and
-	// returned (zeroed) the moment it leaves the system — dispatched, or
-	// aborted because its owner died — so a long run allocates only as many
-	// requests as its peak queue depth. pumpScratch is pump's double buffer:
+	// returned (zeroed) the moment it leaves the system — when its
+	// dispatched offload's end notification fires, or when it is aborted
+	// because its owner died while queued — so a long run allocates only as
+	// many requests as its peak number of offloads in the system.
+	// pumpScratch is pump's double buffer:
 	// the surviving queue is rebuilt into it and the buffers swap roles, so
 	// the rebuild allocates nothing.
 	reqFree     []*request
@@ -296,20 +303,20 @@ func (m *Manager) Recover() {
 }
 
 // Offload submits an offload for p. It dispatches immediately when the
-// device has enough free hardware threads; otherwise it queues. done fires
-// exactly once: OffloadCompleted on success, OffloadAborted if the process
-// dies first.
+// device has enough free hardware threads; otherwise it queues. Exactly one
+// event then calls h.Fire(tag|outcome), as phi.Device.StartOffload does:
+// OffloadCompleted on success, OffloadAborted if the process dies first.
 //
 // An offload wider than the device's hardware thread count can never be
 // scheduled without oversubscription and indicates a workload/device
 // mismatch; it panics.
-func (m *Manager) Offload(p *phi.Process, threads units.Threads, work units.Tick, done func(phi.OffloadOutcome)) {
+func (m *Manager) Offload(p *phi.Process, threads units.Threads, work units.Tick, h sim.Handler, tag uint64) {
 	if threads > m.dev.Config().HWThreads() {
 		panic(fmt.Sprintf("cosmic: offload of %v exceeds device hardware threads %v",
 			threads, m.dev.Config().HWThreads()))
 	}
 	if !p.Alive() {
-		m.eng.After(0, func() { done(phi.OffloadAborted) })
+		m.abort(h, tag)
 		return
 	}
 	// The offload is about to commit the job's peak memory; the container
@@ -317,11 +324,11 @@ func (m *Manager) Offload(p *phi.Process, threads units.Threads, work units.Tick
 	// user underestimated memory therefore dies at its first offload — the
 	// container catching the oversized allocation — not at submission.
 	if !m.enforceContainer(p, p.Job.ActualPeakMem) {
-		m.eng.After(0, func() { done(phi.OffloadAborted) })
+		m.abort(h, tag)
 		return
 	}
 	req := m.newRequest()
-	*req = request{proc: p, threads: threads, work: work, done: done, enqueued: m.eng.Now()}
+	*req = request{m: m, proc: p, threads: threads, work: work, h: h, tag: tag, enqueued: m.eng.Now()}
 	m.queue = append(m.queue, req)
 	m.pump()
 	// Record queue depth only after the pump: an offload that dispatches
@@ -340,6 +347,13 @@ func (m *Manager) Offload(p *phi.Process, threads units.Threads, work units.Tick
 				obs.F("threads", threads), obs.F("queue", len(m.queue)))
 		}
 	}
+}
+
+// abort schedules an OffloadAborted notification for an offload that never
+// reached the device. Unlike a dispatched offload's end, it re-runs neither
+// dispatch nor admission.
+func (m *Manager) abort(h sim.Handler, tag uint64) {
+	m.eng.AtH(m.eng.Now(), h, tag|uint64(phi.OffloadAborted))
 }
 
 func dispatched(req *request, queue []*request) bool {
@@ -362,11 +376,10 @@ func (m *Manager) newRequest() *request {
 	return &request{}
 }
 
-// freeRequest zeroes req (dropping its proc/done references) and returns it
-// to the free list. Callers must have captured anything they still need —
-// the Offload path's dispatched() check only compares the pointer, which
-// stays valid; no new request can be taken from the list before that check
-// runs, because the intervening code path allocates none.
+// freeRequest zeroes req (dropping its proc/handler references) and returns
+// it to the free list. Callers must have captured anything they still need;
+// Offload's dispatched check compares only the pointer, which stays valid
+// because pump takes no request from the list.
 func (m *Manager) freeRequest(req *request) {
 	*req = request{}
 	m.reqFree = append(m.reqFree, req)
@@ -407,8 +420,7 @@ func (m *Manager) pump() {
 		switch {
 		case !req.proc.Alive():
 			// Owner died while queued: abort its offload.
-			done := req.done
-			m.eng.After(0, func() { done(phi.OffloadAborted) })
+			m.abort(req.h, req.tag)
 			m.freeRequest(req)
 		case (!blocked || m.Bypass) && req.threads <= free:
 			free -= req.threads
@@ -436,14 +448,17 @@ func (m *Manager) dispatch(req *request) {
 			obs.F("device", m.obsDev), obs.F("job", req.proc.Job.ID),
 			obs.F("threads", req.threads), obs.F("wait_ms", wait))
 	}
-	done := req.done
-	m.dev.StartOffload(req.proc, req.threads, req.work, func(o phi.OffloadOutcome) {
-		done(o)
-		// Completion frees threads: try to dispatch waiters. Re-running
-		// memory admission here also recovers capacity stranded by any
-		// process death that bypassed Detach (e.g. a device OOM kill).
-		m.pump()
-		m.pumpAdmits()
-	})
+	m.dev.StartOffload(req.proc, req.threads, req.work, req, 0)
+}
+
+// Fire is the dispatched offload's end notification from the device.
+func (req *request) Fire(tag uint64) {
+	m, h, ownerTag := req.m, req.h, req.tag
 	m.freeRequest(req)
+	h.Fire(ownerTag | uint64(phi.OutcomeOf(tag)))
+	// Completion frees threads: try to dispatch waiters. Re-running memory
+	// admission here also recovers capacity stranded by any process death
+	// that bypassed Detach (e.g. a device OOM kill).
+	m.pump()
+	m.pumpAdmits()
 }

@@ -23,6 +23,16 @@ func newMgr(eng *sim.Engine) *Manager {
 	return New(eng, dev)
 }
 
+// outcomeFunc adapts a closure to an offload's end notification.
+type outcomeFunc func(phi.OffloadOutcome)
+
+func (f outcomeFunc) Fire(tag uint64) { f(phi.OutcomeOf(tag)) }
+
+// offload submits an offload whose end runs done.
+func offload(m *Manager, p *phi.Process, threads units.Threads, work units.Tick, done func(phi.OffloadOutcome)) {
+	m.Offload(p, threads, work, outcomeFunc(done), 0)
+}
+
 func TestNewEnablesAffinitization(t *testing.T) {
 	eng := sim.New()
 	m := newMgr(eng)
@@ -36,7 +46,7 @@ func TestOffloadDispatchesWhenCapacityFree(t *testing.T) {
 	m := newMgr(eng)
 	p := m.Attach(mkJob(1, 500, 450, 120))
 	var end units.Tick
-	m.Offload(p, 120, 3000, func(o phi.OffloadOutcome) {
+	offload(m, p, 120, 3000, func(o phi.OffloadOutcome) {
 		if o != phi.OffloadCompleted {
 			t.Errorf("outcome %v", o)
 		}
@@ -58,8 +68,8 @@ func TestSerializationPreventsOversubscription(t *testing.T) {
 	p1 := m.Attach(mkJob(1, 500, 450, 240))
 	p2 := m.Attach(mkJob(2, 500, 450, 240))
 	var e1, e2 units.Tick
-	m.Offload(p1, 240, 2000, func(phi.OffloadOutcome) { e1 = eng.Now() })
-	m.Offload(p2, 240, 2000, func(phi.OffloadOutcome) { e2 = eng.Now() })
+	offload(m, p1, 240, 2000, func(phi.OffloadOutcome) { e1 = eng.Now() })
+	offload(m, p2, 240, 2000, func(phi.OffloadOutcome) { e2 = eng.Now() })
 	if m.Device().RunningThreads() > 240 {
 		t.Fatalf("device oversubscribed: %v threads", m.Device().RunningThreads())
 	}
@@ -83,7 +93,7 @@ func TestPartialOffloadsOverlap(t *testing.T) {
 	var ends []units.Tick
 	for i := 0; i < 2; i++ {
 		p := m.Attach(mkJob(i, 500, 450, 120))
-		m.Offload(p, 120, 3000, func(phi.OffloadOutcome) { ends = append(ends, eng.Now()) })
+		offload(m, p, 120, 3000, func(phi.OffloadOutcome) { ends = append(ends, eng.Now()) })
 	}
 	eng.Run()
 	for _, e := range ends {
@@ -103,9 +113,9 @@ func TestFIFOHeadOfLineBlocks(t *testing.T) {
 	pMid := m.Attach(mkJob(2, 500, 450, 120))
 	pSmall := m.Attach(mkJob(3, 500, 450, 60))
 	var midEnd, smallEnd units.Tick
-	m.Offload(pBig, 180, 5000, func(phi.OffloadOutcome) {})
-	m.Offload(pMid, 120, 1000, func(phi.OffloadOutcome) { midEnd = eng.Now() })
-	m.Offload(pSmall, 60, 1000, func(phi.OffloadOutcome) { smallEnd = eng.Now() })
+	offload(m, pBig, 180, 5000, func(phi.OffloadOutcome) {})
+	offload(m, pMid, 120, 1000, func(phi.OffloadOutcome) { midEnd = eng.Now() })
+	offload(m, pSmall, 60, 1000, func(phi.OffloadOutcome) { smallEnd = eng.Now() })
 	eng.Run()
 	if midEnd != 6000 {
 		t.Errorf("mid offload ended at %v, want 6000 (after the 180 frees)", midEnd)
@@ -124,9 +134,9 @@ func TestBypassLetsNarrowOffloadPass(t *testing.T) {
 	pMid := m.Attach(mkJob(2, 500, 450, 120))
 	pSmall := m.Attach(mkJob(3, 500, 450, 60))
 	var midEnd, smallEnd units.Tick
-	m.Offload(pBig, 180, 5000, func(phi.OffloadOutcome) {})
-	m.Offload(pMid, 120, 1000, func(phi.OffloadOutcome) { midEnd = eng.Now() })
-	m.Offload(pSmall, 60, 1000, func(phi.OffloadOutcome) { smallEnd = eng.Now() })
+	offload(m, pBig, 180, 5000, func(phi.OffloadOutcome) {})
+	offload(m, pMid, 120, 1000, func(phi.OffloadOutcome) { midEnd = eng.Now() })
+	offload(m, pSmall, 60, 1000, func(phi.OffloadOutcome) { smallEnd = eng.Now() })
 	eng.Run()
 	if smallEnd != 1000 {
 		t.Errorf("narrow offload ended at %v, want 1000 (first-fit bypass)", smallEnd)
@@ -144,15 +154,15 @@ func TestFIFOPreventsWideOffloadStarvation(t *testing.T) {
 	m := newMgr(eng)
 	for i := 0; i < 4; i++ {
 		p := m.Attach(mkJob(i, 100, 90, 60))
-		m.Offload(p, 60, 2000, func(phi.OffloadOutcome) {})
+		offload(m, p, 60, 2000, func(phi.OffloadOutcome) {})
 	}
 	pWide := m.Attach(mkJob(10, 500, 450, 240))
 	var wideEnd units.Tick
-	m.Offload(pWide, 240, 1000, func(phi.OffloadOutcome) { wideEnd = eng.Now() })
+	offload(m, pWide, 240, 1000, func(phi.OffloadOutcome) { wideEnd = eng.Now() })
 	// More narrow offloads arriving behind the wide one.
 	for i := 20; i < 24; i++ {
 		p := m.Attach(mkJob(i, 100, 90, 60))
-		m.Offload(p, 60, 2000, func(phi.OffloadOutcome) {})
+		offload(m, p, 60, 2000, func(phi.OffloadOutcome) {})
 	}
 	eng.Run()
 	if wideEnd != 3000 {
@@ -171,7 +181,7 @@ func TestContainerKillsMisestimatingJobAtFirstOffload(t *testing.T) {
 	var killed phi.KillReason = -1
 	p.OnKill = func(r phi.KillReason) { killed = r }
 	var outcome phi.OffloadOutcome = -1
-	m.Offload(p, 60, 1000, func(o phi.OffloadOutcome) { outcome = o })
+	offload(m, p, 60, 1000, func(o phi.OffloadOutcome) { outcome = o })
 	eng.Run()
 	if killed != phi.KillContainer {
 		t.Errorf("kill reason %v, want container", killed)
@@ -204,8 +214,8 @@ func TestContainerProtectsOtherTenants(t *testing.T) {
 	honest := m.Attach(mkJob(1, 4000, 3800, 60))
 	liar := m.Attach(mkJob(2, 500, 6000, 60))
 	var honestOutcome phi.OffloadOutcome = -1
-	m.Offload(honest, 60, 1000, func(o phi.OffloadOutcome) { honestOutcome = o })
-	m.Offload(liar, 60, 1000, func(phi.OffloadOutcome) {})
+	offload(m, honest, 60, 1000, func(o phi.OffloadOutcome) { honestOutcome = o })
+	offload(m, liar, 60, 1000, func(phi.OffloadOutcome) {})
 	eng.Run()
 	if honestOutcome != phi.OffloadCompleted {
 		t.Errorf("honest job outcome %v, want completed", honestOutcome)
@@ -221,7 +231,7 @@ func TestOffloadForDeadProcessAborts(t *testing.T) {
 	p := m.Attach(mkJob(1, 500, 450, 60))
 	m.Detach(p)
 	var outcome phi.OffloadOutcome = -1
-	m.Offload(p, 60, 1000, func(o phi.OffloadOutcome) { outcome = o })
+	offload(m, p, 60, 1000, func(o phi.OffloadOutcome) { outcome = o })
 	eng.Run()
 	if outcome != phi.OffloadAborted {
 		t.Errorf("outcome %v, want aborted", outcome)
@@ -233,9 +243,9 @@ func TestQueuedOffloadAbortsWhenOwnerDies(t *testing.T) {
 	m := newMgr(eng)
 	p1 := m.Attach(mkJob(1, 500, 450, 240))
 	p2 := m.Attach(mkJob(2, 500, 450, 240))
-	m.Offload(p1, 240, 5000, func(phi.OffloadOutcome) {})
+	offload(m, p1, 240, 5000, func(phi.OffloadOutcome) {})
 	var outcome phi.OffloadOutcome = -1
-	m.Offload(p2, 240, 1000, func(o phi.OffloadOutcome) { outcome = o })
+	offload(m, p2, 240, 1000, func(o phi.OffloadOutcome) { outcome = o })
 	eng.At(1000, func() { m.Detach(p2) })
 	eng.Run()
 	if outcome != phi.OffloadAborted {
@@ -254,7 +264,7 @@ func TestTooWideOffloadPanics(t *testing.T) {
 			t.Error("offload wider than hardware did not panic")
 		}
 	}()
-	m.Offload(p, 300, 1000, func(phi.OffloadOutcome) {})
+	offload(m, p, 300, 1000, func(phi.OffloadOutcome) {})
 }
 
 func TestManyJobsNeverOversubscribe(t *testing.T) {
@@ -273,7 +283,7 @@ func TestManyJobsNeverOversubscribe(t *testing.T) {
 		w := widths[i%len(widths)]
 		p := m.Attach(mkJob(i, 100, 90, w))
 		i := i
-		m.Offload(p, w, units.Tick(500+100*i), func(phi.OffloadOutcome) { check() })
+		offload(m, p, w, units.Tick(500+100*i), func(phi.OffloadOutcome) { check() })
 	}
 	for tick := units.Tick(0); tick < 20000; tick += 500 {
 		eng.At(tick, check)
@@ -292,7 +302,7 @@ func TestMaxQueueLenTracked(t *testing.T) {
 	m := newMgr(eng)
 	for i := 0; i < 4; i++ {
 		p := m.Attach(mkJob(i, 100, 90, 240))
-		m.Offload(p, 240, 1000, func(phi.OffloadOutcome) {})
+		offload(m, p, 240, 1000, func(phi.OffloadOutcome) {})
 	}
 	eng.Run()
 	if m.Stats().MaxQueueLen != 3 {
@@ -348,7 +358,7 @@ func TestOversizedAdmitDoesNotDisturbTenants(t *testing.T) {
 	m := newMgr(eng)
 	honest := m.Attach(mkJob(1, 7000, 6300, 60))
 	var honestOutcome phi.OffloadOutcome = -1
-	m.Offload(honest, 60, 1000, func(o phi.OffloadOutcome) { honestOutcome = o })
+	offload(m, honest, 60, 1000, func(o phi.OffloadOutcome) { honestOutcome = o })
 
 	var killed phi.KillReason = -1
 	m.Admit(mkJob(2, 9000, 9000, 60), func(p *phi.Process) {
@@ -380,7 +390,7 @@ func TestMaxQueueLenIgnoresImmediateDispatch(t *testing.T) {
 	eng := sim.New()
 	m := newMgr(eng)
 	p := m.Attach(mkJob(1, 500, 450, 240))
-	m.Offload(p, 240, 1000, func(phi.OffloadOutcome) {})
+	offload(m, p, 240, 1000, func(phi.OffloadOutcome) {})
 	eng.Run()
 	if n := m.Stats().MaxQueueLen; n != 0 {
 		t.Errorf("MaxQueueLen = %d after an uncontended offload, want 0", n)

@@ -157,7 +157,11 @@ type Result struct {
 }
 
 // Run executes one simulation and returns its measurements.
-func Run(cfg RunConfig) Result {
+func Run(cfg RunConfig) Result { return runOn(sim.New(), cfg) }
+
+// runOn is Run on a fresh engine the caller supplies, so tests can read
+// the engine's counters once the run is over.
+func runOn(eng *sim.Engine, cfg RunConfig) Result {
 	if cfg.Nodes <= 0 {
 		panic("experiments: Nodes must be positive")
 	}
@@ -167,7 +171,6 @@ func Run(cfg RunConfig) Result {
 	if len(cfg.Jobs) > 0 && cfg.Source != nil {
 		panic("experiments: both Jobs and Source set")
 	}
-	eng := sim.New()
 	eng.MaxSteps = cfg.MaxSteps
 	if eng.MaxSteps == 0 {
 		eng.MaxSteps = 500_000_000

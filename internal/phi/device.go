@@ -118,6 +118,15 @@ const (
 	OffloadAborted
 )
 
+// outcomeMask is the tag bit an offload's end notification carries its
+// outcome in. The rest of the tag is the caller's, which must leave this
+// bit clear.
+const outcomeMask = 1
+
+// OutcomeOf decodes the outcome from the tag an offload's end notification
+// fires with (see StartOffload).
+func OutcomeOf(tag uint64) OffloadOutcome { return OffloadOutcome(tag & outcomeMask) }
+
 // KillReason explains a process termination.
 type KillReason int
 
@@ -186,7 +195,9 @@ type offload struct {
 	proc      *Process
 	threads   units.Threads
 	remaining float64 // work remaining, in ticks at full speed
-	done      func(OffloadOutcome)
+	// h and tag receive the end notification (see StartOffload).
+	h   sim.Handler
+	tag uint64
 }
 
 // Stats aggregates device activity counters.
@@ -231,10 +242,11 @@ type Device struct {
 
 	lastAdvance units.Tick
 	// timerGen cancels completion ticks by generation: replan bumps it and
-	// schedules a plain pooled event carrying the new value; a fired event
-	// whose generation is stale was superseded and does nothing. This
-	// replaces a sim.Timer per replan (timer struct + wrapper closure) with
-	// one closure on the engine's pooled event path.
+	// schedules a pooled event whose tag is the new value; a fired tick
+	// whose generation is stale was superseded and does nothing. A stale
+	// tick stays queued until its instant, so it still counts in
+	// Engine.Pending and Engine.Steps; a sim.Timer's Stop would remove it,
+	// which would change both (obs.Sampler re-arms on Pending).
 	timerGen uint64
 	lastBusy int
 
@@ -243,8 +255,9 @@ type Device struct {
 	finishedScratch []*offload
 	stillScratch    []*offload
 	// offFree recycles offload records: a steady-state device allocates
-	// nothing per offload. The struct is recycled the moment its end is decided; the deferred done
-	// notification captures the callback, never the record.
+	// nothing per offload. The struct is recycled the moment its end is
+	// decided; the deferred end notification carries the owner's handler
+	// and tag, never the record.
 	offFree []*offload
 
 	stats Stats
@@ -445,15 +458,17 @@ func (d *Device) terminate(p *Process, reason KillReason) {
 }
 
 // StartOffload launches a kernel on the device for process p. work is the
-// kernel's duration at full speed; done fires when the offload completes or
-// aborts. Exactly one offload per process may be in flight (the COI model:
-// the host process blocks on the offload pragma).
+// kernel's duration at full speed. When the offload completes or aborts,
+// an event at that instant calls h.Fire(tag|outcome); OutcomeOf decodes
+// it, and tag must leave the outcome bit clear. Exactly one offload per
+// process may be in flight (the COI model: the host process blocks on the
+// offload pragma).
 //
 // Raw MPSS semantics: the offload starts immediately regardless of thread
 // pressure. The offload also commits the process's memory to its peak
 // (buffers are transferred in), which can trigger the OOM killer — possibly
-// killing p itself, in which case done receives OffloadAborted.
-func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick, done func(OffloadOutcome)) {
+// killing p itself, in which case the notification carries OffloadAborted.
+func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick, h sim.Handler, tag uint64) {
 	if !p.alive {
 		panic("phi: offload from dead process " + p.Job.Name)
 	}
@@ -463,6 +478,9 @@ func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick
 	if threads <= 0 || work <= 0 {
 		panic(fmt.Sprintf("phi: invalid offload threads=%v work=%v", threads, work))
 	}
+	if tag&outcomeMask != 0 {
+		panic(fmt.Sprintf("phi: offload tag %#x uses the outcome bit", tag))
+	}
 	d.advance()
 	if !p.warm {
 		// First offload: the process's OpenMP worker pool comes to life and
@@ -471,7 +489,7 @@ func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick
 		d.warmThreads += p.Job.Threads
 	}
 	o := d.allocOffload()
-	o.proc, o.threads, o.remaining, o.done = p, threads, float64(work), done
+	o.proc, o.threads, o.remaining, o.h, o.tag = p, threads, float64(work), h, tag
 	p.off = o
 	d.offloads = append(d.offloads, o)
 	d.stats.OffloadsStarted++
@@ -489,7 +507,7 @@ func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick
 	p.usage = p.Job.ActualPeakMem
 	d.checkOOM()
 	if !p.alive {
-		return // OOM killed p itself; done already notified via abort.
+		return // OOM killed p itself; the abort already notified h.
 	}
 	d.replan()
 }
@@ -514,10 +532,15 @@ func (d *Device) abortOffload(o *offload) {
 			obs.F("device", d.obsDev), obs.F("job", o.proc.Job.ID),
 			obs.F("completed", false))
 	}
-	done := o.done
+	d.notify(o, OffloadAborted)
 	d.freeOffload(o)
-	d.eng.After(0, func() { done(OffloadAborted) })
 	d.replan()
+}
+
+// notify schedules o's end notification at the current instant, so the
+// owner observes a device that has finished accounting for the end.
+func (d *Device) notify(o *offload, outcome OffloadOutcome) {
+	d.eng.AtH(d.eng.Now(), o.h, o.tag|uint64(outcome))
 }
 
 func (d *Device) allocOffload() *offload {
@@ -530,10 +553,10 @@ func (d *Device) allocOffload() *offload {
 	return &offload{}
 }
 
-// freeOffload clears the record (dropping its Process and callback so they
+// freeOffload clears the record (dropping its Process and handler so they
 // can be collected) and returns it to the device's free list.
 func (d *Device) freeOffload(o *offload) {
-	o.proc, o.threads, o.remaining, o.done = nil, 0, 0, nil
+	*o = offload{}
 	d.offFree = append(d.offFree, o)
 }
 
@@ -633,12 +656,17 @@ func (d *Device) replan() {
 	// exactly the contention regimes the device passes through.
 	d.obsSpeed.Observe(rate)
 	dt := units.Tick(math.Ceil(min / rate))
-	gen := d.timerGen
-	d.eng.After(dt, func() {
-		if gen == d.timerGen {
-			d.onCompletionTick()
-		}
-	})
+	d.eng.AfterH(dt, (*completionTick)(d), d.timerGen)
+}
+
+// completionTick is the device's handler for its completion ticks; the
+// tag is the generation replan scheduled the tick under.
+type completionTick Device
+
+func (c *completionTick) Fire(gen uint64) {
+	if d := (*Device)(c); gen == d.timerGen {
+		d.onCompletionTick()
+	}
 }
 
 // onCompletionTick fires when the earliest offload should be done; it
@@ -670,9 +698,8 @@ func (d *Device) onCompletionTick() {
 				obs.F("device", d.obsDev), obs.F("job", o.proc.Job.ID),
 				obs.F("completed", true))
 		}
-		done := o.done
+		d.notify(o, OffloadCompleted)
 		d.freeOffload(o)
-		d.eng.After(0, func() { done(OffloadCompleted) })
 	}
 	d.replan()
 }

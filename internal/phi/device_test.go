@@ -24,6 +24,16 @@ func newDev(eng *sim.Engine) *Device {
 	return NewDevice(eng, "node0/mic0", BareConfig(), rng.New(1), nil)
 }
 
+// outcomeFunc adapts a closure to an offload's end notification.
+type outcomeFunc func(OffloadOutcome)
+
+func (f outcomeFunc) Fire(tag uint64) { f(OutcomeOf(tag)) }
+
+// startOffload starts an offload whose end runs done.
+func startOffload(d *Device, p *Process, threads units.Threads, work units.Tick, done func(OffloadOutcome)) {
+	d.StartOffload(p, threads, work, outcomeFunc(done), 0)
+}
+
 func TestConfigHWThreads(t *testing.T) {
 	if DefaultConfig().HWThreads() != 240 {
 		t.Errorf("default HW threads = %v, want 240", DefaultConfig().HWThreads())
@@ -45,7 +55,7 @@ func TestSingleOffloadFullSpeed(t *testing.T) {
 	p := d.Attach(mkJob(1, 500, 240))
 	var doneAt units.Tick
 	var outcome OffloadOutcome
-	d.StartOffload(p, 240, 5000, func(o OffloadOutcome) {
+	startOffload(d, p, 240, 5000, func(o OffloadOutcome) {
 		doneAt = eng.Now()
 		outcome = o
 	})
@@ -69,7 +79,7 @@ func TestAffinitizedConcurrentOffloadsFullSpeed(t *testing.T) {
 	var ends []units.Tick
 	for i := 0; i < 2; i++ {
 		p := d.Attach(mkJob(i, 500, 120))
-		d.StartOffload(p, 120, 4000, func(OffloadOutcome) {
+		startOffload(d, p, 120, 4000, func(OffloadOutcome) {
 			ends = append(ends, eng.Now())
 		})
 	}
@@ -89,7 +99,7 @@ func TestRawOverlapSlowsDown(t *testing.T) {
 	var ends []units.Tick
 	for i := 0; i < 2; i++ {
 		p := d.Attach(mkJob(i, 500, 120))
-		d.StartOffload(p, 120, 4000, func(OffloadOutcome) {
+		startOffload(d, p, 120, 4000, func(OffloadOutcome) {
 			ends = append(ends, eng.Now())
 		})
 	}
@@ -109,7 +119,7 @@ func TestThreadOversubscriptionSlowdown(t *testing.T) {
 	var ends []units.Tick
 	for i := 0; i < 4; i++ {
 		p := d.Attach(mkJob(i, 500, 240))
-		d.StartOffload(p, 240, 2000, func(OffloadOutcome) {
+		startOffload(d, p, 240, 2000, func(OffloadOutcome) {
 			ends = append(ends, eng.Now())
 		})
 	}
@@ -134,9 +144,9 @@ func TestStaggeredSharingAccountsProgress(t *testing.T) {
 	pa := d.Attach(mkJob(1, 500, 240))
 	pb := d.Attach(mkJob(2, 500, 240))
 	var aEnd, bEnd units.Tick
-	d.StartOffload(pa, 240, 4000, func(OffloadOutcome) { aEnd = eng.Now() })
+	startOffload(d, pa, 240, 4000, func(OffloadOutcome) { aEnd = eng.Now() })
 	eng.At(2000, func() {
-		d.StartOffload(pb, 240, 1000, func(OffloadOutcome) { bEnd = eng.Now() })
+		startOffload(d, pb, 240, 1000, func(OffloadOutcome) { bEnd = eng.Now() })
 	})
 	eng.Run()
 	if bEnd != 4000 {
@@ -159,11 +169,11 @@ func TestOOMKillsOnOversubscribedMemory(t *testing.T) {
 	p1.OnKill = func(r KillReason) { killed[1] = r }
 	p2.OnKill = func(r KillReason) { killed[2] = r }
 	outcomes := map[int]OffloadOutcome{}
-	d.StartOffload(p1, 60, 1000, func(o OffloadOutcome) { outcomes[1] = o })
+	startOffload(d, p1, 60, 1000, func(o OffloadOutcome) { outcomes[1] = o })
 	if d.Stats().OOMKills != 0 {
 		t.Fatalf("premature OOM kill")
 	}
-	d.StartOffload(p2, 60, 1000, func(o OffloadOutcome) { outcomes[2] = o })
+	startOffload(d, p2, 60, 1000, func(o OffloadOutcome) { outcomes[2] = o })
 	eng.Run()
 	if d.Stats().OOMKills != 1 {
 		t.Fatalf("OOM kills = %d, want 1", d.Stats().OOMKills)
@@ -197,7 +207,7 @@ func TestHonestJobsNeverOOM(t *testing.T) {
 	d := newDev(eng)
 	for i := 0; i < 8; i++ {
 		p := d.Attach(mkJob(i, 1000, 60))
-		d.StartOffload(p, 60, 1000, func(OffloadOutcome) {})
+		startOffload(d, p, 60, 1000, func(OffloadOutcome) {})
 	}
 	eng.Run()
 	if d.Stats().OOMKills != 0 {
@@ -210,7 +220,7 @@ func TestDetachAbortsOffload(t *testing.T) {
 	d := newDev(eng)
 	p := d.Attach(mkJob(1, 500, 60))
 	var outcome OffloadOutcome = -1
-	d.StartOffload(p, 60, 5000, func(o OffloadOutcome) { outcome = o })
+	startOffload(d, p, 60, 5000, func(o OffloadOutcome) { outcome = o })
 	eng.At(1000, func() { d.Detach(p) })
 	eng.Run()
 	if outcome != OffloadAborted {
@@ -267,20 +277,20 @@ func TestOffloadFromDeadProcessPanics(t *testing.T) {
 			t.Error("offload from dead process did not panic")
 		}
 	}()
-	d.StartOffload(p, 60, 1000, func(OffloadOutcome) {})
+	startOffload(d, p, 60, 1000, func(OffloadOutcome) {})
 }
 
 func TestConcurrentOffloadsFromOneProcessPanic(t *testing.T) {
 	eng := sim.New()
 	d := newDev(eng)
 	p := d.Attach(mkJob(1, 500, 60))
-	d.StartOffload(p, 60, 1000, func(OffloadOutcome) {})
+	startOffload(d, p, 60, 1000, func(OffloadOutcome) {})
 	defer func() {
 		if recover() == nil {
 			t.Error("second concurrent offload did not panic")
 		}
 	}()
-	d.StartOffload(p, 60, 1000, func(OffloadOutcome) {})
+	startOffload(d, p, 60, 1000, func(OffloadOutcome) {})
 }
 
 func TestRunningThreadsAndFreeHWThreads(t *testing.T) {
@@ -289,8 +299,8 @@ func TestRunningThreadsAndFreeHWThreads(t *testing.T) {
 	d.Affinitized = true
 	p1 := d.Attach(mkJob(1, 500, 120))
 	p2 := d.Attach(mkJob(2, 500, 60))
-	d.StartOffload(p1, 120, 1000, func(OffloadOutcome) {})
-	d.StartOffload(p2, 60, 1000, func(OffloadOutcome) {})
+	startOffload(d, p1, 120, 1000, func(OffloadOutcome) {})
+	startOffload(d, p2, 60, 1000, func(OffloadOutcome) {})
 	if d.RunningThreads() != 180 {
 		t.Errorf("RunningThreads = %v, want 180", d.RunningThreads())
 	}
@@ -323,7 +333,7 @@ func TestUtilSinkSamples(t *testing.T) {
 	d := NewDevice(eng, "x", BareConfig(), rng.New(1), sink)
 	d.Affinitized = true
 	p := d.Attach(mkJob(1, 500, 120)) // 30 cores
-	d.StartOffload(p, 120, 2000, func(OffloadOutcome) {})
+	startOffload(d, p, 120, 2000, func(OffloadOutcome) {})
 	eng.Run()
 	// Expect a 30-core sample at 0 and a 0-core sample at 2000.
 	if len(sink.recs) < 2 {
@@ -346,7 +356,7 @@ func TestBusyCoresCappedAtDeviceCores(t *testing.T) {
 	// 5 x 60 threads = 75 cores demanded, capped at 60.
 	for i := 0; i < 5; i++ {
 		p := d.Attach(mkJob(i, 200, 60))
-		d.StartOffload(p, 60, 1000, func(OffloadOutcome) {})
+		startOffload(d, p, 60, 1000, func(OffloadOutcome) {})
 	}
 	for _, r := range sink.recs {
 		if r.busy > 60 {
@@ -370,7 +380,7 @@ func TestDeterministicOOMVictims(t *testing.T) {
 			// one — so only live processes offload (as a real host process
 			// would: it is already dead before reaching its pragma).
 			if p.Alive() {
-				d.StartOffload(p, 60, 1000, func(OffloadOutcome) {})
+				startOffload(d, p, 60, 1000, func(OffloadOutcome) {})
 			}
 		}
 		eng.Run()
@@ -400,13 +410,13 @@ func TestSpinContentionSlowsOversubscribedResidents(t *testing.T) {
 	p1 := d.Attach(mkJob(1, 500, 240))
 	p2 := d.Attach(mkJob(2, 500, 240))
 	// Warm both pools with instantaneous-ish offloads first.
-	d.StartOffload(p1, 240, 1, func(OffloadOutcome) {})
+	startOffload(d, p1, 240, 1, func(OffloadOutcome) {})
 	eng.Run()
-	d.StartOffload(p2, 240, 1, func(OffloadOutcome) {})
+	startOffload(d, p2, 240, 1, func(OffloadOutcome) {})
 	eng.Run()
 	start := eng.Now()
 	var end units.Tick
-	d.StartOffload(p1, 240, 2000, func(OffloadOutcome) { end = eng.Now() })
+	startOffload(d, p1, 240, 2000, func(OffloadOutcome) { end = eng.Now() })
 	eng.Run()
 	if got := end - start; got != 2700 {
 		t.Errorf("contended offload took %v, want 2700 (1.35x)", got)
@@ -422,7 +432,7 @@ func TestSpinContentionOnlyAfterFirstOffload(t *testing.T) {
 	d.Attach(mkJob(2, 500, 240)) // cold resident
 	p1 := d.Attach(mkJob(1, 500, 240))
 	var end units.Tick
-	d.StartOffload(p1, 240, 2000, func(OffloadOutcome) { end = eng.Now() })
+	startOffload(d, p1, 240, 2000, func(OffloadOutcome) { end = eng.Now() })
 	eng.Run()
 	if end != 2000 {
 		t.Errorf("offload with cold co-resident took %v, want 2000", end)
@@ -435,12 +445,12 @@ func TestSpinContentionClearsOnTermination(t *testing.T) {
 	d.Affinitized = true
 	p1 := d.Attach(mkJob(1, 500, 240))
 	p2 := d.Attach(mkJob(2, 500, 240))
-	d.StartOffload(p2, 240, 1, func(OffloadOutcome) {})
+	startOffload(d, p2, 240, 1, func(OffloadOutcome) {})
 	eng.Run()
 	d.Detach(p2) // pool gone with the process
 	var end units.Tick
 	start := eng.Now()
-	d.StartOffload(p1, 240, 2000, func(OffloadOutcome) { end = eng.Now() })
+	startOffload(d, p1, 240, 2000, func(OffloadOutcome) { end = eng.Now() })
 	eng.Run()
 	if end-start != 2000 {
 		t.Errorf("offload after co-resident detach took %v, want 2000", end-start)
@@ -455,7 +465,7 @@ func TestSpinContentionWithinBudgetIsFree(t *testing.T) {
 	var ends []units.Tick
 	for i := 0; i < 4; i++ {
 		p := d.Attach(mkJob(i, 500, 60))
-		d.StartOffload(p, 60, 2000, func(OffloadOutcome) { ends = append(ends, eng.Now()) })
+		startOffload(d, p, 60, 2000, func(OffloadOutcome) { ends = append(ends, eng.Now()) })
 	}
 	eng.Run()
 	for _, e := range ends {
@@ -482,7 +492,7 @@ func TestSnapshot(t *testing.T) {
 	d.Affinitized = true
 	p1 := d.Attach(mkJob(1, 1000, 120))
 	d.Attach(mkJob(2, 500, 60)) // resident, cold
-	d.StartOffload(p1, 120, 5000, func(OffloadOutcome) {})
+	startOffload(d, p1, 120, 5000, func(OffloadOutcome) {})
 	s := d.Snapshot()
 	if s.ResidentJobs != 2 || s.RunningOffloads != 1 {
 		t.Errorf("snapshot %+v", s)

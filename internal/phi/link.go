@@ -29,6 +29,15 @@ type Link struct {
 	transfers   []*transfer
 	lastAdvance units.Tick
 	timer       *sim.Timer
+	// tick is onTick, bound once so replan does not allocate a method
+	// value per completion timer.
+	tick func()
+
+	// Completion-tick scratch and the transfer-record free list, as in
+	// Device: a steady-state link allocates nothing per transfer.
+	finishedScratch []*transfer
+	stillScratch    []*transfer
+	free            []*transfer
 
 	stats LinkStats
 }
@@ -42,7 +51,9 @@ type LinkStats struct {
 
 type transfer struct {
 	remaining float64 // MB
-	done      func()
+	// h and tag receive the completion notification.
+	h   sim.Handler
+	tag uint64
 }
 
 // DefaultLinkBandwidthMBps is PCIe gen2 x16's practical throughput.
@@ -53,10 +64,12 @@ func NewLink(eng *sim.Engine, bandwidthMBps float64) *Link {
 	if bandwidthMBps <= 0 {
 		panic(fmt.Sprintf("phi: non-positive link bandwidth %v", bandwidthMBps))
 	}
-	return &Link{
+	l := &Link{
 		eng:       eng,
 		bandwidth: bandwidthMBps / float64(units.Second), // MB per tick
 	}
+	l.tick = l.onTick
+	return l
 }
 
 // Stats returns activity counters.
@@ -65,19 +78,21 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // InFlight is the number of active transfers.
 func (l *Link) InFlight() int { return len(l.transfers) }
 
-// Transfer moves size MB across the link and calls done on completion.
-// Zero-size transfers complete immediately (asynchronously, preserving
-// event ordering).
-func (l *Link) Transfer(size units.MB, done func()) {
+// Transfer moves size MB across the link; an event at the instant it
+// completes calls h.Fire(tag). Zero-size transfers complete immediately
+// (asynchronously, preserving event ordering).
+func (l *Link) Transfer(size units.MB, h sim.Handler, tag uint64) {
 	if size < 0 {
 		panic(fmt.Sprintf("phi: negative transfer size %v", size))
 	}
 	if size == 0 {
-		l.eng.After(0, done)
+		l.eng.AtH(l.eng.Now(), h, tag)
 		return
 	}
 	l.advance()
-	l.transfers = append(l.transfers, &transfer{remaining: float64(size), done: done})
+	t := l.alloc()
+	t.remaining, t.h, t.tag = float64(size), h, tag
+	l.transfers = append(l.transfers, t)
 	l.stats.Transfers++
 	l.stats.BytesMoved += size
 	if len(l.transfers) > l.stats.PeakInFlight {
@@ -124,14 +139,14 @@ func (l *Link) replan() {
 		min = 0
 	}
 	dt := units.Tick(math.Ceil(min / l.rate()))
-	l.timer = l.eng.AfterTimer(dt, l.onTick)
+	l.timer = l.eng.AfterTimer(dt, l.tick)
 }
 
 func (l *Link) onTick() {
 	l.timer = nil
 	l.advance()
-	var still []*transfer
-	var finished []*transfer
+	finished := l.finishedScratch[:0]
+	still := l.stillScratch[:0]
 	for _, t := range l.transfers {
 		if t.remaining <= workEpsilon {
 			finished = append(finished, t)
@@ -139,10 +154,24 @@ func (l *Link) onTick() {
 			still = append(still, t)
 		}
 	}
+	// Swap buffers: the old transfer list becomes the next tick's scratch.
+	l.stillScratch = l.transfers[:0]
 	l.transfers = still
+	l.finishedScratch = finished
 	for _, t := range finished {
-		done := t.done
-		l.eng.After(0, done)
+		l.eng.AtH(l.eng.Now(), t.h, t.tag)
+		*t = transfer{}
+		l.free = append(l.free, t)
 	}
 	l.replan()
+}
+
+func (l *Link) alloc() *transfer {
+	if n := len(l.free); n > 0 {
+		t := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return t
+	}
+	return &transfer{}
 }

@@ -7,11 +7,19 @@ import (
 	"phishare/internal/units"
 )
 
+// fnHandler adapts a closure to a transfer's completion notification.
+type fnHandler func()
+
+func (f fnHandler) Fire(uint64) { f() }
+
+// startTransfer starts a transfer whose completion runs done.
+func startTransfer(l *Link, size units.MB, done func()) { l.Transfer(size, fnHandler(done), 0) }
+
 func TestLinkSingleTransfer(t *testing.T) {
 	eng := sim.New()
 	l := NewLink(eng, 6000) // 6 MB/ms
 	var end units.Tick
-	l.Transfer(600, func() { end = eng.Now() })
+	startTransfer(l, 600, func() { end = eng.Now() })
 	eng.Run()
 	if end != 100 { // 600 MB at 6 MB/ms
 		t.Errorf("transfer ended at %v, want 100", end)
@@ -28,7 +36,7 @@ func TestLinkSharedBandwidth(t *testing.T) {
 	l := NewLink(eng, 6000)
 	var ends []units.Tick
 	for i := 0; i < 2; i++ {
-		l.Transfer(600, func() { ends = append(ends, eng.Now()) })
+		startTransfer(l, 600, func() { ends = append(ends, eng.Now()) })
 	}
 	eng.Run()
 	for _, e := range ends {
@@ -45,9 +53,9 @@ func TestLinkStaggeredSharing(t *testing.T) {
 	eng := sim.New()
 	l := NewLink(eng, 6000)
 	var aEnd, bEnd units.Tick
-	l.Transfer(1200, func() { aEnd = eng.Now() })
+	startTransfer(l, 1200, func() { aEnd = eng.Now() })
 	eng.At(100, func() {
-		l.Transfer(300, func() { bEnd = eng.Now() })
+		startTransfer(l, 300, func() { bEnd = eng.Now() })
 	})
 	eng.Run()
 	if bEnd != 200 {
@@ -62,7 +70,7 @@ func TestLinkZeroTransferCompletesAsync(t *testing.T) {
 	eng := sim.New()
 	l := NewLink(eng, 6000)
 	fired := false
-	l.Transfer(0, func() { fired = true })
+	startTransfer(l, 0, func() { fired = true })
 	if fired {
 		t.Error("zero transfer completed synchronously")
 	}
@@ -80,7 +88,7 @@ func TestLinkNegativeSizePanics(t *testing.T) {
 			t.Error("negative size accepted")
 		}
 	}()
-	l.Transfer(-1, func() {})
+	startTransfer(l, -1, func() {})
 }
 
 func TestNewLinkValidatesBandwidth(t *testing.T) {
@@ -96,7 +104,7 @@ func TestLinkPeakInFlight(t *testing.T) {
 	eng := sim.New()
 	l := NewLink(eng, 6000)
 	for i := 0; i < 3; i++ {
-		l.Transfer(60, func() {})
+		startTransfer(l, 60, func() {})
 	}
 	if l.InFlight() != 3 {
 		t.Errorf("in flight %d", l.InFlight())
@@ -107,5 +115,31 @@ func TestLinkPeakInFlight(t *testing.T) {
 	}
 	if l.InFlight() != 0 {
 		t.Error("transfers leaked")
+	}
+}
+
+// countHandler counts completion notifications.
+type countHandler struct{ n int }
+
+func (c *countHandler) Fire(uint64) { c.n++ }
+
+// TestLinkSteadyStateAllocatesNothing: once the transfer-record free list
+// and the tick scratch are warm, overlapping transfers allocate nothing.
+func TestLinkSteadyStateAllocatesNothing(t *testing.T) {
+	eng := sim.New()
+	l := NewLink(eng, 6000)
+	h := &countHandler{}
+	burst := func() {
+		l.Transfer(600, h, 0)
+		l.Transfer(300, h, 2)
+		l.Transfer(900, h, 4)
+		eng.Run()
+	}
+	allocs := testing.AllocsPerRun(100, burst)
+	if allocs > 0 {
+		t.Errorf("steady-state transfers allocate %.1f objects per burst, want 0", allocs)
+	}
+	if h.n != 3*101 {
+		t.Errorf("%d completions, want %d", h.n, 3*101)
 	}
 }

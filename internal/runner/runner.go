@@ -55,6 +55,11 @@ func Run(unit *cluster.DeviceUnit, j *job.Job, done func(Result)) {
 	})
 }
 
+// exec is one job's run: a state machine over the job's phases whose
+// continuations are tagged events on exec itself (see the tag constants),
+// so a phase schedules no closure. idx is the phase cursor: it points past
+// the phase in progress, whose parameters a continuation reads back from
+// Phases[idx-1].
 type exec struct {
 	eng  *sim.Engine
 	unit *cluster.DeviceUnit
@@ -66,50 +71,82 @@ type exec struct {
 	finished bool
 }
 
+// exec's event tags. Offload end notifications go to offloadEnd instead,
+// because they carry the outcome in their tag.
+const (
+	// tagNext starts the next phase: a host phase or a transfer-out is done.
+	tagNext uint64 = iota
+	// tagTransferredIn launches the kernel: the in() buffers have arrived.
+	tagTransferredIn
+)
+
+// Fire continues the run after a host phase or a link transfer.
+func (e *exec) Fire(tag uint64) {
+	switch tag {
+	case tagNext:
+		e.step()
+	case tagTransferredIn:
+		if e.alive() {
+			e.offload()
+		}
+	}
+}
+
+// alive reports whether the run is still in progress.
+func (e *exec) alive() bool { return !e.finished && e.proc.Alive() }
+
 func (e *exec) step() {
-	if e.finished || !e.proc.Alive() {
+	if !e.alive() {
 		return
 	}
 	if e.idx >= len(e.j.Phases) {
 		e.finish(Result{Outcome: Completed})
 		return
 	}
-	p := e.j.Phases[e.idx]
+	p := &e.j.Phases[e.idx]
 	e.idx++
 	switch p.Kind {
 	case job.HostPhase:
-		e.eng.After(p.Duration, e.step)
+		e.eng.AfterH(p.Duration, e, tagNext)
 	case job.OffloadPhase:
 		// The offload pragma's full sequence: DMA the in() buffers across
 		// the node's PCIe link, run the kernel, DMA the out() buffers back.
 		// Zero-size transfers short-circuit inside the link.
-		e.transfer(p.TransferIn, func() {
-			e.unit.Offload(e.proc, p.Threads, p.Duration, func(o phi.OffloadOutcome) {
-				if o == phi.OffloadCompleted {
-					e.transfer(p.TransferOut, e.step)
-				}
-				// Aborted offloads are followed by the process's kill
-				// notification, which terminates the run via onKill.
-			})
-		})
+		e.transfer(p.TransferIn, tagTransferredIn)
 	default:
 		panic("runner: invalid phase kind in " + e.j.Name)
 	}
 }
 
-// transfer moves size MB over the node link and continues with next,
-// unless the job has meanwhile finished or been killed.
-func (e *exec) transfer(size units.MB, next func()) {
+// offload runs the current phase's kernel.
+func (e *exec) offload() {
+	p := &e.j.Phases[e.idx-1]
+	e.unit.Offload(e.proc, p.Threads, p.Duration, (*offloadEnd)(e), 0)
+}
+
+// offloadEnd is exec in its role as the handler of offload end
+// notifications, whose tag carries the phi.OffloadOutcome.
+type offloadEnd exec
+
+func (x *offloadEnd) Fire(tag uint64) {
+	// Aborted offloads are followed by the process's kill notification,
+	// which terminates the run via onKill.
+	if phi.OutcomeOf(tag) == phi.OffloadCompleted {
+		e := (*exec)(x)
+		e.transfer(e.j.Phases[e.idx-1].TransferOut, tagNext)
+	}
+}
+
+// transfer moves size MB over the node link and then continues with
+// e.Fire(next): at once when there is nothing to move, otherwise when the
+// link delivers (Fire drops the continuation if the job has meanwhile
+// finished or been killed).
+func (e *exec) transfer(size units.MB, next uint64) {
 	if size == 0 || e.unit.Link == nil {
-		next()
+		e.Fire(next)
 		return
 	}
-	e.unit.Link.Transfer(size, func() {
-		if e.finished || !e.proc.Alive() {
-			return
-		}
-		next()
-	})
+	e.unit.Link.Transfer(size, e, next)
 }
 
 func (e *exec) onKill(reason phi.KillReason) {

@@ -3,11 +3,21 @@
 //
 // Every component in the system — Xeon Phi devices, COSMIC offload queues,
 // Condor negotiation cycles, job phase transitions — advances by scheduling
-// callbacks on a single Engine. The engine maintains a priority queue of
+// events on a single Engine. The engine maintains a priority queue of
 // events ordered by (time, insertion sequence); the sequence number breaks
 // ties so that two events at the same instant always fire in the order they
 // were scheduled, which makes simulations bit-for-bit reproducible across
 // runs and platforms.
+//
+// An event is a Handler and a tag: when the event fires, the engine calls
+// h.Fire(tag). A component that schedules the same kinds of continuation
+// over and over (a job's phase chain, a device's completion tick, an
+// offload's end notification) implements Handler once and tells its
+// continuations apart by tag, so scheduling them allocates nothing (AtH,
+// AfterH). The closure entry points At, After, AtTimer and AfterTimer wrap
+// the func in a Handler whose Fire ignores the tag; the conversion does not
+// allocate, so they allocate only what the closure itself does and share
+// the one dispatch path.
 package sim
 
 import (
@@ -16,13 +26,25 @@ import (
 	"phishare/internal/units"
 )
 
-// event is a scheduled callback.
+// Handler receives events: Fire runs when an event scheduled with the
+// handler comes due, with the tag it was scheduled with.
+type Handler interface {
+	Fire(tag uint64)
+}
+
+// funcHandler adapts a closure to Handler; the tag is ignored.
+type funcHandler func()
+
+func (f funcHandler) Fire(uint64) { f() }
+
+// event is a scheduled handler call.
 type event struct {
 	at units.Tick
-	// seq is the scheduling order: the engine's counter at the At call.
-	// It breaks ties between events at the same instant.
+	// seq is the scheduling order: the engine's counter at the schedule
+	// call. It breaks ties between events at the same instant.
 	seq uint64
-	fn  func()
+	h   Handler
+	tag uint64
 	// tm, when non-nil, makes this a cancelable timer event: Timer.Stop
 	// removes the event from the heap, and the Timer struct returns to the
 	// free list once the event fires or is stopped.
@@ -130,6 +152,8 @@ type Engine struct {
 	tmFree []*Timer
 	seq    uint64
 	steps  uint64
+	// zeroDelay counts events scheduled for the current instant.
+	zeroDelay uint64
 	// MaxSteps, if non-zero, bounds the number of events processed by Run;
 	// exceeding it panics. It is a guard against accidental event loops
 	// (e.g. a scheduler that reschedules itself at the current instant).
@@ -156,25 +180,42 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// a component asking for time travel is always a bug in the caller.
-func (e *Engine) At(t units.Tick, fn func()) { e.schedule(t, fn, nil) }
+// ZeroDelay reports how many events have been scheduled for the instant
+// they were scheduled at (After(0, ...) and its kin): the same-instant
+// traffic that fires in scheduling order behind whatever is running.
+func (e *Engine) ZeroDelay() uint64 { return e.zeroDelay }
 
-// After schedules fn to run d ticks from now. Negative d panics.
-func (e *Engine) After(d units.Tick, fn func()) {
+// AtH schedules h.Fire(tag) at absolute time t. Scheduling in the past
+// panics: a component asking for time travel is always a bug in the
+// caller. The event comes from the engine's free list, so a steady-state
+// caller whose handler is a long-lived value allocates nothing.
+func (e *Engine) AtH(t units.Tick, h Handler, tag uint64) { e.schedule(t, h, tag, nil) }
+
+// AfterH schedules h.Fire(tag) d ticks from now. Negative d panics.
+func (e *Engine) AfterH(d units.Tick, h Handler, tag uint64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.At(e.now+d, fn)
+	e.schedule(e.now+d, h, tag, nil)
 }
 
-func (e *Engine) schedule(t units.Tick, fn func(), tm *Timer) {
+// At schedules fn to run at absolute time t, like AtH with a handler that
+// calls fn. Scheduling in the past panics.
+func (e *Engine) At(t units.Tick, fn func()) { e.schedule(t, funcHandler(fn), 0, nil) }
+
+// After schedules fn to run d ticks from now. Negative d panics.
+func (e *Engine) After(d units.Tick, fn func()) { e.AfterH(d, funcHandler(fn), 0) }
+
+func (e *Engine) schedule(t units.Tick, h Handler, tag uint64, tm *Timer) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
+	if t == e.now {
+		e.zeroDelay++
+	}
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.tm = t, e.seq, fn, tm
+	ev.at, ev.seq, ev.h, ev.tag, ev.tm = t, e.seq, h, tag, tm
 	if tm != nil {
 		tm.ev = ev
 	}
@@ -222,22 +263,22 @@ func (e *Engine) step() {
 	if e.MaxSteps != 0 && e.steps > e.MaxSteps {
 		panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v (runaway event loop?)", e.MaxSteps, e.now))
 	}
-	fn, tm := ev.fn, ev.tm
-	// Recycle before running the callback would be wrong: fn may panic and
+	h, tag, tm := ev.h, ev.tag, ev.tm
+	// Recycle before running the handler would be wrong: Fire may panic and
 	// leave a half-cleared event reachable. Release after it returns; the
-	// callback's own scheduling draws from the free list populated by
+	// handler's own scheduling draws from the free list populated by
 	// earlier steps.
 	if tm != nil {
-		tm.ev = nil // off the heap: a Stop from inside fn must not remove
+		tm.ev = nil // off the heap: a Stop from inside Fire must not remove
 		if !tm.stopped {
-			fn()
+			h.Fire(tag)
 		}
 		ev.tm = nil
 		e.tmFree = append(e.tmFree, tm)
 	} else {
-		fn()
+		h.Fire(tag)
 	}
-	ev.fn = nil // drop the closure so its captures can be collected
+	ev.h = nil // drop the handler so a closure's captures can be collected
 	e.free = append(e.free, ev)
 	if e.AfterStep != nil {
 		e.AfterStep()
@@ -273,7 +314,7 @@ type Timer struct {
 // it. A stopped timer's callback is silently skipped when its time arrives.
 func (e *Engine) AtTimer(t units.Tick, fn func()) *Timer {
 	tm := e.allocTimer()
-	e.schedule(t, fn, tm)
+	e.schedule(t, funcHandler(fn), 0, tm)
 	return tm
 }
 
@@ -308,7 +349,7 @@ func (t *Timer) Stop() {
 	}
 	t.ev = nil
 	ev.tm = nil
-	ev.fn = nil
+	ev.h = nil
 	e := t.eng
 	e.events.remove(ev.idx)
 	e.free = append(e.free, ev)

@@ -385,3 +385,59 @@ func TestEventPoolOrderingUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// tagLog records the tags it is fired with.
+type tagLog struct{ tags []uint64 }
+
+func (l *tagLog) Fire(tag uint64) { l.tags = append(l.tags, tag) }
+
+// TestHandlerEventsShareTheOrder interleaves tagged handler events with
+// closures at one instant: both draw from the one sequence counter, so
+// they fire in scheduling order, each handler call with its own tag.
+func TestHandlerEventsShareTheOrder(t *testing.T) {
+	e := New()
+	l := &tagLog{}
+	e.AtH(5, l, 1)
+	e.At(5, func() { l.tags = append(l.tags, 100) })
+	e.AfterH(5, l, 2)
+	e.At(5, func() {
+		e.AfterH(0, l, 3)
+		e.AtH(5, l, 4)
+	})
+	e.Run()
+	want := []uint64{1, 100, 2, 3, 4}
+	if len(l.tags) != len(want) {
+		t.Fatalf("fired %v, want %v", l.tags, want)
+	}
+	for i := range want {
+		if l.tags[i] != want[i] {
+			t.Fatalf("fired %v, want %v", l.tags, want)
+		}
+	}
+	// Two events were scheduled for their own instant (the ones scheduled
+	// at t=5 from inside the event at t=5).
+	if got := e.ZeroDelay(); got != 2 {
+		t.Errorf("ZeroDelay() = %d, want 2", got)
+	}
+}
+
+// TestHandlerEventsAllocateNothing: a long-lived handler's events come from
+// the free list, and a closure's conversion to a Handler does not allocate,
+// so neither entry point allocates once the engine is warm.
+func TestHandlerEventsAllocateNothing(t *testing.T) {
+	e := New()
+	l := &tagLog{tags: make([]uint64, 0, 1024)}
+	fn := func() {}
+	e.AfterH(1, l, 0)
+	e.After(1, fn)
+	e.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		l.tags = l.tags[:0]
+		e.AfterH(1, l, 7)
+		e.After(1, fn)
+		e.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state AfterH+After allocates %.1f objects/op, want 0", allocs)
+	}
+}
