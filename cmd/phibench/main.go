@@ -186,9 +186,7 @@ func main() {
 		start := time.Now() //philint:ignore wallclock harness timing of the driver itself, not simulation state
 		r := runners[name].run(o)
 		runners[name].text(w, r)
-		if name != "fig23" { // trace recorders are not JSON-friendly
-			results[name] = r
-		}
+		results[name] = r
 		//philint:ignore wallclock harness timing of the driver itself, not simulation state
 		log.Printf("%s done in %v", name, time.Since(start).Round(time.Millisecond))
 	}

@@ -16,8 +16,9 @@
 // -eventlog) attach the internal/obs layer to the run and export its
 // artifacts; instrumentation never changes simulated outcomes. -perfetto
 // exports causal job spans as a Chrome trace-event file for ui.perfetto.dev,
-// -critpath writes the critical-path makespan attribution, and
-// -stream-events traces arbitrarily large runs in bounded memory by
+// -critpath writes the critical-path makespan attribution, -trace (CSV) and
+// -svg (Gantt chart) export the offload timeline read from the same spans,
+// and -stream-events traces arbitrarily large runs in bounded memory by
 // streaming JSONL during the run instead of retaining events.
 package main
 
@@ -33,7 +34,6 @@ import (
 	"phishare/internal/job"
 	"phishare/internal/obs"
 	"phishare/internal/rng"
-	"phishare/internal/trace"
 	"phishare/internal/units"
 	"phishare/internal/workload"
 )
@@ -90,7 +90,6 @@ func main() {
 		jobs = workload.Generate(workload.Config{Dist: d, N: *njobs, Seed: *seed})
 	}
 
-	var rec *trace.Recorder
 	runCfg := experiments.RunConfig{
 		Policy:         *policy,
 		Nodes:          *nodes,
@@ -98,23 +97,23 @@ func main() {
 		Jobs:           jobs,
 		Seed:           *seed,
 	}
-	if *traceOut != "" || *svgOut != "" {
-		rec = trace.NewRecorder()
-		runCfg.Trace = rec
-	}
+	// -perfetto, -critpath, -trace and -svg all read job spans.
+	wantSpans := *perfetto != "" || *critpath != "" || *traceOut != "" || *svgOut != ""
 	var o *obs.Observer
-	if *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" ||
-		*perfetto != "" || *critpath != "" || *streamOut != "" {
+	if wantSpans || *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" || *streamOut != "" {
 		o = obs.New()
 		o.SampleInterval = units.Tick(*sampleSec * float64(units.Second))
 		runCfg.Obs = o
 	}
-	// Spans assemble from the live canonical stream, so -perfetto/-critpath
+	// Spans assemble from the live canonical stream, so the span artifacts
 	// work even when -stream-events drops the trace after emission.
 	var spanB *obs.SpanBuilder
-	if o != nil && (*perfetto != "" || *critpath != "") {
+	if wantSpans {
 		spanB = obs.NewSpanBuilder()
 		o.Trace.AddConsumer(spanB)
+	}
+	if o != nil && *eventsOut == "" && *dashOut == "" {
+		o.Trace.SetStreaming(true) // nothing reads the retained trace
 	}
 	var streamFile *os.File
 	var stream *obs.StreamSink
@@ -173,6 +172,10 @@ func main() {
 	}
 	if spanB != nil {
 		spans := spanB.Spans()
+		names := make(map[int64]string, len(jobs))
+		for _, j := range jobs {
+			names[int64(j.ID)] = j.Name
+		}
 		writeArtifact(*perfetto, "Perfetto trace (JSON)", func(w io.Writer) error {
 			return obs.WriteChromeTrace(w, spans)
 		})
@@ -184,40 +187,20 @@ func main() {
 			}
 			return cp.WriteText(w)
 		})
+		writeArtifact(*svgOut, "timeline SVG", func(w io.Writer) error {
+			return obs.WriteOffloadSVG(w, spans, names, 240)
+		})
+		writeArtifact(*traceOut, "offload trace (CSV)", func(w io.Writer) error {
+			return obs.WriteOffloadCSV(w, spans, names)
+		})
+		if *traceOut != "" {
+			totalThreads := float64(*nodes * *devices * 240)
+			fmt.Printf("\ncluster thread occupancy over the run:\n[%s]\n",
+				obs.Sparkline(obs.OffloadTimeline(spans, 64, res.Makespan), totalThreads))
+		}
 	}
 	if elog != nil {
 		writeArtifact(*eventlog, "condor event log (CSV)", elog.WriteCSV)
-	}
-
-	if rec != nil && *svgOut != "" {
-		f, err := os.Create(*svgOut)
-		if err != nil {
-			log.Fatalf("create %s: %v", *svgOut, err)
-		}
-		if err := rec.WriteSVG(f, 240); err != nil {
-			log.Fatalf("write svg: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote timeline SVG to %s", *svgOut)
-	}
-
-	if rec != nil && *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("create %s: %v", *traceOut, err)
-		}
-		if err := rec.WriteCSV(f); err != nil {
-			log.Fatalf("write trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %d offload intervals to %s", len(rec.Intervals()), *traceOut)
-		totalThreads := float64(*nodes * *devices * 240)
-		fmt.Printf("\ncluster thread occupancy over the run:\n[%s]\n",
-			trace.Sparkline(rec.Timeline(64, res.Makespan), totalThreads))
 	}
 
 	fmt.Printf("policy           %s\n", res.Policy)

@@ -1,7 +1,7 @@
 // Offload reproduces the paper's Fig. 1 literally: the vector-add offload
 // pragma expressed as a COI program, compiled (lowered) to a schedulable
 // job, and executed on the simulated Xeon Phi — DMA, kernel, and host
-// phases all visible in the trace.
+// phases all visible in the offload timeline.
 //
 //	go run ./examples/offload
 package main
@@ -12,9 +12,9 @@ import (
 
 	"phishare/internal/cluster"
 	"phishare/internal/coi"
+	"phishare/internal/obs"
 	"phishare/internal/runner"
 	"phishare/internal/sim"
-	"phishare/internal/trace"
 	"phishare/internal/units"
 )
 
@@ -51,16 +51,18 @@ func main() {
 	// shares the PCIe link.
 	eng := sim.New()
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
-	rec := trace.NewRecorder()
-	clu.Units[0].Device.Trace = rec
+	ob := obs.New()
+	clu.Units[0].Device.SetObserver(ob)
 
 	var makespan units.Tick
+	names := map[int64]string{}
 	for id := 1; id <= 2; id++ {
 		inst, err := prog.Lower(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		names[int64(inst.ID)] = inst.Name
 		runner.Run(clu.Units[0], inst, func(runner.Result) {
 			if eng.Now() > makespan {
 				makespan = eng.Now()
@@ -70,7 +72,7 @@ func main() {
 	eng.Run()
 
 	fmt.Printf("\ntwo concurrent instances on one Xeon Phi:\n")
-	fmt.Print(rec.Render(72, 240))
+	fmt.Print(obs.RenderOffloads(obs.SpansFromTrace(ob.Trace), names, 72, 240))
 	fmt.Printf("makespan %.2f s (kernels overlap; DMA shares the 6 GB/s link)\n",
 		makespan.Seconds())
 }

@@ -157,16 +157,6 @@ func Parse(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse parses src and panics on error. For use with expression
-// constants whose validity is guaranteed by construction.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	lex lexer
 	tok token

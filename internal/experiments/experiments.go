@@ -7,11 +7,11 @@ import (
 	"phishare/internal/core"
 
 	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/phi"
 	"phishare/internal/rng"
 	"phishare/internal/runner"
 	"phishare/internal/sim"
-	"phishare/internal/trace"
 	"phishare/internal/units"
 	"phishare/internal/workload"
 )
@@ -312,19 +312,23 @@ func Fig10(o Options) Fig10Result {
 
 // --- E8: Figs. 2–3 ---
 
-// Fig23Result holds the two offload-overlap timelines.
+// Fig23Result holds the two offload-overlap timelines as job spans (job
+// ids 1 and 2; fig23Names names them).
 type Fig23Result struct {
 	// Maximal is the Fig. 2 case: two jobs whose offloads each use all 240
 	// threads; sharing interleaves host gaps but offloads serialize.
-	Maximal           *trace.Recorder
+	Maximal           []*obs.Span
 	MaximalMakespan   units.Tick
 	MaximalSequential units.Tick
 	// Partial is the Fig. 3 case: two 120-thread jobs whose offloads
 	// overlap freely.
-	Partial           *trace.Recorder
+	Partial           []*obs.Span
 	PartialMakespan   units.Tick
 	PartialSequential units.Tick
 }
+
+// fig23Names maps the E8 job ids to the names the timelines print.
+var fig23Names = map[int64]string{1: "J1", 2: "J2"}
 
 // fig23Job builds the illustrative two-offload/three-offload jobs of
 // Figs. 2–3.
@@ -342,17 +346,17 @@ func fig23Job(id int, name string, threads units.Threads, offloads int) *job.Job
 	return j
 }
 
-// Fig23 runs E8: each pair shares one COSMIC-managed device; the recorder
-// captures the resulting usage profile.
+// Fig23 runs E8: each pair shares one COSMIC-managed device, whose
+// observer records the resulting usage profile as job spans.
 func Fig23(o Options) Fig23Result {
 	o = o.Defaults()
-	run := func(threads units.Threads) (*trace.Recorder, units.Tick, units.Tick) {
+	run := func(threads units.Threads) ([]*obs.Span, units.Tick, units.Tick) {
 		eng := sim.New()
 		clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: o.Seed})
-		rec := trace.NewRecorder()
-		clu.Units[0].Device.Trace = rec
-		j1 := fig23Job(1, "J1", threads, 2)
-		j2 := fig23Job(2, "J2", threads, 3)
+		ob := obs.New()
+		clu.Units[0].Device.SetObserver(ob)
+		j1 := fig23Job(1, fig23Names[1], threads, 2)
+		j2 := fig23Job(2, fig23Names[2], threads, 3)
 		var makespan units.Tick
 		for _, j := range []*job.Job{j1, j2} {
 			runner.Run(clu.Units[0], j, func(runner.Result) {
@@ -362,7 +366,7 @@ func Fig23(o Options) Fig23Result {
 			})
 		}
 		eng.Run()
-		return rec, makespan, j1.SequentialTime() + j2.SequentialTime()
+		return obs.SpansFromTrace(ob.Trace), makespan, j1.SequentialTime() + j2.SequentialTime()
 	}
 	var out Fig23Result
 	out.Maximal, out.MaximalMakespan, out.MaximalSequential = run(240)

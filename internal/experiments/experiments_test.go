@@ -12,6 +12,7 @@ import (
 	"phishare/internal/faults"
 	"phishare/internal/job"
 	"phishare/internal/metrics"
+	"phishare/internal/obs"
 	"phishare/internal/rng"
 	"phishare/internal/units"
 	"phishare/internal/workload"
@@ -221,14 +222,25 @@ func TestFig23Shape(t *testing.T) {
 	if parSave <= maxSave {
 		t.Errorf("partial saving %.2f not better than maximal %.2f", parSave, maxSave)
 	}
-	// The maximal case must never oversubscribe: no overlapping intervals
+	// The maximal case must never oversubscribe: no overlapping offloads
 	// with combined threads > 240.
-	ivs := r.Maximal.Intervals()
-	for i := range ivs {
-		for j := i + 1; j < len(ivs); j++ {
-			if ivs[i].End > ivs[j].Start && ivs[j].End > ivs[i].Start &&
-				ivs[i].Threads+ivs[j].Threads > 240 {
-				t.Errorf("oversubscribed overlap: %+v and %+v", ivs[i], ivs[j])
+	var offs []obs.Offload
+	for _, s := range r.Maximal {
+		for _, a := range s.Attempts {
+			offs = append(offs, a.Offloads...)
+		}
+	}
+	if len(offs) != 5 {
+		t.Fatalf("maximal case recorded %d offloads, want 5 (2 + 3)", len(offs))
+	}
+	for i := range offs {
+		if offs[i].Open {
+			t.Errorf("offload %+v never ended", offs[i])
+		}
+		for j := i + 1; j < len(offs); j++ {
+			if offs[i].End > offs[j].Start && offs[j].End > offs[i].Start &&
+				offs[i].Threads+offs[j].Threads > 240 {
+				t.Errorf("oversubscribed overlap: %+v and %+v", offs[i], offs[j])
 			}
 		}
 	}

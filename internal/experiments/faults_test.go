@@ -10,6 +10,7 @@ import (
 	"phishare/internal/faults"
 	"phishare/internal/job"
 	"phishare/internal/metrics"
+	"phishare/internal/obs"
 	"phishare/internal/rng"
 )
 
@@ -18,11 +19,13 @@ import (
 // armed but no fault profile must leave every policy's job records and
 // makespan bit-identical to a bare run. The checker hooks (AfterStep,
 // OnTerminal chaining, an attached event log) observe without perturbing.
+// The checked run also carries an observer, whose spans must hold no
+// matchless attempt.
 func TestChaosDisabledPreservesOutcomes(t *testing.T) {
 	const seed = 11
 	jobs := job.GenerateTableOneSet(90, rng.New(seed))
 	for _, policy := range Policies() {
-		run := func(h *faults.Harness) (Result, []metrics.JobRecord) {
+		run := func(h *faults.Harness, o *obs.Observer) (Result, []metrics.JobRecord) {
 			var recs []metrics.JobRecord
 			res := Run(RunConfig{
 				Policy:     policy,
@@ -31,12 +34,15 @@ func TestChaosDisabledPreservesOutcomes(t *testing.T) {
 				Seed:       seed,
 				RecordSink: &recs,
 				Chaos:      h,
+				Obs:        o,
 			})
 			return res, recs
 		}
-		bare, bareRecs := run(nil)
+		bare, bareRecs := run(nil, nil)
 		h := &faults.Harness{Check: true, Seed: seed}
-		checked, checkedRecs := run(h)
+		o := obs.New()
+		checked, checkedRecs := run(h, o)
+		requireMatchedAttempts(t, policy, o)
 
 		if v := h.Finish(); len(v) != 0 {
 			t.Fatalf("%s: invariant violations in a fault-free run:\n%v", policy, v)
@@ -62,11 +68,31 @@ func TestChaosDisabledPreservesOutcomes(t *testing.T) {
 	}
 }
 
+// requireMatchedAttempts fails if the run's spans hold an attempt no
+// condor match opened. The span builder keeps machine-less attempts only
+// for runner-only streams; in a pool-driven run, clean or under faults,
+// every offload must land on a matched attempt.
+func requireMatchedAttempts(t *testing.T, policy string, o *obs.Observer) {
+	t.Helper()
+	spans := obs.SpansFromTrace(o.Trace)
+	if len(spans) == 0 {
+		t.Fatalf("%s: no spans recorded", policy)
+	}
+	for _, s := range spans {
+		for _, a := range s.Attempts {
+			if a.Machine == "" {
+				t.Fatalf("%s: job %d has a matchless attempt: %+v", policy, s.Job, a)
+			}
+		}
+	}
+}
+
 // TestChaosInjectsFaults asserts the swarm's profiles actually bite: a
 // heavy-profile run must record device failures and evictions, and still
 // satisfy every invariant.
 func TestChaosInjectsFaults(t *testing.T) {
 	h := &faults.Harness{Profile: faults.HeavyProfile(), Seed: 3, Check: true}
+	o := obs.New()
 	Run(RunConfig{
 		Policy: PolicyMCC,
 		Nodes:  3,
@@ -74,10 +100,12 @@ func TestChaosInjectsFaults(t *testing.T) {
 		Seed:   3,
 		Condor: condor.Config{MaxRetries: 4},
 		Chaos:  h,
+		Obs:    o,
 	})
 	if v := h.Finish(); len(v) != 0 {
 		t.Fatalf("invariant violations under the heavy profile:\n%v", v)
 	}
+	requireMatchedAttempts(t, PolicyMCC, o)
 	s := h.InjectorStats()
 	if s.DeviceFailures == 0 && s.NodeLosses == 0 {
 		t.Errorf("heavy profile injected no device/node failures: %+v", s)

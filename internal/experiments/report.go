@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"phishare/internal/obs"
 	"phishare/internal/units"
 	"phishare/internal/workload"
 )
@@ -120,11 +121,11 @@ func WriteFig10(w io.Writer, r Fig10Result) {
 func WriteFig23(w io.Writer, r Fig23Result) {
 	fmt.Fprintf(w, "== E8: Figs. 2-3 — offload overlap on a shared coprocessor ==\n")
 	fmt.Fprintf(w, "Fig. 2 (two 240-thread jobs; offloads serialize, host gaps interleave):\n")
-	fmt.Fprint(w, r.Maximal.Render(72, 240))
+	fmt.Fprint(w, obs.RenderOffloads(r.Maximal, fig23Names, 72, 240))
 	fmt.Fprintf(w, "concurrent makespan %.0fs vs sequential %.0fs\n\n",
 		r.MaximalMakespan.Seconds(), r.MaximalSequential.Seconds())
 	fmt.Fprintf(w, "Fig. 3 (two 120-thread jobs; offloads overlap freely):\n")
-	fmt.Fprint(w, r.Partial.Render(72, 240))
+	fmt.Fprint(w, obs.RenderOffloads(r.Partial, fig23Names, 72, 240))
 	fmt.Fprintf(w, "concurrent makespan %.0fs vs sequential %.0fs\n\n",
 		r.PartialMakespan.Seconds(), r.PartialSequential.Seconds())
 }

@@ -72,10 +72,6 @@ type RunConfig struct {
 	LinkBandwidthMBps float64
 	// MaxSteps bounds the event count as a runaway guard; 0 means 500M.
 	MaxSteps uint64
-	// Trace, if non-nil, observes every device's offload lifecycle (job
-	// names are unique within a run, so one recorder can serve the whole
-	// cluster for CSV/JSON export).
-	Trace phi.TraceSink
 	// Stream switches the run to emit-and-drop record processing: terminal
 	// job records are folded into online aggregates (Result.Stream) the
 	// moment they happen and then released, so resident memory is O(active
@@ -184,11 +180,6 @@ func runOn(eng *sim.Engine, cfg RunConfig) Result {
 		LinkBandwidthMBps: cfg.LinkBandwidthMBps,
 		Seed:              cfg.Seed,
 	})
-	if cfg.Trace != nil {
-		for _, u := range clu.Units {
-			u.Device.Trace = cfg.Trace
-		}
-	}
 	pol := cfg.buildPolicy()
 	pool := condor.NewPool(eng, clu, pol, cfg.Condor)
 	pool.Log = cfg.EventLog

@@ -77,9 +77,6 @@ func (a *Aggregate) Add(r JobRecord) {
 // Jobs is the number of records folded in so far.
 func (a *Aggregate) Jobs() int { return a.jobs }
 
-// LastEnd is the latest EndTime seen so far — the record-level makespan.
-func (a *Aggregate) LastEnd() units.Tick { return a.lastEnd }
-
 // Summary finalizes the paper's per-run summary. Identical inputs produce
 // output bit-identical to Summarize over the corresponding record slice —
 // Summarize is implemented on top of Add.

@@ -10,10 +10,6 @@ import (
 	"phishare/internal/units"
 )
 
-// sparkPalette mirrors internal/trace's colorblind-safe SVG palette so
-// dashboards and offload timelines read as one visual family.
-var sparkPalette = []string{"#1f77b4", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f"}
-
 const (
 	sparkW = 560
 	sparkH = 48
@@ -104,7 +100,7 @@ func (o *Observer) writeSparklines(sb *strings.Builder) {
 		fmt.Fprintf(sb, "<div class=\"series\"><span class=\"name\">%s</span>"+
 			"<span class=\"stats\">min %s &middot; mean %s &middot; max %s &middot; last %s</span><br>\n",
 			html.EscapeString(name), formatFloat(minV), formatFloat(mean), formatFloat(maxV), formatFloat(last))
-		writeSparkSVG(sb, vals, sparkPalette[i%len(sparkPalette)])
+		writeSparkSVG(sb, vals, palette[i%len(palette)])
 		sb.WriteString("</div>\n")
 	}
 }
@@ -160,7 +156,7 @@ func (o *Observer) writeMakespanPanel(sb *strings.Builder) {
 		barW := int(s.Frac * 240)
 		fmt.Fprintf(sb, "<tr><td>%s</td><td class=\"num\">%.1f s</td><td class=\"num\">%.1f%%</td>"+
 			"<td><svg width=\"240\" height=\"12\"><rect width=\"%d\" height=\"12\" fill=\"%s\"/></svg></td></tr>\n",
-			html.EscapeString(s.Key), s.Total.Seconds(), 100*s.Frac, barW, sparkPalette[0])
+			html.EscapeString(s.Key), s.Total.Seconds(), 100*s.Frac, barW, palette[0])
 	}
 	sb.WriteString("</table>\n")
 	if len(cp.ByWhere) > 0 {

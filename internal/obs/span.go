@@ -31,7 +31,7 @@ type Offload struct {
 // Attempt is one match→execution of a job on a machine. A crashed attempt
 // ends at the crash; a resubmit opens a new attempt on the next match.
 type Attempt struct {
-	Machine         string
+	Machine         string // "" (and Match -1) on a runner-only stream, which has no match
 	Match           units.Tick
 	Execute         units.Tick // dispatch latency elapsed, host process starts
 	End             units.Tick // terminate or crash instant
@@ -248,9 +248,14 @@ func (b *SpanBuilder) Consume(e Event) {
 	case LayerPhi:
 		switch e.Kind {
 		case "offload_start":
-			a := b.span(jobID, e.At).cur()
+			s := b.span(jobID, e.At)
+			a := s.cur()
 			if a == nil {
-				return
+				// A runner-only stream (no condor pool, as in the Figs. 2–3
+				// pairs) never matches: keep its offloads on a machine-less
+				// attempt.
+				a = &Attempt{Match: -1, Execute: -1, End: -1, Open: true}
+				s.Attempts = append(s.Attempts, a)
 			}
 			threads, _ := fieldInt(e, "threads")
 			wait := b.pendingWait[jobID]

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"phishare/internal/units"
@@ -292,5 +293,43 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("chrome trace output not deterministic")
+	}
+}
+
+// TestSpanBuilderRunnerOnlyStream: a stream without a condor pool (jobs
+// driven straight onto a device, as in the Figs. 2–3 pairs) has no match
+// event. Its offloads are kept on one machine-less attempt per job, and an
+// offload with no end stays marked Open.
+func TestSpanBuilderRunnerOnlyStream(t *testing.T) {
+	tr := NewTrace()
+	e := tr.Emit
+	dev := F("device", "slot1@node0")
+	e(2000, LayerPhi, "offload_start", dev, F("job", 1), F("threads", units.Threads(240)))
+	e(5000, LayerPhi, "offload_end", dev, F("job", 1), F("completed", true))
+	e(5000, LayerPhi, "offload_start", dev, F("job", 2), F("threads", units.Threads(240)))
+	e(7000, LayerPhi, "offload_start", dev, F("job", 1), F("threads", units.Threads(240)))
+	e(8000, LayerPhi, "offload_end", dev, F("job", 2), F("completed", false))
+	spans := SpansFromTrace(tr)
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
+	}
+	want := [][]Offload{
+		{
+			{Device: "slot1@node0", Start: 2000, End: 5000, Threads: 240, Completed: true},
+			{Device: "slot1@node0", Start: 7000, End: -1, Threads: 240, Open: true},
+		},
+		{{Device: "slot1@node0", Start: 5000, End: 8000, Threads: 240}},
+	}
+	for i, s := range spans {
+		if len(s.Attempts) != 1 {
+			t.Fatalf("job %d: %d attempts, want 1", s.Job, len(s.Attempts))
+		}
+		a := s.Attempts[0]
+		if a.Machine != "" || a.Match != -1 || !a.Open {
+			t.Errorf("job %d: attempt %+v, want an open machine-less attempt", s.Job, a)
+		}
+		if !reflect.DeepEqual(a.Offloads, want[i]) {
+			t.Errorf("job %d offloads:\n got %+v\nwant %+v", s.Job, a.Offloads, want[i])
+		}
 	}
 }

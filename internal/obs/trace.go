@@ -96,7 +96,6 @@ type Trace struct {
 	scratch   []Field
 	consumers []EventSink
 	streaming bool
-	emitted   int64
 }
 
 // traceChunk is the per-block event capacity: big enough to amortize the
@@ -129,9 +128,6 @@ func (t *Trace) SetStreaming(on bool) {
 	t.streaming = on
 }
 
-// Streaming reports whether the trace is in emit-and-drop mode.
-func (t *Trace) Streaming() bool { return t != nil && t.streaming }
-
 // Emit appends one event. Safe on a nil trace, but callers on hot paths
 // should guard with a nil check so the variadic fields are never built
 // when tracing is off.
@@ -139,7 +135,6 @@ func (t *Trace) Emit(at units.Tick, layer, kind string, fields ...Field) {
 	if t == nil {
 		return
 	}
-	t.emitted++
 	// Copy the fields out of the argument slice before anything retains
 	// them: the caller's variadic slice then provably does not escape, so
 	// every guarded emit site builds it on the stack.
@@ -185,15 +180,6 @@ func (t *Trace) retainFields(fields []Field) []Field {
 	t.farena[last] = blk
 	start := len(blk) - len(fields)
 	return blk[start:len(blk):len(blk)]
-}
-
-// Emitted returns the total number of events emitted, including events
-// dropped after consumption in streaming mode (0 for nil).
-func (t *Trace) Emitted() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.emitted
 }
 
 // Len returns the number of recorded events (0 for nil).

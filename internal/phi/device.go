@@ -97,17 +97,6 @@ type UtilSink interface {
 	Record(now units.Tick, busyCores int)
 }
 
-// TraceSink observes offload lifecycle events on the device, at actual
-// device occupancy times (after any COSMIC queueing). trace.Recorder
-// implements it to reconstruct the usage profiles of Figs. 2–3.
-type TraceSink interface {
-	// OffloadStarted fires when a kernel begins occupying threads.
-	OffloadStarted(now units.Tick, jobName string, threads units.Threads)
-	// OffloadEnded fires when the kernel completes (completed=true) or its
-	// process dies mid-offload (completed=false).
-	OffloadEnded(now units.Tick, jobName string, completed bool)
-}
-
 // OffloadOutcome reports how an offload ended.
 type OffloadOutcome int
 
@@ -187,9 +176,6 @@ func (p *Process) Alive() bool { return p.alive }
 // Usage returns the process's committed device memory.
 func (p *Process) Usage() units.MB { return p.usage }
 
-// Offloading reports whether the process has an in-flight offload.
-func (p *Process) Offloading() bool { return p.off != nil }
-
 // offload is one in-flight kernel execution.
 type offload struct {
 	proc      *Process
@@ -227,9 +213,6 @@ type Device struct {
 	// occupy disjoint cores (package cosmic sets this). Without it, default
 	// MPSS placement overlaps offloads on the same cores.
 	Affinitized bool
-
-	// Trace, if non-nil, observes offload start/end events.
-	Trace TraceSink
 
 	procs    map[*Process]bool
 	offloads []*offload
@@ -494,9 +477,6 @@ func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick
 	d.offloads = append(d.offloads, o)
 	d.stats.OffloadsStarted++
 	d.obsStarted.Inc()
-	if d.Trace != nil {
-		d.Trace.OffloadStarted(d.eng.Now(), p.Job.Name, threads)
-	}
 	if d.obs != nil {
 		d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_start",
 			obs.F("device", d.obsDev), obs.F("job", p.Job.ID),
@@ -524,9 +504,6 @@ func (d *Device) abortOffload(o *offload) {
 	o.proc.off = nil
 	d.stats.OffloadsAborted++
 	d.obsAborted.Inc()
-	if d.Trace != nil {
-		d.Trace.OffloadEnded(d.eng.Now(), o.proc.Job.Name, false)
-	}
 	if d.obs != nil {
 		d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_end",
 			obs.F("device", d.obsDev), obs.F("job", o.proc.Job.ID),
@@ -690,9 +667,6 @@ func (d *Device) onCompletionTick() {
 		o.proc.off = nil
 		d.stats.OffloadsCompleted++
 		d.obsComplete.Inc()
-		if d.Trace != nil {
-			d.Trace.OffloadEnded(d.eng.Now(), o.proc.Job.Name, true)
-		}
 		if d.obs != nil {
 			d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_end",
 				obs.F("device", d.obsDev), obs.F("job", o.proc.Job.ID),

@@ -315,8 +315,7 @@ func (d *Diurnal) Next() (Arrival, bool) {
 		if d.cfg.Tenants > 1 {
 			tenant = pickCum(d.cumWeight, d.tenantR.Float64())
 		}
-		j := synthesize(id, d.cfg.Jobs, d.jobR)
-		j.Name = fmt.Sprintf("diurnal-%s#%d", d.cfg.Jobs.Dist, id)
+		j := synthesize(id, fmt.Sprintf("diurnal-%s#%d", d.cfg.Jobs.Dist, id), d.cfg.Jobs, d.jobR)
 		// Coarsen the declared memory request (see MemQuantum). Rounding
 		// up keeps ActualPeakMem ≤ Mem and every admission guarantee.
 		if q := d.cfg.MemQuantum; q > 1 {

@@ -128,13 +128,14 @@ func Generate(cfg Config) []*job.Job {
 	r := rng.New(cfg.Seed).Fork("workload-" + cfg.Dist.String())
 	jobs := make([]*job.Job, cfg.N)
 	for i := range jobs {
-		jobs[i] = synthesize(i, cfg, r)
+		jobs[i] = synthesize(i, fmt.Sprintf("syn-%s#%d", cfg.Dist, i), cfg, r)
 	}
 	return jobs
 }
 
-// synthesize draws one synthetic offload job at resource level x.
-func synthesize(id int, cfg Config, r *rng.Source) *job.Job {
+// synthesize draws one synthetic offload job, named name, at resource
+// level x.
+func synthesize(id int, name string, cfg Config, r *rng.Source) *job.Job {
 	x := cfg.Dist.Level(r)
 
 	mem := cfg.MinMem + units.MB(x*float64(cfg.MaxMem-cfg.MinMem))
@@ -151,7 +152,7 @@ func synthesize(id int, cfg Config, r *rng.Source) *job.Job {
 
 	j := &job.Job{
 		ID:       id,
-		Name:     fmt.Sprintf("syn-%s#%d", cfg.Dist, id),
+		Name:     name,
 		Workload: "synthetic",
 		Mem:      mem,
 		Threads:  th,
