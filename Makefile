@@ -41,13 +41,16 @@ vet:
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
 # from sim-path entries through any call chain; pureselect: classad.Match
-# and Policy Select/SelectN implementations are observably pure). Legitimate sites
+# and Policy Select/SelectN implementations are observably pure; deadapi:
+# every exported internal/ identifier has a non-test reference somewhere
+# in the module). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # Every rule reads one go/types check of the module, so the gate is one
 # analyzer run (~2 s cold); `go run ./cmd/philint -json ./...` gives the
-# same findings machine-readably. gofmt cleanliness over the whole tree
-# rides along.
+# same findings machine-readably. The load covers examples/ too: the demos
+# obey every rule, and their calls keep the API they use alive. gofmt
+# cleanliness over the whole tree rides along.
 lint:
 	$(GO) run ./cmd/philint ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -136,15 +139,18 @@ chaos:
 		-run '^TestInvariantSwarm$$|^TestChaosDiffSwarm$$|^TestStreamChaosSwarm$$' ./internal/experiments
 
 # Fuzz targets: the classad parser/matcher robustness contracts, the
-# constant-Requirements fold's differential check against classad.Match, and
-# the obs JSON encoder's differential check against encoding/json. Plain `go test`
+# constant-Requirements fold's differential check against classad.Match,
+# the obs JSON encoder's differential check against encoding/json, and the
+# job-set decoder behind phisched -input (errors, never panics; a decoded
+# set round-trips through StreamWriter). Plain `go test`
 # replays only their seed corpora (testdata/fuzz/); this leg mutates past
 # them for FUZZTIME per target. A failing input is saved under the
 # package's testdata/fuzz/<target>/ as a regression seed.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = ./internal/classad:FuzzParse ./internal/classad:FuzzMatch \
 	./internal/classad:FuzzTargetFreeFold \
-	./internal/obs:FuzzAppendJSONString ./internal/obs:FuzzEventAppendJSON
+	./internal/obs:FuzzAppendJSONString ./internal/obs:FuzzEventAppendJSON \
+	./internal/job:FuzzReadJSON
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

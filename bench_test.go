@@ -192,9 +192,10 @@ func BenchmarkKnapsack2D(b *testing.B) {
 		}
 	}
 	cfg := knapsack.Config{MemCapacity: 8192, ThreadCapacity: 240}
+	s := knapsack.NewSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		knapsack.Solve(cfg, items)
+		s.Solve(cfg, items)
 	}
 }
 
@@ -206,9 +207,10 @@ func BenchmarkKnapsack1D(b *testing.B) {
 		items[i] = knapsack.Item{Mem: units.MB(300 + r.Intn(3000)), Value: int64(1 + r.Intn(1000))}
 	}
 	cfg := knapsack.Config{MemCapacity: 8192}
+	s := knapsack.NewSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		knapsack.Solve(cfg, items)
+		s.Solve(cfg, items)
 	}
 }
 
@@ -340,27 +342,6 @@ func BenchmarkEstimation(b *testing.B) {
 	}
 }
 
-// BenchmarkKnapsackGreedyVsDP measures the value-density heuristic on the
-// same instance as BenchmarkKnapsack2D, quantifying the complexity gap the
-// paper's §IV-C discussion trades against exactness.
-func BenchmarkKnapsackGreedyVsDP(b *testing.B) {
-	r := rng.New(9)
-	items := make([]knapsack.Item, 64)
-	for i := range items {
-		th := units.Threads(4 * (6 + r.Intn(55)))
-		items[i] = knapsack.Item{
-			Mem:     units.MB(300 + r.Intn(3000)),
-			Threads: th,
-			Value:   knapsack.Eq1Value(th, 240)*knapsack.CountBonusScale(64) + 1,
-		}
-	}
-	cfg := knapsack.Config{MemCapacity: 8192, ThreadCapacity: 240}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		knapsack.SolveGreedy(cfg, items)
-	}
-}
-
 // BenchmarkNegotiate measures one isolated matchmaking cycle against a
 // prepared queue at several depths, with one machine ad churned per cycle so
 // the incremental autocluster path has real invalidation work to do (the
@@ -441,7 +422,7 @@ func BenchmarkNegotiate(b *testing.B) {
 		eng := sim.New()
 		clu := cluster.New(eng, cluster.Config{Nodes: 200, Seed: 1})
 		pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(1)), condor.Config{})
-		slots := 200 * pool.Config().HostSlots
+		slots := 200 * pool.Machines()[0].HostSlots
 		pool.Submit(job.GenerateTableOneSet(slots+20_000, rng.New(11).Fork("tableI")))
 		pool.NegotiateOnce() // claims every host slot
 		if pool.InFlight() != slots || len(pool.Pending()) != 20_000 {

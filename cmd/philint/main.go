@@ -12,16 +12,15 @@
 //	go run ./cmd/philint -rules         # describe the rules and exit
 //
 // The whole module is always parsed and type-checked, once, and every rule
-// reads that one check. The whole-program rules (dettaint, pureselect)
-// follow call chains across package boundaries, so a narrower load would
+// reads that one check. The whole-program rules (dettaint, pureselect,
+// deadapi) see across package boundaries, so a narrower load would
 // silently weaken them. Package
 // patterns only scope which findings are REPORTED: a finding is shown when
 // its primary position or its entry attribution falls inside a matched
 // package.
 //
-// Test files and the runnable demos under examples/ are outside the
-// enforcement scope; everything else in internal/... and cmd/... is walked,
-// parsed, and checked.
+// Test files are outside the enforcement scope; every other package,
+// examples/ and bench/ included, is walked, parsed, and checked.
 package main
 
 import (

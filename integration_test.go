@@ -183,8 +183,8 @@ func TestMultiDeviceNodes(t *testing.T) {
 	if len(probe.violations) > 0 {
 		t.Fatalf("violations: %v", probe.violations[0])
 	}
-	if clu.DeviceCount() != 4 {
-		t.Fatalf("device count %d", clu.DeviceCount())
+	if len(clu.Units) != 4 {
+		t.Fatalf("device count %d", len(clu.Units))
 	}
 	used := map[string]bool{}
 	for _, q := range pool.Jobs() {

@@ -124,20 +124,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// RunPackage type-checks one package on its own and applies one analyzer
-// to it, ignoring AppliesTo and suppression directives. It is the
-// primitive the golden tests drive.
-func RunPackage(a *Analyzer, pkg *Package) ([]Finding, error) {
-	mod, err := TypeCheck([]*Package{pkg})
-	if err != nil {
-		return nil, err
-	}
-	var findings []Finding
-	a.Run(&Pass{Fset: pkg.Fset, Pkg: pkg, Info: mod.Info, findings: &findings})
-	sortFindings(findings)
-	return findings, nil
-}
-
 // LintAll is the gate behind cmd/philint. It type-checks the module, runs
 // the per-file suite with package scoping, then the whole-program suite
 // over the module and its call graph, and applies suppression across both

@@ -24,6 +24,20 @@ func loadFixture(t *testing.T, dir string) *Package {
 	return pkg
 }
 
+// runPackage type-checks one package on its own and applies one analyzer
+// to it, ignoring AppliesTo and suppression directives: the primitive the
+// golden tests drive.
+func runPackage(a *Analyzer, pkg *Package) ([]Finding, error) {
+	mod, err := TypeCheck([]*Package{pkg})
+	if err != nil {
+		return nil, err
+	}
+	var findings []Finding
+	a.Run(&Pass{Fset: pkg.Fset, Pkg: pkg, Info: mod.Info, findings: &findings})
+	sortFindings(findings)
+	return findings, nil
+}
+
 // render formats findings with basename-relative paths, one per line, in
 // the same file:line: rule: message form cmd/philint prints.
 func render(findings []Finding) string {
@@ -44,7 +58,7 @@ func TestGolden(t *testing.T) {
 		t.Run(a.Name, func(t *testing.T) {
 			dir := filepath.Join("testdata", a.Name)
 			pkg := loadFixture(t, dir)
-			findings, err := RunPackage(a, pkg)
+			findings, err := runPackage(a, pkg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +226,8 @@ func TestScoping(t *testing.T) {
 
 // TestModuleIsClean is the in-process version of the make lint gate: the
 // tree itself must carry zero unsuppressed findings, so a regression
-// shows up in go test as well as in CI.
+// shows up in go test as well as in CI. The load includes examples/, so
+// deadapi counts the demos' calls and the demos obey every rule.
 func TestModuleIsClean(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -224,6 +239,15 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	if len(pkgs) < 10 {
 		t.Fatalf("LoadModule found only %d packages; walk is broken", len(pkgs))
+	}
+	examples := 0
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.Rel, "examples/") {
+			examples++
+		}
+	}
+	if examples == 0 {
+		t.Fatal("LoadModule skipped examples/")
 	}
 	findings := LintAll(pkgs, Analyzers(), WholeAnalyzers())
 	for _, f := range findings {

@@ -534,16 +534,6 @@ func (r *Reachability) Reaches(fn *FuncInfo) bool {
 	return ok
 }
 
-// Funcs returns every reachable function in deterministic order.
-func (r *Reachability) Funcs() []*FuncInfo {
-	out := make([]*FuncInfo, 0, len(r.first))
-	for fi := range r.first {
-		out = append(out, fi)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-	return out
-}
-
 // Chain reconstructs a shortest call chain root → … → fn. The first element
 // is a sim-path (root) function; each element carries the call position
 // inside the PREVIOUS element that advances the chain (the root's pos is

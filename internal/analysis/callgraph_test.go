@@ -113,7 +113,7 @@ func TestCallGraphReachability(t *testing.T) {
 	if r.Reaches(unreferenced) {
 		t.Error("Unreferenced must stay unreachable from the whole app package")
 	}
-	if got := len(r.Funcs()); got < 10 {
+	if got := len(r.first); got < 10 {
 		t.Errorf("whole-app reachability found %d funcs, want >= 10", got)
 	}
 }

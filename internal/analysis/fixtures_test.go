@@ -50,6 +50,11 @@ func loadFixtureModule(t *testing.T, dir string) (*Module, []*Package) {
 	return mod, pkgs
 }
 
+// recvTypeName renders the receiver's bare type name ("Pool", "Dog").
+func recvTypeName(fi *FuncInfo) string {
+	return strings.TrimPrefix(recvTypeExpr(fi), "*")
+}
+
 // fixtureFunc finds a declared function by package rel and name; methods are
 // addressed as "Type.Method" or "(*Type).Method"-style via their Name only
 // when unambiguous, or "Recv.Name" otherwise.

@@ -30,23 +30,10 @@ type Package struct {
 // with the given module-relative path. Directories with no Go files yield
 // a nil package.
 func LoadDir(fset *token.FileSet, dir, rel string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	names, err := goFiles(dir)
+	if err != nil || len(names) == 0 {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, nil
-	}
-	sort.Strings(names)
 	pkg := &Package{Fset: fset, Dir: dir, Rel: rel, Lines: map[string][]string{}}
 	for _, name := range names {
 		path := filepath.Join(dir, name)
@@ -64,28 +51,39 @@ func LoadDir(fset *token.FileSet, dir, rel string) (*Package, error) {
 	return pkg, nil
 }
 
-// skipDirs are directory names never descended into: fixtures, VCS state,
-// and the runnable documentation under examples/ (demo mains outside the
-// determinism contract — they drive the simulation, they are not part of
-// it).
+// goFiles lists the non-test .go files directly in dir, sorted.
+func goFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
+			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// skipDirs are directory names never descended into: fixtures, VCS state
+// and vendored code. The runnable demos under examples/ are loaded: the
+// module-wide rules bind them like any main package, and their calls keep
+// the API they exercise alive for deadapi.
 var skipDirs = map[string]bool{
 	".git":     true,
 	"testdata": true,
-	"examples": true,
 	"vendor":   true,
 }
 
-// LoadModule walks the module rooted at root and parses every package
-// whose module-relative directory matches one of the patterns. Patterns
-// follow the go tool's shape: "./..." (everything), "./dir/..." (a
-// subtree), or "./dir" (one directory). Nil patterns mean "./...".
-func LoadModule(root string, patterns []string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	fset := token.NewFileSet()
-	var pkgs []*Package
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+// walkDirs calls fn for every directory under root that LoadModule may
+// load, with its slash-separated module-relative path.
+func walkDirs(root string, fn func(dir, rel string) error) error {
+	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -99,10 +97,25 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 		if rel != "." && (skipDirs[d.Name()] || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
 			return filepath.SkipDir
 		}
+		return fn(path, filepath.ToSlash(rel))
+	})
+}
+
+// LoadModule walks the module rooted at root and parses every package
+// whose module-relative directory matches one of the patterns. Patterns
+// follow the go tool's shape: "./..." (everything), "./dir/..." (a
+// subtree), or "./dir" (one directory). Nil patterns mean "./...".
+func LoadModule(root string, patterns []string) ([]*Package, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	fset := token.NewFileSet()
+	var pkgs []*Package
+	err := walkDirs(root, func(dir, rel string) error {
 		if !matchesAny(rel, patterns) {
 			return nil
 		}
-		pkg, err := LoadDir(fset, path, filepath.ToSlash(rel))
+		pkg, err := LoadDir(fset, dir, rel)
 		if err != nil {
 			return err
 		}

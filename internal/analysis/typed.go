@@ -59,9 +59,6 @@ type FuncInfo struct {
 	Pkg  *Package
 }
 
-// Rel returns the module-relative directory of the declaring package.
-func (fi *FuncInfo) Rel() string { return fi.Pkg.Rel }
-
 // TypeCheck type-checks the given packages as one module. Imports of other
 // module packages resolve within the set; standard-library imports resolve
 // through go/importer (export data when available, source otherwise). Any

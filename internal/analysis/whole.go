@@ -61,6 +61,7 @@ func WholeAnalyzers() []*WholeAnalyzer {
 	return []*WholeAnalyzer{
 		DetTaint,
 		PureSelect,
+		DeadAPI,
 	}
 }
 
@@ -99,11 +100,6 @@ func funcDisplayName(fi *FuncInfo) string {
 func recvTypeExpr(fi *FuncInfo) string {
 	t := fi.Decl.Recv.List[0].Type
 	return typeExprString(t)
-}
-
-// recvTypeName renders the receiver's bare type name ("Pool", "Dog").
-func recvTypeName(fi *FuncInfo) string {
-	return strings.TrimPrefix(recvTypeExpr(fi), "*")
 }
 
 func typeExprString(t ast.Expr) string {

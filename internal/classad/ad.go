@@ -30,10 +30,9 @@ func NewAd() *Ad { return &Ad{attrs: map[string]attr{}} }
 // Set binds name to a literal value, replacing any previous binding.
 func (a *Ad) Set(name string, v Value) { a.setExpr(name, litExpr{v}) }
 
-// SetInt, SetStr and SetBool are literal-binding conveniences.
+// SetInt and SetStr are literal-binding conveniences.
 func (a *Ad) SetInt(name string, i int64) { a.Set(name, Int(i)) }
 func (a *Ad) SetStr(name, s string)       { a.Set(name, Str(s)) }
-func (a *Ad) SetBool(name string, b bool) { a.Set(name, Bool(b)) }
 
 // SetExpr parses src and binds name to the resulting expression.
 func (a *Ad) SetExpr(name, src string) error {
@@ -60,25 +59,10 @@ func (a *Ad) setExpr(name string, e Expr) {
 	a.attrs[canonLower(name)] = attr{name: name, expr: e}
 }
 
-// Delete removes an attribute binding if present.
-func (a *Ad) Delete(name string) {
-	key := canonLower(name)
-	if _, ok := a.attrs[key]; ok {
-		a.version++
-		delete(a.attrs, key)
-	}
-}
-
 // Version reports the ad's mutation counter. Two calls returning the same
 // value guarantee the ad's contents did not change in between, so any value
 // derived purely from the contents (e.g. a Match result) is still valid.
 func (a *Ad) Version() uint64 { return a.version }
-
-// Has reports whether the ad binds name.
-func (a *Ad) Has(name string) bool {
-	_, ok := a.lookup(name)
-	return ok
-}
 
 func (a *Ad) lookup(name string) (Expr, bool) {
 	return a.lookupCanon(canonLower(name))
@@ -114,19 +98,6 @@ func (a *Ad) EvalWithTarget(name string, target *Ad) Value {
 	return expr.Eval(Env{My: a, Target: target})
 }
 
-// Clone returns a deep-enough copy: expressions are immutable once parsed,
-// so sharing them between the copies is safe. The clone starts at the
-// original's version; the two counters advance independently afterwards
-// (versions only promise "unchanged since I last looked at this ad").
-func (a *Ad) Clone() *Ad {
-	c := NewAd()
-	for k, v := range a.attrs {
-		c.attrs[k] = v
-	}
-	c.version = a.version
-	return c
-}
-
 // Names returns the bound attribute names in sorted order.
 func (a *Ad) Names() []string {
 	names := make([]string, 0, len(a.attrs))
@@ -160,9 +131,6 @@ const RequirementsAttr = "Requirements"
 // the matchmaking hot path.
 const canonRequirements = "requirements"
 
-// RankAttr orders acceptable matches (higher is better).
-const RankAttr = "Rank"
-
 // Match performs symmetric Condor matchmaking between two ads: each side's
 // Requirements expression must evaluate to true with the other ad as TARGET.
 // A missing Requirements attribute accepts anything (Condor inserts `true`
@@ -179,19 +147,4 @@ func requirementsHold(my, target *Ad) bool {
 	v := expr.Eval(Env{My: my, Target: target})
 	b, isBool := v.BoolValue()
 	return isBool && b
-}
-
-// Rank evaluates my's Rank against target. A missing or non-numeric Rank is
-// 0.0, matching Condor's default.
-func Rank(my, target *Ad) float64 {
-	expr, ok := my.lookup(RankAttr)
-	if !ok {
-		return 0
-	}
-	v := expr.Eval(Env{My: my, Target: target})
-	f, ok := v.RealValue()
-	if !ok {
-		return 0
-	}
-	return f
 }

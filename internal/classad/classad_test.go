@@ -269,21 +269,6 @@ func TestQeditPinningScenario(t *testing.T) {
 	}
 }
 
-func TestRank(t *testing.T) {
-	job := NewAd()
-	job.MustSetExpr("Rank", "TARGET.PhiFreeMemory")
-	m1 := NewAd()
-	m1.SetInt("PhiFreeMemory", 2048)
-	m2 := NewAd()
-	m2.SetInt("PhiFreeMemory", 8192)
-	if Rank(job, m1) >= Rank(job, m2) {
-		t.Error("rank did not prefer the machine with more free memory")
-	}
-	if Rank(NewAd(), m1) != 0 {
-		t.Error("missing Rank should default to 0")
-	}
-}
-
 func TestAdStringRoundTrips(t *testing.T) {
 	ad := NewAd()
 	ad.SetInt("X", 3)
@@ -324,25 +309,6 @@ func TestExprStringRoundTripPreservesValue(t *testing.T) {
 		if v1.String() != v2.String() {
 			t.Errorf("round trip of %q changed value: %v vs %v", src, v1, v2)
 		}
-	}
-}
-
-func TestClone(t *testing.T) {
-	a := NewAd()
-	a.SetInt("X", 1)
-	b := a.Clone()
-	b.SetInt("X", 2)
-	if v, _ := a.Eval("X").IntValue(); v != 1 {
-		t.Error("Clone is not independent")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	a := NewAd()
-	a.SetInt("X", 1)
-	a.Delete("x")
-	if a.Has("X") {
-		t.Error("Delete (case-insensitive) failed")
 	}
 }
 

@@ -137,8 +137,8 @@ func FuzzTargetFreeFold(f *testing.F) {
 		machines[2].SetStr("Pin", name)
 		machines[2].SetInt("RequestPhiMemory", -x)
 		machines[3].SetStr("X", name)
-		machines[3].SetBool("Pin", x%2 == 0)
-		machines[3].SetBool("Missing", true)
+		machines[3].Set("Pin", Bool(x%2 == 0))
+		machines[3].Set("Missing", Bool(true))
 		if fold := NewSigner().FoldRequirements(job); fold != FoldNone {
 			for i, m := range machines {
 				if got := Match(m, job); got != (fold == FoldTrue) {

@@ -82,15 +82,6 @@ type DeviceUnit struct {
 	Engine *sim.Engine
 }
 
-// Attach admits a job immediately, through COSMIC when present (bypassing
-// its memory admission; see Admit).
-func (u *DeviceUnit) Attach(j *job.Job) *phi.Process {
-	if u.Cosmic != nil {
-		return u.Cosmic.Attach(j)
-	}
-	return u.Device.Attach(j)
-}
-
 // Admit requests admission for a job. Under COSMIC, the job waits until its
 // declared memory fits the device (node-level memory admission, §V's "COSMIC
 // prevents them from oversubscribing memory"); ready fires when it is
@@ -203,12 +194,6 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	}
 	return c
 }
-
-// Config returns the (defaulted) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// DeviceCount is the total number of coprocessors.
-func (c *Cluster) DeviceCount() int { return len(c.Units) }
 
 // Utils collects the per-device utilization trackers.
 func (c *Cluster) Utils() []*metrics.CoreUtilization {

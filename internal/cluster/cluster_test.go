@@ -15,8 +15,8 @@ func TestNewDefaults(t *testing.T) {
 	if len(c.Nodes) != 8 {
 		t.Errorf("default nodes = %d, want 8", len(c.Nodes))
 	}
-	if c.DeviceCount() != 8 {
-		t.Errorf("default devices = %d, want 8", c.DeviceCount())
+	if len(c.Units) != 8 {
+		t.Errorf("default devices = %d, want 8", len(c.Units))
 	}
 	if c.Units[0].Cosmic != nil {
 		t.Error("default cluster has COSMIC enabled")
@@ -82,11 +82,22 @@ func testJob(id int) *job.Job {
 	}
 }
 
+// attach admits j through u; admission is immediate while j's memory fits.
+func attach(t *testing.T, u *DeviceUnit, j *job.Job) *phi.Process {
+	t.Helper()
+	var p *phi.Process
+	u.Admit(j, func(got *phi.Process) { p = got })
+	if p == nil {
+		t.Fatal("admission did not attach immediately")
+	}
+	return p
+}
+
 func TestUnitDelegationCosmic(t *testing.T) {
 	eng := sim.New()
 	c := New(eng, Config{Nodes: 1, UseCosmic: true})
 	u := c.Units[0]
-	p := u.Attach(testJob(1))
+	p := attach(t, u, testJob(1))
 	var end units.Tick
 	offload(u, p, 120, 2000, func(o phi.OffloadOutcome) {
 		if o != phi.OffloadCompleted {
@@ -109,8 +120,8 @@ func TestUnitDelegationRaw(t *testing.T) {
 	c := New(eng, Config{Nodes: 1})
 	u := c.Units[0]
 	// Raw mode: two 240-wide offloads overlap and slow down (no COSMIC).
-	p1 := u.Attach(testJob(1))
-	p2 := u.Attach(testJob(2))
+	p1 := attach(t, u, testJob(1))
+	p2 := attach(t, u, testJob(2))
 	var e1 units.Tick
 	offload(u, p1, 240, 2000, func(phi.OffloadOutcome) { e1 = eng.Now() })
 	offload(u, p2, 240, 2000, func(phi.OffloadOutcome) {})
@@ -126,7 +137,7 @@ func TestAvgCoreUtilization(t *testing.T) {
 	// One device fully busy for 1000 of 2000 ticks, the other idle:
 	// device utils are 0.5 and 0 -> average 0.25.
 	u := c.Units[0]
-	p := u.Attach(testJob(1))
+	p := attach(t, u, testJob(1))
 	offload(u, p, 240, 1000, func(phi.OffloadOutcome) {})
 	eng.Run()
 	got := c.AvgCoreUtilization(2000)

@@ -50,22 +50,6 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// EventKinds lists every kind, in declaration order.
-func EventKinds() []EventKind {
-	return []EventKind{EventSubmit, EventMatch, EventExecute, EventTerminate,
-		EventCrash, EventResubmit, EventStallAbort}
-}
-
-// ParseEventKind inverts EventKind.String.
-func ParseEventKind(s string) (EventKind, error) {
-	for _, k := range EventKinds() {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("condor: unknown event kind %q", s)
-}
-
 // Event is one job lifecycle record.
 type Event struct {
 	At      units.Tick
@@ -84,37 +68,15 @@ type EventLog struct {
 // NewEventLog returns an empty log.
 func NewEventLog() *EventLog { return &EventLog{} }
 
-// Append adds an event to the log. The pool records its own events; this
-// is for tooling that reconstructs a log from an external source (for
-// example, replaying a ReadCSV export back through the invariant checker).
+// Append adds an event to the log. The pool records its own events.
+//
+//philint:ignore deadapi test hook: faults' TestUsageViolationOrderIsDeterministic replays a doctored log
 func (l *EventLog) Append(e Event) { l.events = append(l.events, e) }
 
 // Events returns the recorded events in occurrence order.
 func (l *EventLog) Events() []Event {
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
-	return out
-}
-
-// Count returns how many events of the kind were recorded.
-func (l *EventLog) Count(kind EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// JobHistory returns the events of one job, in order.
-func (l *EventLog) JobHistory(jobID int) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.JobID == jobID {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 
@@ -138,45 +100,6 @@ func (l *EventLog) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a log previously exported by WriteCSV (header row
-// included) back into events.
-func ReadCSV(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("condor: event log header: %w", err)
-	}
-	if len(header) != 5 || header[0] != "time_ms" || header[1] != "event" {
-		return nil, fmt.Errorf("condor: unexpected event log header %v", header)
-	}
-	var events []Event
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		at, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("condor: event log line %d: bad time %q", line, rec[0])
-		}
-		kind, err := ParseEventKind(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("condor: event log line %d: %w", line, err)
-		}
-		jobID, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("condor: event log line %d: bad job id %q", line, rec[2])
-		}
-		events = append(events, Event{
-			At: units.Tick(at), Kind: kind, JobID: jobID,
-			User: rec[3], Machine: rec[4],
-		})
-	}
 }
 
 // record appends an event if a log is attached.

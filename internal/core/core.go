@@ -449,7 +449,3 @@ func (s *Scheduler) packDevice(p *condor.Pool, m *condor.Machine, candidates []*
 	}
 	return picked
 }
-
-// PlannedCount reports how many jobs the most recent planning round pinned
-// (for tests and instrumentation).
-func (s *Scheduler) PlannedCount() int { return s.lastPlanned }

@@ -19,7 +19,9 @@ func mkJob(id int, mem, actual units.MB, threads units.Threads) *job.Job {
 }
 
 func newMgr(eng *sim.Engine) *Manager {
-	dev := phi.NewDevice(eng, "node0/mic0", phi.BareConfig(), rng.New(1), nil)
+	// The 5110P with the contention model disabled, so timings stay exact.
+	bare := phi.Config{Cores: 60, ThreadsPerCore: 4, Memory: units.GB(8)}
+	dev := phi.NewDevice(eng, "node0/mic0", bare, rng.New(1), nil)
 	return New(eng, dev)
 }
 
@@ -36,7 +38,7 @@ func offload(m *Manager, p *phi.Process, threads units.Threads, work units.Tick,
 func TestNewEnablesAffinitization(t *testing.T) {
 	eng := sim.New()
 	m := newMgr(eng)
-	if !m.Device().Affinitized {
+	if !m.dev.Affinitized {
 		t.Error("COSMIC did not enable affinitized core accounting")
 	}
 }
@@ -70,8 +72,8 @@ func TestSerializationPreventsOversubscription(t *testing.T) {
 	var e1, e2 units.Tick
 	offload(m, p1, 240, 2000, func(phi.OffloadOutcome) { e1 = eng.Now() })
 	offload(m, p2, 240, 2000, func(phi.OffloadOutcome) { e2 = eng.Now() })
-	if m.Device().RunningThreads() > 240 {
-		t.Fatalf("device oversubscribed: %v threads", m.Device().RunningThreads())
+	if m.dev.RunningThreads() > 240 {
+		t.Fatalf("device oversubscribed: %v threads", m.dev.RunningThreads())
 	}
 	eng.Run()
 	if e1 != 2000 {
@@ -220,7 +222,7 @@ func TestContainerProtectsOtherTenants(t *testing.T) {
 	if honestOutcome != phi.OffloadCompleted {
 		t.Errorf("honest job outcome %v, want completed", honestOutcome)
 	}
-	if m.Device().Stats().OOMKills != 0 {
+	if m.dev.Stats().OOMKills != 0 {
 		t.Error("device OOM killer fired despite container protection")
 	}
 }
@@ -275,7 +277,7 @@ func TestManyJobsNeverOversubscribe(t *testing.T) {
 	widths := []units.Threads{60, 120, 180, 240}
 	oversub := false
 	check := func() {
-		if m.Device().RunningThreads() > 240 {
+		if m.dev.RunningThreads() > 240 {
 			oversub = true
 		}
 	}
@@ -292,7 +294,7 @@ func TestManyJobsNeverOversubscribe(t *testing.T) {
 	if oversub {
 		t.Error("device oversubscribed under COSMIC")
 	}
-	if got := m.Device().Stats().OffloadsCompleted; got != 30 {
+	if got := m.dev.Stats().OffloadsCompleted; got != 30 {
 		t.Errorf("%d offloads completed, want 30", got)
 	}
 }
@@ -372,7 +374,7 @@ func TestOversizedAdmitDoesNotDisturbTenants(t *testing.T) {
 	if honestOutcome != phi.OffloadCompleted {
 		t.Errorf("honest tenant outcome %v, want completed", honestOutcome)
 	}
-	if n := m.Device().Stats().OOMKills; n != 0 {
+	if n := m.dev.Stats().OOMKills; n != 0 {
 		t.Errorf("device OOM killer fired %d times during an oversized reject", n)
 	}
 	if killed != phi.KillContainer {
@@ -415,7 +417,7 @@ func TestDeclaredFreePurgeIsOrderDeterministic(t *testing.T) {
 	// Kill three jobs behind the manager's back, as a device failure or
 	// OOM would: DeclaredFree must purge them lazily.
 	for _, i := range []int{1, 3, 4} {
-		m.Device().Kill(procs[i], phi.KillDeviceFailure)
+		m.dev.Kill(procs[i], phi.KillDeviceFailure)
 	}
 	want := units.MB(8192 - 3*1000)
 	if got := m.DeclaredFree(); got != want {

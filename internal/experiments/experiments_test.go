@@ -108,6 +108,22 @@ func TestTable2Shape(t *testing.T) {
 	if mcck.Footprint >= r.Nodes {
 		t.Errorf("MCCK footprint %d shows no reduction from %d", mcck.Footprint, r.Nodes)
 	}
+
+	// Exact pins at this scale (seed 42, 4 nodes, 200 jobs). The orderings
+	// and the floor above survive many calibration changes; these do not.
+	// A change that moves them on purpose re-pins them and says why.
+	want := []Table2Row{
+		{Policy: "MC", Makespan: 1625365},
+		{Policy: "MCC", Makespan: 1106505, Reduction: 0.319226758297367, Footprint: 3},
+		{Policy: "MCCK", Makespan: 954095, Reduction: 0.412996465409308, Footprint: 3},
+	}
+	for i, w := range want {
+		g := r.Rows[i]
+		if g.Policy != w.Policy || g.Makespan != w.Makespan || g.Reduction != w.Reduction || g.Footprint != w.Footprint {
+			t.Errorf("row %d = %s makespan %d reduction %v footprint %d, want %s %d %v %d", i,
+				g.Policy, g.Makespan, g.Reduction, g.Footprint, w.Policy, w.Makespan, w.Reduction, w.Footprint)
+		}
+	}
 }
 
 func TestFig7Shape(t *testing.T) {

@@ -33,6 +33,17 @@ type rig struct {
 	pool *condor.Pool
 }
 
+// jobHistory returns the events of one job, in order.
+func jobHistory(l *condor.EventLog, jobID int) []condor.Event {
+	var out []condor.Event
+	for _, e := range l.Events() {
+		if e.JobID == jobID {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func newRig(nodes, retries int) *rig {
 	eng := sim.New()
 	eng.MaxSteps = 10_000_000
@@ -84,7 +95,7 @@ func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 	// retry while the device is down dies on arrival, the run after the
 	// repair completes.
 	var kinds []condor.EventKind
-	for _, e := range r.pool.Log.JobHistory(0) {
+	for _, e := range jobHistory(r.pool.Log, 0) {
 		kinds = append(kinds, e.Kind)
 	}
 	want := []condor.EventKind{condor.EventSubmit}
@@ -102,7 +113,7 @@ func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 		}
 	}
 	// The first crash lands exactly at the scripted failure time.
-	for _, e := range r.pool.Log.JobHistory(0) {
+	for _, e := range jobHistory(r.pool.Log, 0) {
 		if e.Kind == condor.EventCrash {
 			if e.At != 5*units.Second {
 				t.Errorf("first crash at %v, want %v", e.At, 5*units.Second)
@@ -204,7 +215,7 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			}
 			r.pool.Submit(jobs)
 			r.eng.Run()
-			v := h.Violations()
+			v := h.chk.violations
 			if !strings.Contains(strings.Join(v, "\n"), tc.want) {
 				t.Errorf("checker missed the corruption: no violation mentions %q in %q", tc.want, v)
 			}
@@ -308,7 +319,7 @@ func TestZeroHarnessWiresNothing(t *testing.T) {
 	if r.pool.NegFaults != nil {
 		t.Error("zero harness installed a negotiation fault hook")
 	}
-	if h.Finish() != nil || h.Violations() != nil {
+	if h.Finish() != nil || h.chk != nil {
 		t.Error("zero harness reported violations")
 	}
 	if h.InjectorStats() != (Stats{}) {
@@ -352,7 +363,7 @@ func TestUsageViolationOrderIsDeterministic(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		c := NewChecker(r.eng, r.clu, r.pool)
 		c.checkUsage()
-		v := c.Violations()
+		v := c.violations
 		if len(v) != 2 {
 			t.Fatalf("iteration %d: %d violations, want 2: %q", i, len(v), v)
 		}

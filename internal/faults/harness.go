@@ -62,15 +62,9 @@ func (h *Harness) Finish() []string {
 	return h.chk.Finish()
 }
 
-// Violations returns what the checker has recorded so far.
-func (h *Harness) Violations() []string {
-	if h.chk == nil {
-		return nil
-	}
-	return h.chk.Violations()
-}
-
 // InjectorStats returns the injection counters (zero without a profile).
+//
+//philint:ignore deadapi test hook: experiments' TestChaosDisabledPreservesOutcomes reads it
 func (h *Harness) InjectorStats() Stats {
 	if h.inj == nil {
 		return Stats{}

@@ -28,7 +28,6 @@ type Checker struct {
 	pool *condor.Pool
 
 	violations []string
-	total      int
 
 	// memGuarded records whether the policy's machine-side Requirements
 	// reference PhiFreeMemory. Only a memory-guarded negotiator (MC, MCCK)
@@ -72,16 +71,7 @@ func NewChecker(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) *Check
 	}
 }
 
-// Violations returns the recorded violations (capped; Total gives the real
-// count).
-func (c *Checker) Violations() []string { return c.violations }
-
-// Total is the number of violations detected, including ones dropped by the
-// cap.
-func (c *Checker) Total() int { return c.total }
-
 func (c *Checker) fail(format string, args ...any) {
-	c.total++
 	if len(c.violations) < maxViolations {
 		msg := fmt.Sprintf(format, args...)
 		c.violations = append(c.violations, fmt.Sprintf("t=%v: %s", c.eng.Now(), msg))

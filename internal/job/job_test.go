@@ -104,15 +104,6 @@ func TestTableOneMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestTemplateByName(t *testing.T) {
-	if tpl, ok := TemplateByName("BT"); !ok || tpl.Threads != 240 {
-		t.Errorf("TemplateByName(BT) = %+v, %v", tpl, ok)
-	}
-	if _, ok := TemplateByName("nope"); ok {
-		t.Error("TemplateByName accepted an unknown name")
-	}
-}
-
 func TestInstantiateProducesValidJobs(t *testing.T) {
 	r := rng.New(1)
 	for _, tpl := range TableOne() {
@@ -136,7 +127,12 @@ func TestInstantiateProducesValidJobs(t *testing.T) {
 
 func TestInstantiateMisestimate(t *testing.T) {
 	r := rng.New(2)
-	tpl, _ := TemplateByName("KM")
+	var tpl Template
+	for _, c := range TableOne() {
+		if c.Name == "KM" {
+			tpl = c
+		}
+	}
 	over := 0
 	for i := 0; i < 500; i++ {
 		j := tpl.Instantiate(i, r, 1.0) // always misestimate

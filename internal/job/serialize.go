@@ -63,6 +63,8 @@ func toJSON(j *Job) jobJSON {
 }
 
 // WriteJSON serializes the job set.
+//
+//philint:ignore deadapi reference oracle: job's TestStreamWriterMatchesWriteJSON holds StreamWriter to its bytes
 func WriteJSON(w io.Writer, jobs []*Job) error {
 	out := fileJSON{Version: formatVersion, Jobs: make([]jobJSON, len(jobs))}
 	for i, j := range jobs {
@@ -130,6 +132,9 @@ func ReadJSON(r io.Reader) ([]*Job, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("job: decoding job set: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("job: data after the job set")
 	}
 	if in.Version != formatVersion {
 		return nil, fmt.Errorf("job: unsupported job-set version %d (want %d)", in.Version, formatVersion)

@@ -47,6 +47,7 @@ func TestReadJSONRejects(t *testing.T) {
 		"unknown field":  `{"version": 1, "jobs": [], "extra": 1}`,
 		"bad phase kind": `{"version": 1, "jobs": [{"id":1,"name":"x","workload":"w","mem_mb":100,"threads":60,"actual_peak_mb":90,"phases":[{"kind":"warp","duration_ms":10}]}]}`,
 		"invalid job":    `{"version": 1, "jobs": [{"id":1,"name":"x","workload":"w","mem_mb":0,"threads":60,"actual_peak_mb":90,"phases":[{"kind":"host","duration_ms":10}]}]}`,
+		"trailing data":  `{"version": 1, "jobs": []} {}`,
 		"duplicate ids":  `{"version": 1, "jobs": [{"id":1,"name":"x","workload":"w","mem_mb":10,"threads":60,"actual_peak_mb":9,"phases":[{"kind":"host","duration_ms":10}]},{"id":1,"name":"y","workload":"w","mem_mb":10,"threads":60,"actual_peak_mb":9,"phases":[{"kind":"host","duration_ms":10}]}]}`,
 	}
 	for name, src := range cases {

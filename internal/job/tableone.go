@@ -116,16 +116,6 @@ func TableOne() []Template {
 	}
 }
 
-// TemplateByName finds a Table I template.
-func TemplateByName(name string) (Template, bool) {
-	for _, t := range TableOne() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Template{}, false
-}
-
 // Instantiate draws one job instance from the template.
 //
 // misestimateProb is the probability that the user underestimated the job's

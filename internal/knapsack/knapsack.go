@@ -20,8 +20,7 @@
 //
 // The production entry point is Solver, which reuses its DP buffers across
 // calls so that a scheduler solving thousands of knapsacks per run does not
-// allocate per solve; the package-level Solve draws Solvers from a pool for
-// one-off callers. SolveReference is the original per-call-allocating
+// allocate per solve. SolveReference is the original per-call-allocating
 // implementation, kept verbatim as the correctness oracle: Solver must
 // produce bit-for-bit identical results (see TestSolverMatchesReference),
 // because any divergence would change simulated scheduling outcomes.
@@ -34,7 +33,6 @@ package knapsack
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"phishare/internal/units"
 )
@@ -136,26 +134,6 @@ func validate(items []Item) {
 	}
 }
 
-// solverPool recycles Solvers for the convenience Solve entry point, so that
-// one-shot callers still amortize the DP buffers across calls.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
-
-// Solve solves the knapsack instance and returns the best item set.
-//
-// The objective is maximum total Value subject to the memory capacity and
-// (when ThreadCapacity > 0) the thread capacity. Items whose individual
-// weight exceeds a capacity are never selected.
-//
-// Solve is a thin wrapper over a pooled Solver; hot loops that solve many
-// instances back to back (the scheduler's greedy per-device loop) should
-// hold their own Solver instead.
-func Solve(cfg Config, items []Item) Result {
-	s := solverPool.Get().(*Solver)
-	res := s.Solve(cfg, items)
-	solverPool.Put(s)
-	return res
-}
-
 // Solver owns grow-only buffers that are reused across calls, so a planning
 // round of many knapsacks allocates only its Result slices. A Solver is not
 // safe for concurrent use; each simulation (goroutine) holds its own.
@@ -210,7 +188,10 @@ func NewSolver() *Solver { return &Solver{} }
 // all-fits fast path (observability; see internal/obs).
 func (s *Solver) TookFastPath() bool { return s.fast }
 
-// Solve solves one instance, reusing the Solver's buffers.
+// Solve solves one instance, reusing the Solver's buffers. The objective is
+// maximum total Value subject to the memory capacity and (when
+// ThreadCapacity > 0) the thread capacity. Items whose individual weight
+// exceeds a capacity are never selected.
 func (s *Solver) Solve(cfg Config, items []Item) Result {
 	cfg = cfg.withDefaults()
 	validate(items)
@@ -481,21 +462,4 @@ func reverse(xs []int) {
 	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
 		xs[i], xs[j] = xs[j], xs[i]
 	}
-}
-
-// MaxCount solves the memory-only knapsack that maximizes the *number* of
-// selected items (every item worth 1). The greedy cluster loop uses it as
-// the degenerate objective when every candidate has Eq. 1 value zero — the
-// high-resource-skew regime, where concurrency still helps via offload
-// time-multiplexing (paper Fig. 2) even though no value distinguishes jobs.
-func MaxCount(cfg Config, items []Item) Result {
-	unit := make([]Item, len(items))
-	for i, it := range items {
-		unit[i] = Item{Mem: it.Mem, Threads: it.Threads, Value: 1}
-	}
-	cfg.ThreadCapacity = 0 // memory-only
-	res := Solve(cfg, unit)
-	// Recompute aggregate value as count for clarity.
-	res.Value = int64(len(res.Selected))
-	return res
 }

@@ -48,22 +48,25 @@ func TestEq1ValuePanicsOnZeroT(t *testing.T) {
 	Eq1Value(60, 0)
 }
 
+// solve solves one instance on a fresh Solver.
+func solve(cfg Config, items []Item) Result { return NewSolver().Solve(cfg, items) }
+
 func TestSolveEmpty(t *testing.T) {
-	res := Solve(Config{MemCapacity: 8192}, nil)
+	res := solve(Config{MemCapacity: 8192}, nil)
 	if len(res.Selected) != 0 || res.Value != 0 {
 		t.Errorf("empty solve = %+v", res)
 	}
 }
 
 func TestSolveZeroCapacity(t *testing.T) {
-	res := Solve(Config{MemCapacity: 0}, []Item{{Mem: 100, Value: 5}})
+	res := solve(Config{MemCapacity: 0}, []Item{{Mem: 100, Value: 5}})
 	if len(res.Selected) != 0 {
 		t.Errorf("zero-capacity solve selected %v", res.Selected)
 	}
 }
 
 func TestSolveSingleItemFits(t *testing.T) {
-	res := Solve(Config{MemCapacity: 500}, []Item{{Mem: 300, Threads: 60, Value: 7}})
+	res := solve(Config{MemCapacity: 500}, []Item{{Mem: 300, Threads: 60, Value: 7}})
 	if len(res.Selected) != 1 || res.Selected[0] != 0 {
 		t.Fatalf("selected %v, want [0]", res.Selected)
 	}
@@ -73,7 +76,7 @@ func TestSolveSingleItemFits(t *testing.T) {
 }
 
 func TestSolveSingleItemTooBig(t *testing.T) {
-	res := Solve(Config{MemCapacity: 200}, []Item{{Mem: 300, Value: 7}})
+	res := solve(Config{MemCapacity: 200}, []Item{{Mem: 300, Value: 7}})
 	if len(res.Selected) != 0 {
 		t.Errorf("oversized item selected: %v", res.Selected)
 	}
@@ -85,7 +88,7 @@ func TestSolvePrefersHigherValue(t *testing.T) {
 		{Mem: 600, Value: 3},
 		{Mem: 600, Value: 9},
 	}
-	res := Solve(Config{MemCapacity: 1000}, items)
+	res := solve(Config{MemCapacity: 1000}, items)
 	if len(res.Selected) != 1 || res.Selected[0] != 1 {
 		t.Errorf("selected %v, want [1]", res.Selected)
 	}
@@ -97,7 +100,7 @@ func TestSolvePicksComboOverSingle(t *testing.T) {
 		{Mem: 500, Value: 6},
 		{Mem: 500, Value: 6},
 	}
-	res := Solve(Config{MemCapacity: 1000}, items)
+	res := solve(Config{MemCapacity: 1000}, items)
 	if res.Value != 12 || len(res.Selected) != 2 {
 		t.Errorf("result %+v, want the two small items (value 12)", res)
 	}
@@ -107,7 +110,7 @@ func TestMemGranularityRoundsWeightsUp(t *testing.T) {
 	// Two 260 MB items round to 300 MB each at 50 MB granularity, so only
 	// one fits in 550 MB even though 2*260 = 520 <= 550.
 	items := []Item{{Mem: 260, Value: 1}, {Mem: 260, Value: 1}}
-	res := Solve(Config{MemCapacity: 550, MemGranularity: 50}, items)
+	res := solve(Config{MemCapacity: 550, MemGranularity: 50}, items)
 	if len(res.Selected) != 1 {
 		t.Errorf("selected %d items, want 1 (conservative rounding)", len(res.Selected))
 	}
@@ -120,7 +123,7 @@ func TestThreadCapacityEnforced(t *testing.T) {
 		{Mem: 100, Threads: 120, Value: 5},
 		{Mem: 100, Threads: 120, Value: 5},
 	}
-	res := Solve(Config{MemCapacity: 8192, ThreadCapacity: 240}, items)
+	res := solve(Config{MemCapacity: 8192, ThreadCapacity: 240}, items)
 	if len(res.Selected) != 2 {
 		t.Errorf("selected %d items, want 2 under 240-thread cap", len(res.Selected))
 	}
@@ -134,7 +137,7 @@ func TestThreadCapacityZeroMeans1D(t *testing.T) {
 		{Mem: 100, Threads: 240, Value: 1},
 		{Mem: 100, Threads: 240, Value: 1},
 	}
-	res := Solve(Config{MemCapacity: 8192}, items)
+	res := solve(Config{MemCapacity: 8192}, items)
 	if len(res.Selected) != 2 {
 		t.Errorf("1-D solve selected %d, want both items regardless of threads", len(res.Selected))
 	}
@@ -152,7 +155,7 @@ func TestSolve2DPrefersManySmallJobs(t *testing.T) {
 		mk(600, 120),
 		mk(700, 180),
 	}
-	res := Solve(Config{MemCapacity: 4096, ThreadCapacity: 240}, items)
+	res := solve(Config{MemCapacity: 4096, ThreadCapacity: 240}, items)
 	// Best concurrency: the two 60-thread jobs plus the 120-thread job
 	// (threads 240, huge value); the 240-thread job should never appear.
 	for _, idx := range res.Selected {
@@ -174,7 +177,7 @@ func TestCountBonusBreaksTies(t *testing.T) {
 		{Mem: 500, Threads: 0, Value: 500*scale + 1},   // two jobs of value 500 each
 		{Mem: 500, Threads: 0, Value: 500*scale + 1},
 	}
-	res := Solve(Config{MemCapacity: 1000}, items)
+	res := solve(Config{MemCapacity: 1000}, items)
 	if len(res.Selected) != 2 {
 		t.Errorf("selected %v, want the two-item set on count tie-break", res.Selected)
 	}
@@ -184,24 +187,11 @@ func TestSelectedAscending(t *testing.T) {
 	items := []Item{
 		{Mem: 100, Value: 1}, {Mem: 100, Value: 1}, {Mem: 100, Value: 1},
 	}
-	res := Solve(Config{MemCapacity: 8192}, items)
+	res := solve(Config{MemCapacity: 8192}, items)
 	for i := 1; i < len(res.Selected); i++ {
 		if res.Selected[i] <= res.Selected[i-1] {
 			t.Fatalf("Selected not ascending: %v", res.Selected)
 		}
-	}
-}
-
-func TestMaxCount(t *testing.T) {
-	items := []Item{
-		{Mem: 3000, Threads: 240, Value: 0},
-		{Mem: 1000, Threads: 240, Value: 0},
-		{Mem: 1000, Threads: 240, Value: 0},
-		{Mem: 1000, Threads: 240, Value: 0},
-	}
-	res := MaxCount(Config{MemCapacity: 3200}, items)
-	if len(res.Selected) != 3 || res.Value != 3 {
-		t.Errorf("MaxCount = %+v, want the three 1000 MB jobs", res)
 	}
 }
 
@@ -211,7 +201,7 @@ func TestPanicsOnNegativeValue(t *testing.T) {
 			t.Error("negative value did not panic")
 		}
 	}()
-	Solve(Config{MemCapacity: 100}, []Item{{Mem: 50, Value: -1}})
+	solve(Config{MemCapacity: 100}, []Item{{Mem: 50, Value: -1}})
 }
 
 func TestPanicsOnZeroMem(t *testing.T) {
@@ -220,7 +210,7 @@ func TestPanicsOnZeroMem(t *testing.T) {
 			t.Error("zero-memory item did not panic")
 		}
 	}()
-	Solve(Config{MemCapacity: 100}, []Item{{Mem: 0, Value: 1}})
+	solve(Config{MemCapacity: 100}, []Item{{Mem: 0, Value: 1}})
 }
 
 // bruteForce enumerates all subsets (n <= ~16) under the same rounded-weight
@@ -263,7 +253,7 @@ func TestSolveMatchesBruteForce1D(t *testing.T) {
 			}
 		}
 		cfg := Config{MemCapacity: units.MB(500 + r.Intn(6000))}
-		got := Solve(cfg, items)
+		got := solve(cfg, items)
 		want := bruteForce(cfg, items)
 		if got.Value != want {
 			t.Fatalf("trial %d: Solve value %d != brute force %d (cfg %+v items %+v)",
@@ -288,7 +278,7 @@ func TestSolveMatchesBruteForce2D(t *testing.T) {
 			MemCapacity:    units.MB(500 + r.Intn(6000)),
 			ThreadCapacity: 240,
 		}
-		got := Solve(cfg, items)
+		got := solve(cfg, items)
 		want := bruteForce(cfg, items)
 		if got.Value != want {
 			t.Fatalf("trial %d: Solve value %d != brute force %d (cfg %+v items %+v)",
@@ -315,7 +305,7 @@ func TestSolutionFeasibility(t *testing.T) {
 			MemCapacity:    units.MB(1 + r.Intn(8192)),
 			ThreadCapacity: units.Threads(r.Intn(300)),
 		}
-		res := Solve(cfg, items)
+		res := solve(cfg, items)
 		var mem units.MB
 		var th units.Threads
 		var val int64
@@ -354,7 +344,7 @@ func TestLargeInstanceRuns(t *testing.T) {
 			Value:   Eq1Value(th, 240)*CountBonusScale(1000) + 1,
 		}
 	}
-	res := Solve(Config{MemCapacity: 8192, ThreadCapacity: 240}, items)
+	res := solve(Config{MemCapacity: 8192, ThreadCapacity: 240}, items)
 	if len(res.Selected) == 0 {
 		t.Error("large instance selected nothing")
 	}

@@ -51,10 +51,6 @@ func TestSolverMatchesReference(t *testing.T) {
 			t.Fatalf("instance %d (cfg %+v, %d items):\n solver    %+v\n reference %+v",
 				i, cfg, len(items), got, want)
 		}
-		// The pooled convenience wrapper must agree too.
-		if viaPool := Solve(cfg, items); !reflect.DeepEqual(viaPool, got) {
-			t.Fatalf("instance %d: pooled Solve %+v != solver %+v", i, viaPool, got)
-		}
 	}
 }
 

@@ -74,9 +74,6 @@ func (a *Aggregate) Add(r JobRecord) {
 	}
 }
 
-// Jobs is the number of records folded in so far.
-func (a *Aggregate) Jobs() int { return a.jobs }
-
 // Summary finalizes the paper's per-run summary. Identical inputs produce
 // output bit-identical to Summarize over the corresponding record slice —
 // Summarize is implemented on top of Add.

@@ -97,6 +97,8 @@ func (o *Observer) BindSampler(eng *sim.Engine) *Sampler {
 
 // Sampler returns the bound sampler (nil before BindSampler or on a nil
 // observer).
+//
+//philint:ignore deadapi test hook: experiments' TestObservabilityPreservesOutcomes and TestEventCountPin read the sample count
 func (o *Observer) Sampler() *Sampler {
 	if o == nil {
 		return nil

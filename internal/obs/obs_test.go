@@ -43,13 +43,12 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(1)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
+	if h.Mean() != 0 {
 		t.Fatal("nil histogram stats")
 	}
 	var r *Registry
@@ -58,7 +57,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tr *Trace
 	tr.Emit(0, "l", "k")
-	if tr.Len() != 0 || tr.Count("l", "k") != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("nil trace recorded")
 	}
 }
@@ -101,20 +100,19 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 	g := r.Gauge("queue_depth")
 	g.Set(7)
-	g.Add(-2)
-	if got := r.GaugeValue("queue_depth"); got != 5 {
-		t.Fatalf("gauge = %v, want 5", got)
+	if r.Gauge("queue_depth") != g || g.Value() != 7 {
+		t.Fatalf("gauge = %v, want 7 on the same series", g.Value())
 	}
 
 	h := r.Histogram("wait_seconds", []float64{1, 5, 10})
 	for _, v := range []float64{0.5, 1, 3, 12, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("hist count = %d", h.Count())
+	if h.n != 5 {
+		t.Fatalf("hist count = %d", h.n)
 	}
-	if h.Sum() != 116.5 {
-		t.Fatalf("hist sum = %v", h.Sum())
+	if h.sum != 116.5 {
+		t.Fatalf("hist sum = %v", h.sum)
 	}
 	// Buckets: <=1 gets {0.5, 1}, <=5 gets {3}, <=10 none, +Inf {12, 100}.
 	want := []int64{2, 1, 0, 2}
@@ -223,9 +221,6 @@ func TestTraceJSONL(t *testing.T) {
 	if m["fastpath"] != true || m["speed"] != 0.75 || m["mem_mb"] != float64(512) {
 		t.Fatalf("typed fields mangled: %v", m)
 	}
-	if tr.Count(LayerCondor, "match") != 1 || tr.Count(LayerCore, "") != 1 {
-		t.Fatal("Count mismatch")
-	}
 	if tr.Events()[0].Field("job") != 7 {
 		t.Fatal("Field lookup failed")
 	}
@@ -257,11 +252,14 @@ func TestSamplerDeterministicTicksAndTermination(t *testing.T) {
 	}
 	// The initial sample fires before the engine runs (busy still 0); the
 	// 5 s tick sees 3, the 15 s tick sees 1, the final tick sees 0.
-	got := s.Series("busy")
+	got := make([]float64, len(s.rows))
+	for i, row := range s.rows {
+		got[i] = row[0]
+	}
 	if got[0] != 0 || got[1] != 3 || got[3] != 1 || got[len(got)-1] != 0 {
 		t.Fatalf("series = %v", got)
 	}
-	times := s.Times()
+	times := s.times
 	for i := 1; i < len(times); i++ {
 		if times[i]-times[i-1] != 5*units.Second {
 			t.Fatalf("irregular tick at %d: %v", i, times)

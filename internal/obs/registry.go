@@ -62,13 +62,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add shifts the value. Safe on a nil gauge.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -99,22 +92,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.n++
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observations (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Mean returns the mean observation (0 when empty or nil).
@@ -261,21 +238,14 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 }
 
 // CounterValue reads an existing counter series (0 when absent or nil).
+//
+//philint:ignore deadapi test hook: condor's rejection tests and experiments' TestObservabilityPreservesOutcomes read counters
 func (r *Registry) CounterValue(name string, labels ...string) int64 {
 	if r == nil {
 		return 0
 	}
 	id, _ := seriesID(name, labels)
 	return r.counters[id].Value()
-}
-
-// GaugeValue reads an existing gauge series (0 when absent or nil).
-func (r *Registry) GaugeValue(name string, labels ...string) float64 {
-	if r == nil {
-		return 0
-	}
-	id, _ := seriesID(name, labels)
-	return r.gauges[id].Value()
 }
 
 // sortedKeys returns map keys in sorted order — every exporter iterates

@@ -86,45 +86,12 @@ func (s *Sampler) record() {
 	s.rows = append(s.rows, row)
 }
 
-// Names returns the registered series names in registration order.
-func (s *Sampler) Names() []string {
-	if s == nil {
-		return nil
-	}
-	return s.names
-}
-
-// Times returns the sample timestamps.
-func (s *Sampler) Times() []units.Tick {
-	if s == nil {
-		return nil
-	}
-	return s.times
-}
-
 // Samples returns the number of recorded sample rows.
 func (s *Sampler) Samples() int {
 	if s == nil {
 		return 0
 	}
 	return len(s.rows)
-}
-
-// Series returns the recorded values for the named probe (nil if unknown).
-func (s *Sampler) Series(name string) []float64 {
-	if s == nil {
-		return nil
-	}
-	for i, n := range s.names {
-		if n == name {
-			vals := make([]float64, len(s.rows))
-			for j, row := range s.rows {
-				vals[j] = row[i]
-			}
-			return vals
-		}
-	}
-	return nil
 }
 
 // WriteCSV writes the sampled series as one wide CSV: a time_ms column

@@ -52,9 +52,6 @@ type Span struct {
 	Attempts []*Attempt
 }
 
-// Duration is the span's total queue-to-end time.
-func (s *Span) Duration() units.Tick { return s.End - s.Submit }
-
 // SpanBuilder assembles spans from trace events. Register it as a consumer
 // (Trace.AddConsumer) before the run for streaming assembly, or feed a
 // retained trace through SpansFromTrace afterwards.
@@ -64,20 +61,6 @@ type SpanBuilder struct {
 	// to the job's next phi offload_start (the two events are adjacent in
 	// causal order; at most one offload per job is in flight).
 	pendingWait map[int64]units.Tick
-
-	// Retire, when set, turns the builder into an emit-and-drop pipeline:
-	// a finished span is handed to Retire and deleted from the builder
-	// instead of accumulating — resident span state becomes O(active jobs),
-	// matching the streaming record path. "terminate" and "stall_abort"
-	// retire immediately (those outcomes are final). A crash-failed span
-	// retires once a strictly later event proves no resubmit reopened it
-	// (the reopening resubmit always lands at the crash tick); call
-	// FlushRetired at end of stream for failures with no later event.
-	// The callback owns the span; the builder keeps no reference.
-	Retire func(*Span)
-	// crashQ queues crash-failed job ids awaiting the no-resubmit proof
-	// above, in crash order. Entries whose span reopened are dropped lazily.
-	crashQ []int64
 }
 
 // NewSpanBuilder returns an empty builder.
@@ -102,8 +85,7 @@ func SpansFromTrace(t *Trace) []*Span {
 }
 
 // Spans returns the assembled spans sorted by job id. Safe to call
-// mid-stream; open attempts/offloads are marked Open. With a Retire hook
-// installed, only still-resident (not yet retired) spans are returned.
+// mid-stream; open attempts/offloads are marked Open.
 func (b *SpanBuilder) Spans() []*Span {
 	out := make([]*Span, 0, len(b.jobs))
 	for _, s := range b.jobs {
@@ -131,59 +113,11 @@ func (s *Span) cur() *Attempt {
 	return nil
 }
 
-// retireSpan hands a finished span to the Retire hook and forgets it.
-func (b *SpanBuilder) retireSpan(jobID int64, s *Span) {
-	delete(b.jobs, jobID)
-	delete(b.pendingWait, jobID)
-	b.Retire(s)
-}
-
-// flushCrashed retires crash-failed spans whose failure instant is strictly
-// older than now: the canonical stream is time-ordered, so a reopening
-// resubmit (which shares the crash tick) can no longer arrive for them.
-func (b *SpanBuilder) flushCrashed(now units.Tick) {
-	for len(b.crashQ) > 0 {
-		id := b.crashQ[0]
-		s := b.jobs[id]
-		if s == nil || s.Outcome != "failed" {
-			// Already retired, or reopened by a resubmit (a re-crash queues
-			// its own entry).
-			b.crashQ = b.crashQ[1:]
-			continue
-		}
-		if s.End >= now {
-			return // could still be reopened at this tick; later entries are no older
-		}
-		b.crashQ = b.crashQ[1:]
-		b.retireSpan(id, s)
-	}
-}
-
-// FlushRetired retires every resident span with a final outcome — the
-// end-of-stream companion to Retire, for crash failures no later event
-// could flush. Open (non-terminal) spans stay resident. No-op without a
-// Retire hook.
-func (b *SpanBuilder) FlushRetired() {
-	if b.Retire == nil {
-		return
-	}
-	for len(b.crashQ) > 0 {
-		id := b.crashQ[0]
-		b.crashQ = b.crashQ[1:]
-		if s := b.jobs[id]; s != nil && s.Outcome == "failed" {
-			b.retireSpan(id, s)
-		}
-	}
-}
-
 // Consume implements EventSink.
 func (b *SpanBuilder) Consume(e Event) {
 	jobID, ok := fieldInt(e, "job")
 	if !ok {
 		return
-	}
-	if b.Retire != nil {
-		b.flushCrashed(e.At)
 	}
 	switch e.Layer {
 	case LayerCondor:
@@ -206,9 +140,6 @@ func (b *SpanBuilder) Consume(e Event) {
 				a.End, a.Crashed, a.Open = e.At, true, false
 			}
 			s.End, s.Outcome = e.At, "failed"
-			if b.Retire != nil {
-				b.crashQ = append(b.crashQ, jobID)
-			}
 		case "resubmit":
 			s := b.span(jobID, e.At)
 			s.End, s.Outcome = -1, ""
@@ -218,15 +149,9 @@ func (b *SpanBuilder) Consume(e Event) {
 				a.End, a.Open = e.At, false
 			}
 			s.End, s.Outcome = e.At, "completed"
-			if b.Retire != nil {
-				b.retireSpan(jobID, s)
-			}
 		case "stall_abort":
 			s := b.span(jobID, e.At)
 			s.End, s.Outcome = e.At, "stalled"
-			if b.Retire != nil {
-				b.retireSpan(jobID, s)
-			}
 		}
 	case LayerCosmic:
 		switch e.Kind {

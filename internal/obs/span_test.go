@@ -96,7 +96,7 @@ func TestSpanAssembly(t *testing.T) {
 	if j3.Outcome != "completed" || j3.End != 2000 {
 		t.Fatalf("job 3 span: outcome=%q end=%v", j3.Outcome, j3.End)
 	}
-	if d := j3.Duration(); d != 2000 {
+	if d := j3.End - j3.Submit; d != 2000 {
 		t.Fatalf("job 3 duration = %v", d)
 	}
 

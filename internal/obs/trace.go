@@ -206,22 +206,6 @@ func (t *Trace) Events() []Event {
 	return t.flat
 }
 
-// Count returns how many events match layer (and kind, unless empty).
-func (t *Trace) Count(layer, kind string) int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range t.chunks {
-		for _, e := range c {
-			if e.Layer == layer && (kind == "" || e.Kind == kind) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // WriteJSONL streams the trace as one JSON object per line. A nil trace
 // writes nothing.
 func (t *Trace) WriteJSONL(w io.Writer) error {

@@ -18,10 +18,16 @@ func mkJob(id int, mem units.MB, threads units.Threads) *job.Job {
 	}
 }
 
+// bareConfig is the 5110P with the contention model disabled: pure
+// hardware limits only, so timing expectations stay exact.
+func bareConfig() Config {
+	return Config{Cores: 60, ThreadsPerCore: 4, Memory: units.GB(8)}
+}
+
 // newDev builds a contention-free device so timing expectations stay exact;
 // the spin-contention model has its own tests below.
 func newDev(eng *sim.Engine) *Device {
-	return NewDevice(eng, "node0/mic0", BareConfig(), rng.New(1), nil)
+	return NewDevice(eng, "node0/mic0", bareConfig(), rng.New(1), nil)
 }
 
 // outcomeFunc adapts a closure to an offload's end notification.
@@ -307,8 +313,8 @@ func TestRunningThreadsAndFreeHWThreads(t *testing.T) {
 	if d.FreeHWThreads() != 60 {
 		t.Errorf("FreeHWThreads = %v, want 60", d.FreeHWThreads())
 	}
-	if d.RunningOffloads() != 2 {
-		t.Errorf("RunningOffloads = %d, want 2", d.RunningOffloads())
+	if len(d.offloads) != 2 {
+		t.Errorf("running offloads = %d, want 2", len(d.offloads))
 	}
 	eng.Run()
 	if d.RunningThreads() != 0 || d.FreeHWThreads() != 240 {
@@ -330,7 +336,7 @@ func (s *testSink) Record(now units.Tick, busy int) {
 func TestUtilSinkSamples(t *testing.T) {
 	eng := sim.New()
 	sink := &testSink{}
-	d := NewDevice(eng, "x", BareConfig(), rng.New(1), sink)
+	d := NewDevice(eng, "x", bareConfig(), rng.New(1), sink)
 	d.Affinitized = true
 	p := d.Attach(mkJob(1, 500, 120)) // 30 cores
 	startOffload(d, p, 120, 2000, func(OffloadOutcome) {})
@@ -351,7 +357,7 @@ func TestUtilSinkSamples(t *testing.T) {
 func TestBusyCoresCappedAtDeviceCores(t *testing.T) {
 	eng := sim.New()
 	sink := &testSink{}
-	d := NewDevice(eng, "x", BareConfig(), rng.New(1), sink)
+	d := NewDevice(eng, "x", bareConfig(), rng.New(1), sink)
 	d.Affinitized = true
 	// 5 x 60 threads = 75 cores demanded, capped at 60.
 	for i := 0; i < 5; i++ {
@@ -369,7 +375,7 @@ func TestBusyCoresCappedAtDeviceCores(t *testing.T) {
 func TestDeterministicOOMVictims(t *testing.T) {
 	run := func() []int {
 		eng := sim.New()
-		d := NewDevice(eng, "x", BareConfig(), rng.New(99), nil)
+		d := NewDevice(eng, "x", bareConfig(), rng.New(99), nil)
 		var order []int
 		for i := 0; i < 4; i++ {
 			j := mkJob(i, 4000, 60)
@@ -476,7 +482,7 @@ func TestSpinContentionWithinBudgetIsFree(t *testing.T) {
 }
 
 func TestNegativeSpinContentionRejected(t *testing.T) {
-	cfg := BareConfig()
+	cfg := bareConfig()
 	cfg.SpinContention = -1
 	defer func() {
 		if recover() == nil {

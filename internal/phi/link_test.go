@@ -106,14 +106,14 @@ func TestLinkPeakInFlight(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		startTransfer(l, 60, func() {})
 	}
-	if l.InFlight() != 3 {
-		t.Errorf("in flight %d", l.InFlight())
+	if len(l.transfers) != 3 {
+		t.Errorf("in flight %d", len(l.transfers))
 	}
 	eng.Run()
 	if l.Stats().PeakInFlight != 3 {
 		t.Errorf("peak %d", l.Stats().PeakInFlight)
 	}
-	if l.InFlight() != 0 {
+	if len(l.transfers) != 0 {
 		t.Error("transfers leaked")
 	}
 }

@@ -94,12 +94,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return s.r.ExpFloat64() * mean
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle permutes a slice in place using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Pick returns a uniformly random element index weighted by weights.
 // Weights must be non-negative with a positive sum; it panics otherwise.
 func (s *Source) Pick(weights []float64) int {

@@ -172,18 +172,6 @@ func TestExpPositiveWithMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(12)
-	p := s.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm(20) invalid: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestPickRespectsWeights(t *testing.T) {
 	s := New(13)
 	counts := [3]int{}
@@ -222,19 +210,4 @@ func TestPickPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	New(1).Pick([]float64{1, -1})
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(15)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Errorf("Shuffle lost element %d", i)
-		}
-	}
 }

@@ -146,8 +146,8 @@ func TestTimerStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if !tm.Stopped() {
-		t.Error("Stopped() = false after Stop")
+	if !tm.stopped {
+		t.Error("stopped = false after Stop")
 	}
 }
 

@@ -7,7 +7,6 @@ package units
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -35,10 +34,6 @@ func (t Tick) Duration() time.Duration { return time.Duration(t) * time.Millisec
 
 // String formats the tick as a duration, e.g. "2.5s".
 func (t Tick) String() string { return t.Duration().String() }
-
-// FromSeconds converts floating-point seconds to the nearest Tick,
-// rounding half away from zero.
-func FromSeconds(s float64) Tick { return Tick(math.Round(s * float64(Second))) }
 
 // MB is an amount of coprocessor memory in mebibytes.
 //

@@ -25,25 +25,6 @@ func TestTickSeconds(t *testing.T) {
 	}
 }
 
-func TestFromSecondsRoundTrip(t *testing.T) {
-	f := func(ms int32) bool {
-		tk := Tick(ms)
-		return FromSeconds(tk.Seconds()) == tk
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFromSecondsRounds(t *testing.T) {
-	if got := FromSeconds(0.0014); got != 1 {
-		t.Errorf("FromSeconds(0.0014) = %d, want 1", got)
-	}
-	if got := FromSeconds(1.5); got != 1500 {
-		t.Errorf("FromSeconds(1.5) = %d, want 1500", got)
-	}
-}
-
 func TestTickDuration(t *testing.T) {
 	if got := (2 * Second).Duration(); got != 2*time.Second {
 		t.Errorf("Duration = %v, want 2s", got)

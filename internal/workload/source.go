@@ -83,35 +83,6 @@ func FromSlice(jobs []*job.Job) Source {
 	return &sliceSource{arrivals: arrivals}
 }
 
-// FromArrivals wraps an explicit arrival schedule (e.g. an ingested trace)
-// as a Source. The slice must already be sorted by At; it panics otherwise,
-// because a time-travelling source would corrupt the generator timer.
-func FromArrivals(arrivals []Arrival) Source {
-	for i := 1; i < len(arrivals); i++ {
-		if arrivals[i].At < arrivals[i-1].At {
-			panic(fmt.Sprintf("workload: arrivals out of order at %d: %v < %v",
-				i, arrivals[i].At, arrivals[i-1].At))
-		}
-	}
-	cp := make([]Arrival, len(arrivals))
-	copy(cp, arrivals)
-	return &sliceSource{arrivals: cp}
-}
-
-// Collect drains a source into a slice, for consumers that want the whole
-// set resident (small cells, tests, CSV inspection). The inverse of
-// FromArrivals.
-func Collect(s Source) []Arrival {
-	out := make([]Arrival, 0, s.Len())
-	for {
-		a, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
-	}
-}
-
 // DiurnalConfig parameterizes the synthetic planet-scale arrival generator.
 // The zero value (plus N and Seed) is a sensible single-tenant diurnal day.
 type DiurnalConfig struct {

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"phishare/internal/job"
 	"phishare/internal/units"
 )
 
@@ -12,8 +11,8 @@ func diurnalCfg(seed int64, n int) DiurnalConfig {
 }
 
 func TestDiurnalDeterministic(t *testing.T) {
-	a := Collect(NewDiurnal(diurnalCfg(11, 2000)))
-	b := Collect(NewDiurnal(diurnalCfg(11, 2000)))
+	a := collect(NewDiurnal(diurnalCfg(11, 2000)))
+	b := collect(NewDiurnal(diurnalCfg(11, 2000)))
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -24,7 +23,7 @@ func TestDiurnalDeterministic(t *testing.T) {
 			t.Fatalf("streams diverge at arrival %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := Collect(NewDiurnal(diurnalCfg(12, 2000)))
+	c := collect(NewDiurnal(diurnalCfg(12, 2000)))
 	same := 0
 	for i := range a {
 		if a[i].At == c[i].At {
@@ -41,7 +40,7 @@ func TestDiurnalStreamShape(t *testing.T) {
 	if src.Len() != 5000 {
 		t.Fatalf("Len = %d, want 5000", src.Len())
 	}
-	arrivals := Collect(src)
+	arrivals := collect(src)
 	if len(arrivals) != 5000 {
 		t.Fatalf("yielded %d arrivals, want exactly N", len(arrivals))
 	}
@@ -74,7 +73,7 @@ func TestDiurnalRateShape(t *testing.T) {
 	// With the trough at t=0, burst-free midday (t in [Day/4, 3Day/4]) must
 	// collect well over half the arrivals — the PeakFactor=4 sinusoid puts
 	// ~68% of its mass there.
-	arrivals := Collect(NewDiurnal(DiurnalConfig{N: 20000, Seed: 31}))
+	arrivals := collect(NewDiurnal(DiurnalConfig{N: 20000, Seed: 31}))
 	day := 24 * units.Hour
 	mid := 0
 	for _, a := range arrivals {
@@ -88,7 +87,7 @@ func TestDiurnalRateShape(t *testing.T) {
 }
 
 func TestDiurnalTenantSkew(t *testing.T) {
-	arrivals := Collect(NewDiurnal(diurnalCfg(41, 10000)))
+	arrivals := collect(NewDiurnal(diurnalCfg(41, 10000)))
 	counts := map[string]int{}
 	for _, a := range arrivals {
 		counts[a.Tenant]++
@@ -103,13 +102,25 @@ func TestDiurnalTenantSkew(t *testing.T) {
 	}
 }
 
+// collect drains a source into a slice.
+func collect(s Source) []Arrival {
+	out := make([]Arrival, 0, s.Len())
+	for {
+		a, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, a)
+	}
+}
+
 func TestFromSliceAndCollect(t *testing.T) {
 	jobs := Generate(Config{Dist: Uniform, N: 50, Seed: 51})
 	src := FromSlice(jobs)
 	if src.Len() != 50 {
 		t.Fatalf("Len = %d", src.Len())
 	}
-	arrivals := Collect(src)
+	arrivals := collect(src)
 	for i, a := range arrivals {
 		if a.Job != jobs[i] || a.At != 0 || a.Tenant != "" {
 			t.Fatalf("arrival %d = %+v, want job %d at t=0, anonymous", i, a, i)
@@ -118,23 +129,6 @@ func TestFromSliceAndCollect(t *testing.T) {
 	if a, ok := src.Next(); ok {
 		t.Fatalf("exhausted source yielded %+v", a)
 	}
-
-	round := Collect(FromArrivals(arrivals))
-	for i := range round {
-		if round[i] != arrivals[i] {
-			t.Fatalf("FromArrivals/Collect roundtrip diverges at %d", i)
-		}
-	}
-}
-
-func TestFromArrivalsRejectsTimeTravel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FromArrivals accepted an out-of-order schedule")
-		}
-	}()
-	j := &job.Job{}
-	FromArrivals([]Arrival{{Job: j, At: 10}, {Job: j, At: 5}})
 }
 
 func TestHeterogeneousPool(t *testing.T) {
