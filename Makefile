@@ -140,6 +140,7 @@ chaos:
 
 # Fuzz targets: the classad parser/matcher robustness contracts, the
 # constant-Requirements fold's differential check against classad.Match,
+# the slot-backed ad's differential check against a map-backed model,
 # the obs JSON encoder's differential check against encoding/json, and the
 # job-set decoder behind phisched -input (errors, never panics; a decoded
 # set round-trips through StreamWriter). Plain `go test`
@@ -148,7 +149,7 @@ chaos:
 # package's testdata/fuzz/<target>/ as a regression seed.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = ./internal/classad:FuzzParse ./internal/classad:FuzzMatch \
-	./internal/classad:FuzzTargetFreeFold \
+	./internal/classad:FuzzTargetFreeFold ./internal/classad:FuzzAdOps \
 	./internal/obs:FuzzAppendJSONString ./internal/obs:FuzzEventAppendJSON \
 	./internal/job:FuzzReadJSON
 

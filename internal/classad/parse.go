@@ -3,7 +3,6 @@ package classad
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Expr is a parsed ClassAd expression.
@@ -49,36 +48,29 @@ func (e attrExpr) Eval(env Env) Value {
 	if env.depth >= maxEvalDepth {
 		return ErrorValue("attribute reference cycle involving " + e.name)
 	}
-	lookup := func(ad *Ad, searchOther *Ad) Value {
-		if ad == nil {
-			return Undefined()
-		}
-		expr, ok := ad.lookupCanon(e.canon)
-		if !ok {
-			return Undefined()
-		}
-		// Attributes evaluate in their owning ad's scope.
-		child := Env{My: ad, Target: searchOther, depth: env.depth + 1}
-		return expr.Eval(child)
-	}
+	// The binding evaluates in its owning ad's scope, with the other ad as
+	// its TARGET.
+	my, other := env.My, env.Target
+	var s *slot
 	switch e.scope {
 	case "my":
-		return lookup(env.My, env.Target)
+		s = my.find(e.canon)
 	case "target":
-		return lookup(env.Target, env.My)
+		my, other = other, my
+		s = my.find(e.canon)
 	default:
-		if env.My != nil {
-			if _, ok := env.My.lookupCanon(e.canon); ok {
-				return lookup(env.My, env.Target)
-			}
+		if s = my.find(e.canon); s == nil {
+			my, other = other, my
+			s = my.find(e.canon)
 		}
-		if env.Target != nil {
-			if _, ok := env.Target.lookupCanon(e.canon); ok {
-				return lookup(env.Target, env.My)
-			}
-		}
-		return Undefined()
 	}
+	switch {
+	case s == nil:
+		return Undefined()
+	case s.expr == nil:
+		return s.value()
+	}
+	return s.expr.Eval(Env{My: my, Target: other, depth: env.depth + 1})
 }
 
 func (e attrExpr) String() string {
@@ -288,6 +280,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, fmt.Errorf("classad: unexpected %s (offset %d)", p.tok, p.tok.pos)
 }
 
+// The keyword literals, boxed once: ASTs are immutable, so every parse of
+// `true` (each MCC job's Requirements) can share one Expr.
+var (
+	trueExpr      Expr = litExpr{Bool(true)}
+	falseExpr     Expr = litExpr{Bool(false)}
+	undefinedExpr Expr = litExpr{Undefined()}
+	errorExpr     Expr = litExpr{ErrorValue("")}
+)
+
 func (p *parser) parseIdent() (Expr, error) {
 	name := p.tok.text
 	if err := p.advance(); err != nil {
@@ -296,15 +297,15 @@ func (p *parser) parseIdent() (Expr, error) {
 	if _, ok := p.atOp("("); ok {
 		return p.parseCall(name)
 	}
-	switch strings.ToLower(name) {
+	switch canonLower(name) {
 	case "true":
-		return litExpr{Bool(true)}, nil
+		return trueExpr, nil
 	case "false":
-		return litExpr{Bool(false)}, nil
+		return falseExpr, nil
 	case "undefined":
-		return litExpr{Undefined()}, nil
+		return undefinedExpr, nil
 	case "error":
-		return litExpr{ErrorValue("")}, nil
+		return errorExpr, nil
 	case "my", "target":
 		if _, ok := p.atOp("."); !ok {
 			return nil, fmt.Errorf("classad: %s must be followed by .attribute (offset %d)", name, p.tok.pos)
@@ -319,7 +320,7 @@ func (p *parser) parseIdent() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return attrExpr{scope: strings.ToLower(name), name: attr, canon: canonLower(attr)}, nil
+		return attrExpr{scope: canonLower(name), name: attr, canon: canonLower(attr)}, nil
 	}
 	return attrExpr{name: name, canon: canonLower(name)}, nil
 }

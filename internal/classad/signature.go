@@ -89,7 +89,8 @@ func lowerIntern(s string) string {
 
 // walkRefs visits every attribute reference in e, reporting its normalized
 // scope ("", "my", or "target") and lowercase name. Traversal order is the
-// expression's syntactic order, so it is deterministic.
+// expression's syntactic order, so it is deterministic. A nil e — an
+// unboxed literal slot's — has none.
 func walkRefs(e Expr, visit func(scope, name string)) {
 	switch v := e.(type) {
 	case attrExpr:
@@ -191,16 +192,20 @@ func (s *Signer) AppendSignature(dst []byte, ad *Ad, roots []string) []byte {
 		dst = strconv.AppendInt(dst, int64(len(name)), 10)
 		dst = append(dst, ':')
 		dst = append(dst, name...)
-		expr, ok := ad.lookup(name)
-		if !ok {
+		sl := ad.find(name)
+		if sl == nil {
 			dst = append(dst, "-1:"...)
 			continue
 		}
-		s.scratch = appendExpr(s.scratch[:0], expr)
+		if sl.expr == nil {
+			s.scratch = appendValue(s.scratch[:0], sl.value())
+		} else {
+			s.scratch = appendExpr(s.scratch[:0], sl.expr)
+		}
 		dst = strconv.AppendInt(dst, int64(len(s.scratch)), 10)
 		dst = append(dst, ':')
 		dst = append(dst, s.scratch...)
-		walkRefs(expr, func(scope, ref string) {
+		walkRefs(sl.expr, func(scope, ref string) {
 			if (scope == "" || scope == "my") && !s.seen[ref] {
 				s.work = append(s.work, ref)
 			}
@@ -258,11 +263,11 @@ func (s *Signer) FoldRequirements(ad *Ad) Fold {
 			continue
 		}
 		s.seen[name] = true
-		expr, ok := ad.lookupCanon(name)
-		if !ok {
+		sl := ad.find(name)
+		if sl == nil {
 			continue
 		}
-		walkRefs(expr, func(scope, ref string) {
+		walkRefs(sl.expr, func(scope, ref string) {
 			if scope != "my" {
 				free = false
 			} else if !s.seen[ref] {
@@ -281,9 +286,9 @@ func (s *Signer) FoldRequirements(ad *Ad) Fold {
 // whose other attributes change after classification: a machine ad's
 // advertised resource levels move with every claim.
 func FoldConstant(ad *Ad) Fold {
-	if expr, ok := ad.lookupCanon(canonRequirements); ok {
+	if sl := ad.find(canonRequirements); sl != nil {
 		refs := false
-		walkRefs(expr, func(string, string) { refs = true })
+		walkRefs(sl.expr, func(string, string) { refs = true })
 		if refs {
 			return FoldNone
 		}

@@ -84,14 +84,14 @@ type DeviceUnit struct {
 
 // Admit requests admission for a job. Under COSMIC, the job waits until its
 // declared memory fits the device (node-level memory admission, §V's "COSMIC
-// prevents them from oversubscribing memory"); ready fires when it is
-// attached. Raw MPSS has no admission control: ready fires immediately.
-func (u *DeviceUnit) Admit(j *job.Job, ready func(*phi.Process)) {
+// prevents them from oversubscribing memory"); ready.Admitted fires when it
+// is attached. Raw MPSS has no admission control: it fires immediately.
+func (u *DeviceUnit) Admit(j *job.Job, ready interface{ Admitted(*phi.Process) }) {
 	if u.Cosmic != nil {
 		u.Cosmic.Admit(j, ready)
 		return
 	}
-	ready(u.Device.Attach(j))
+	ready.Admitted(u.Device.Attach(j))
 }
 
 // Offload runs an offload, through COSMIC's admission control when present;

@@ -82,11 +82,16 @@ func testJob(id int) *job.Job {
 	}
 }
 
+// admitFunc adapts a closure to an admission's readiness notification.
+type admitFunc func(*phi.Process)
+
+func (f admitFunc) Admitted(p *phi.Process) { f(p) }
+
 // attach admits j through u; admission is immediate while j's memory fits.
 func attach(t *testing.T, u *DeviceUnit, j *job.Job) *phi.Process {
 	t.Helper()
 	var p *phi.Process
-	u.Admit(j, func(got *phi.Process) { p = got })
+	u.Admit(j, admitFunc(func(got *phi.Process) { p = got }))
 	if p == nil {
 		t.Fatal("admission did not attach immediately")
 	}

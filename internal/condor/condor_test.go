@@ -914,3 +914,29 @@ func TestMatchCacheBoundedUnderDynamicArrivals(t *testing.T) {
 		}
 	})
 }
+
+// TestClaimReleaseAdUpdateDoesNotAllocate: the four resource levels a
+// machine re-advertises at every claim and release rebind existing integer
+// attributes, which overwrite their ad slots in place.
+func TestClaimReleaseAdUpdateDoesNotAllocate(t *testing.T) {
+	r := rig(scheduler.NewRandomPack(rng.New(3)), 1, true)
+	m := r.pool.Machines()[0]
+	q := &condor.QueuedJob{Job: mkJob(1, 500, 60, 1)}
+	version := m.Ad.Version()
+	n := testing.AllocsPerRun(100, func() {
+		m.FreeMem -= q.Job.Mem
+		m.ResidentThreads += q.Job.Threads
+		m.Resident = append(m.Resident, q)
+		m.UpdateAd()
+		m.FreeMem += q.Job.Mem
+		m.ResidentThreads -= q.Job.Threads
+		m.Resident = m.Resident[:len(m.Resident)-1]
+		m.UpdateAd()
+	})
+	if n != 0 {
+		t.Errorf("a claim/release pair of ad updates allocates %.1f times, want 0", n)
+	}
+	if m.Ad.Version() == version {
+		t.Error("ad updates left the machine ad's version unchanged")
+	}
+}

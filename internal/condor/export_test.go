@@ -26,3 +26,7 @@ func (p *Pool) Submitted() int { return p.submitted }
 
 // Terminal is the number of jobs that reached Completed or Failed.
 func (p *Pool) Terminal() int { return p.completedCount + p.failedCount }
+
+// UpdateAd refreshes the machine's advertised resource levels, as claim
+// and jobDone do.
+func (m *Machine) UpdateAd() { m.updateAd() }

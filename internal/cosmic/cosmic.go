@@ -81,7 +81,7 @@ type request struct {
 // admitReq is one job waiting for node-level memory admission.
 type admitReq struct {
 	j       *job.Job
-	ready   func(*phi.Process)
+	ready   interface{ Admitted(*phi.Process) }
 	arrived units.Tick
 }
 
@@ -180,11 +180,11 @@ func (m *Manager) Attach(j *job.Job) *phi.Process {
 	return p
 }
 
-// Admit requests node-level memory admission for j: ready is called (with
-// the attached process) once the job's declared memory fits alongside the
-// already-admitted jobs' declared memory. Jobs that fit immediately are
-// admitted synchronously; others wait in arrival order.
-func (m *Manager) Admit(j *job.Job, ready func(*phi.Process)) {
+// Admit requests node-level memory admission for j: ready.Admitted is
+// called (with the attached process) once the job's declared memory fits
+// alongside the already-admitted jobs' declared memory. Jobs that fit
+// immediately are admitted synchronously; others wait in arrival order.
+func (m *Manager) Admit(j *job.Job, ready interface{ Admitted(*phi.Process) }) {
 	if j.Mem > m.dev.Config().Memory {
 		// The declared limit exceeds physical device memory: the container
 		// cannot be created at all. Fail the job immediately rather than
@@ -198,11 +198,11 @@ func (m *Manager) Admit(j *job.Job, ready func(*phi.Process)) {
 				obs.F("device", m.obsDev), obs.F("job", j.ID),
 				obs.F("declared_mb", j.Mem), obs.F("device_mb", m.dev.Config().Memory))
 		}
-		ready(m.dev.FailAttach(j, phi.KillContainer))
+		ready.Admitted(m.dev.FailAttach(j, phi.KillContainer))
 		return
 	}
 	if len(m.admitQ) == 0 && j.Mem <= m.DeclaredFree() {
-		ready(m.Attach(j))
+		ready.Admitted(m.Attach(j))
 		return
 	}
 	m.stats.AdmissionsBlocked++
@@ -276,7 +276,7 @@ func (m *Manager) pumpAdmits() {
 				obs.F("wait_ms", wait))
 		}
 		m.noteDepth()
-		head.ready(m.Attach(head.j))
+		head.ready.Admitted(m.Attach(head.j))
 	}
 }
 

@@ -30,6 +30,16 @@ type outcomeFunc func(phi.OffloadOutcome)
 
 func (f outcomeFunc) Fire(tag uint64) { f(phi.OutcomeOf(tag)) }
 
+// killFunc adapts a closure to a process's kill notification.
+type killFunc func(phi.KillReason)
+
+func (f killFunc) Fire(tag uint64) { f(phi.KillReason(tag)) }
+
+// admitFunc adapts a closure to an admission's readiness notification.
+type admitFunc func(*phi.Process)
+
+func (f admitFunc) Admitted(p *phi.Process) { f(p) }
+
 // offload submits an offload whose end runs done.
 func offload(m *Manager, p *phi.Process, threads units.Threads, work units.Tick, done func(phi.OffloadOutcome)) {
 	m.Offload(p, threads, work, outcomeFunc(done), 0)
@@ -181,7 +191,7 @@ func TestContainerKillsMisestimatingJobAtFirstOffload(t *testing.T) {
 		t.Fatal("job killed at attach; container should trip at first offload")
 	}
 	var killed phi.KillReason = -1
-	p.OnKill = func(r phi.KillReason) { killed = r }
+	p.OnKill = killFunc(func(r phi.KillReason) { killed = r })
 	var outcome phi.OffloadOutcome = -1
 	offload(m, p, 60, 1000, func(o phi.OffloadOutcome) { outcome = o })
 	eng.Run()
@@ -320,8 +330,8 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 	m := newMgr(eng)
 	resident := m.Attach(mkJob(0, 6000, 5400, 60))
 	var order []int
-	m.Admit(mkJob(1, 5000, 4500, 60), func(p *phi.Process) { order = append(order, 1) })
-	m.Admit(mkJob(2, 1000, 900, 60), func(p *phi.Process) { order = append(order, 2) })
+	m.Admit(mkJob(1, 5000, 4500, 60), admitFunc(func(p *phi.Process) { order = append(order, 1) }))
+	m.Admit(mkJob(2, 1000, 900, 60), admitFunc(func(p *phi.Process) { order = append(order, 2) }))
 	if len(order) != 0 {
 		t.Fatalf("admissions happened with the device full: %v", order)
 	}
@@ -363,12 +373,12 @@ func TestOversizedAdmitDoesNotDisturbTenants(t *testing.T) {
 	offload(m, honest, 60, 1000, func(o phi.OffloadOutcome) { honestOutcome = o })
 
 	var killed phi.KillReason = -1
-	m.Admit(mkJob(2, 9000, 9000, 60), func(p *phi.Process) {
+	m.Admit(mkJob(2, 9000, 9000, 60), admitFunc(func(p *phi.Process) {
 		if p.Alive() {
 			t.Error("oversized job admitted alive")
 		}
-		p.OnKill = func(r phi.KillReason) { killed = r }
-	})
+		p.OnKill = killFunc(func(r phi.KillReason) { killed = r })
+	}))
 	eng.Run()
 
 	if honestOutcome != phi.OffloadCompleted {

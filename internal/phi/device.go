@@ -159,9 +159,20 @@ type Process struct {
 
 	off *offload // in-flight offload, nil if the job is in a host phase
 
-	// OnKill, if set, is invoked when the device (or a manager) kills the
-	// process. The in-flight offload, if any, is aborted first.
-	OnKill func(reason KillReason)
+	// OnKill, if set, receives the notification when the device (or a
+	// manager) kills the process: OnKill.Fire(uint64(reason)). The
+	// in-flight offload, if any, is aborted first.
+	OnKill sim.Handler
+}
+
+// killNote is a Process in its role as the handler of its own deferred
+// kill notification, whose tag is the KillReason; it forwards to OnKill.
+type killNote Process
+
+func (k *killNote) Fire(reason uint64) {
+	if h := k.OnKill; h != nil {
+		h.Fire(reason)
+	}
 }
 
 // Alive reports whether the process still exists on the device.
@@ -347,11 +358,7 @@ func (d *Device) Attach(j *job.Job) *Process {
 func (d *Device) FailAttach(j *job.Job, reason KillReason) *Process {
 	p := &Process{Job: j, dev: d}
 	d.stats.AttachRejects++
-	d.eng.After(0, func() {
-		if p.OnKill != nil {
-			p.OnKill(reason)
-		}
-	})
+	d.eng.AfterH(0, (*killNote)(p), uint64(reason))
 	return p
 }
 
@@ -427,11 +434,7 @@ func (d *Device) terminate(p *Process, reason KillReason) {
 		// and so a kill that happens synchronously inside Attach (OOM on
 		// admission) still reaches an OnKill handler installed just after
 		// Attach returns.
-		d.eng.After(0, func() {
-			if p.OnKill != nil {
-				p.OnKill(reason)
-			}
-		})
+		d.eng.AfterH(0, (*killNote)(p), uint64(reason))
 	}
 }
 

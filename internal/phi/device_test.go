@@ -35,6 +35,11 @@ type outcomeFunc func(OffloadOutcome)
 
 func (f outcomeFunc) Fire(tag uint64) { f(OutcomeOf(tag)) }
 
+// killFunc adapts a closure to a process's kill notification.
+type killFunc func(KillReason)
+
+func (f killFunc) Fire(tag uint64) { f(KillReason(tag)) }
+
 // startOffload starts an offload whose end runs done.
 func startOffload(d *Device, p *Process, threads units.Threads, work units.Tick, done func(OffloadOutcome)) {
 	d.StartOffload(p, threads, work, outcomeFunc(done), 0)
@@ -172,8 +177,8 @@ func TestOOMKillsOnOversubscribedMemory(t *testing.T) {
 	p1 := d.Attach(j1)
 	p2 := d.Attach(j2)
 	killed := map[int]KillReason{}
-	p1.OnKill = func(r KillReason) { killed[1] = r }
-	p2.OnKill = func(r KillReason) { killed[2] = r }
+	p1.OnKill = killFunc(func(r KillReason) { killed[1] = r })
+	p2.OnKill = killFunc(func(r KillReason) { killed[2] = r })
 	outcomes := map[int]OffloadOutcome{}
 	startOffload(d, p1, 60, 1000, func(o OffloadOutcome) { outcomes[1] = o })
 	if d.Stats().OOMKills != 0 {
@@ -255,7 +260,7 @@ func TestDetachDoesNotInvokeOnKill(t *testing.T) {
 	eng := sim.New()
 	d := newDev(eng)
 	p := d.Attach(mkJob(1, 500, 60))
-	p.OnKill = func(KillReason) { t.Error("OnKill fired for voluntary detach") }
+	p.OnKill = killFunc(func(KillReason) { t.Error("OnKill fired for voluntary detach") })
 	d.Detach(p)
 	eng.Run()
 }
@@ -265,7 +270,7 @@ func TestKillContainerReason(t *testing.T) {
 	d := newDev(eng)
 	p := d.Attach(mkJob(1, 500, 60))
 	var got KillReason = -1
-	p.OnKill = func(r KillReason) { got = r }
+	p.OnKill = killFunc(func(r KillReason) { got = r })
 	d.Kill(p, KillContainer)
 	eng.Run()
 	if got != KillContainer {
@@ -381,7 +386,7 @@ func TestDeterministicOOMVictims(t *testing.T) {
 			j := mkJob(i, 4000, 60)
 			p := d.Attach(j)
 			id := i
-			p.OnKill = func(KillReason) { order = append(order, id) }
+			p.OnKill = killFunc(func(KillReason) { order = append(order, id) })
 			// Attach itself can OOM-kill an earlier process — or the new
 			// one — so only live processes offload (as a real host process
 			// would: it is already dead before reaching its pragma).

@@ -42,24 +42,16 @@ type Result struct {
 // COSMIC's node-level admission (during which the job occupies its Condor
 // slot but makes no progress — the §V cost of memory-oblivious placement).
 func Run(unit *cluster.DeviceUnit, j *job.Job, done func(Result)) {
-	e := &exec{eng: unit.Engine, unit: unit, j: j, done: done}
-	unit.Admit(j, func(p *phi.Process) {
-		e.proc = p
-		e.proc.OnKill = e.onKill
-		if !e.proc.Alive() {
-			// Killed synchronously during attach (container/OOM); onKill
-			// will fire on the deferred notification.
-			return
-		}
-		e.step()
-	})
+	unit.Admit(j, &exec{eng: unit.Engine, unit: unit, j: j, done: done})
 }
 
 // exec is one job's run: a state machine over the job's phases whose
 // continuations are tagged events on exec itself (see the tag constants),
-// so a phase schedules no closure. idx is the phase cursor: it points past
-// the phase in progress, whose parameters a continuation reads back from
-// Phases[idx-1].
+// so a phase schedules no closure. exec also receives the run's admission
+// (Admitted) and, through its killed view, the process's kill
+// notification, so the exec is a run's only allocation in the runner. idx
+// is the phase cursor: it points past the phase in progress, whose
+// parameters a continuation reads back from Phases[idx-1].
 type exec struct {
 	eng  *sim.Engine
 	unit *cluster.DeviceUnit
@@ -79,6 +71,19 @@ const (
 	// tagTransferredIn launches the kernel: the in() buffers have arrived.
 	tagTransferredIn
 )
+
+// Admitted starts the run once the device unit has attached the job's
+// process.
+func (e *exec) Admitted(p *phi.Process) {
+	e.proc = p
+	p.OnKill = (*killed)(e)
+	if !p.Alive() {
+		// Killed synchronously during attach (container/OOM); the kill
+		// notification follows, deferred.
+		return
+	}
+	e.step()
+}
 
 // Fire continues the run after a host phase or a link transfer.
 func (e *exec) Fire(tag uint64) {
@@ -130,7 +135,7 @@ type offloadEnd exec
 
 func (x *offloadEnd) Fire(tag uint64) {
 	// Aborted offloads are followed by the process's kill notification,
-	// which terminates the run via onKill.
+	// which terminates the run via killed.
 	if phi.OutcomeOf(tag) == phi.OffloadCompleted {
 		e := (*exec)(x)
 		e.transfer(e.j.Phases[e.idx-1].TransferOut, tagNext)
@@ -149,12 +154,17 @@ func (e *exec) transfer(size units.MB, next uint64) {
 	e.unit.Link.Transfer(size, e, next)
 }
 
-func (e *exec) onKill(reason phi.KillReason) {
+// killed is exec in its role as the handler of its process's kill
+// notification, whose tag carries the phi.KillReason.
+type killed exec
+
+func (x *killed) Fire(reason uint64) {
+	e := (*exec)(x)
 	if e.finished {
 		return
 	}
 	e.finished = true
-	e.done(Result{Outcome: Crashed, KillReason: reason})
+	e.done(Result{Outcome: Crashed, KillReason: phi.KillReason(reason)})
 }
 
 func (e *exec) finish(r Result) {
