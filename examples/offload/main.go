@@ -63,11 +63,11 @@ func main() {
 			os.Exit(1)
 		}
 		names[int64(inst.ID)] = inst.Name
-		runner.Run(clu.Units[0], inst, func(runner.Result) {
+		runner.Run(clu.Units[0], inst, runner.DoneFunc(func(runner.Result) {
 			if eng.Now() > makespan {
 				makespan = eng.Now()
 			}
-		})
+		}))
 	}
 	eng.Run()
 

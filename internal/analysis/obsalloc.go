@@ -5,27 +5,33 @@ import (
 	"go/token"
 )
 
-// ObsAlloc enforces the zero-alloc-when-disabled observability contract at
-// instrumentation call-sites. A trace emission like
+// ObsAlloc keeps disabled observability down to one pointer-nil branch at
+// each instrumentation call-site. A trace emission like
 //
-//	v.Emit(now, "phi", "oom_kill", obs.F("job", id))
+//	v.Emit(now, "phi", "oom_kill", obs.Int("job", id))
 //
-// builds its variadic []Field slice (and boxes the field values) BEFORE the
-// call, so even though Observer.Emit is nil-safe, an unguarded call-site pays
-// the allocation on every run — including uninstrumented production sweeps
-// where the observer is nil. The contract is that disabled instrumentation
-// costs one pointer-nil branch and nothing else, which holds only when the
+// evaluates its field arguments BEFORE the call, so even though
+// Observer.Emit is nil-safe, an unguarded call-site does that work on every
+// run, including uninstrumented production sweeps where the observer is nil.
+// Fields are unboxed 32-byte values, so the work is no longer an
+// allocation by itself: an unguarded Emit of integer, bool, string and
+// id-list fields on a nil observer allocates nothing, its variadic slice
+// staying in the caller's frame (obs's TestDisabledInstrumentsAllocateNothing).
+// What the guard still saves is computing each value (a length, a memory
+// sum), copying 32 bytes per field into the argument slice, and building
+// any value that has to be made first (a fresh id slice, a concatenated or
+// formatted string), which does allocate. The contract holds only when the
 // emission is wrapped in its receiver's nil guard:
 //
 //	if v != nil {
-//		v.Emit(now, "phi", "oom_kill", obs.F("job", id))
+//		v.Emit(now, "phi", "oom_kill", obs.Int("job", id))
 //	}
 //
 // The rule flags, in sim-path packages:
 //
 //   - Emit calls carrying field arguments (more than the fixed time/layer/
 //     kind triple) whose receiver is not nil-checked by an enclosing if —
-//     the variadic slice would allocate on the disabled path;
+//     the fields would be built on the disabled path;
 //   - fmt.Sprint/Sprintf/Sprintln anywhere in an unguarded Emit call's
 //     arguments — string formatting allocates regardless of arity.
 //

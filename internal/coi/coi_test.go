@@ -66,7 +66,7 @@ func TestLoweredProgramRuns(t *testing.T) {
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
 	var end units.Tick
 	var res runner.Result
-	runner.Run(clu.Units[0], j, func(r runner.Result) { res = r; end = eng.Now() })
+	runner.Run(clu.Units[0], j, runner.DoneFunc(func(r runner.Result) { res = r; end = eng.Now() }))
 	eng.Run()
 	if res.Outcome != runner.Completed {
 		t.Fatalf("outcome %v", res.Outcome)

@@ -97,6 +97,7 @@ type QueuedJob struct {
 	EndTime    units.Tick
 	Crashes    int
 	Machine    *Machine // current/last machine
+	pool       *Pool    // the pool the job was submitted to
 	started    bool
 	// runStart is when the job's *current* execution began. StartTime keeps
 	// first-start semantics for wait/response metrics; fair-share usage must
@@ -711,7 +712,7 @@ func (p *Pool) SubmitWithPriority(jobs []*job.Job, priority int) {
 func (p *Pool) SubmitAs(user string, jobs []*job.Job, priority int) {
 	for _, j := range jobs {
 		q := &QueuedJob{Job: j, Ad: classad.NewAd(), SubmitTime: p.eng.Now(),
-			Priority: priority, User: user}
+			Priority: priority, User: user, pool: p}
 		q.Ad.SetInt(AttrJobID, int64(j.ID))
 		q.Ad.SetInt(AttrRequestPhiMemory, int64(j.Mem))
 		q.Ad.SetInt(AttrRequestPhiThreads, int64(j.Threads))
@@ -726,7 +727,7 @@ func (p *Pool) SubmitAs(user string, jobs []*job.Job, priority int) {
 		p.record(EventSubmit, q, "")
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "submit",
-				obs.F("job", q.Job.ID))
+				obs.Int("job", q.Job.ID))
 		}
 	}
 	p.requestNegotiation(p.cfg.NotifyDelay)
@@ -758,7 +759,7 @@ func (p *Pool) Qedit(q *QueuedJob, requirements string) {
 	p.obsQedit.Inc()
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "qedit",
-			obs.F("job", q.Job.ID), obs.F("requirements", requirements))
+			obs.Int("job", q.Job.ID), obs.Str("requirements", requirements))
 	}
 	if !p.cfg.DisableMatchCache &&
 		q.reqVer == q.Ad.Version() && q.reqStr == requirements {
@@ -817,7 +818,7 @@ func (p *Pool) negotiate() {
 			p.stats.NegotiationRestarts++
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "negotiation_restart",
-					obs.F("delay_ms", delay))
+					obs.Int("delay_ms", delay))
 			}
 			p.requestNegotiation(delay)
 			return
@@ -833,9 +834,9 @@ func (p *Pool) negotiate() {
 		p.lastNegAt = now
 		p.hasNegotiated = true
 		p.obs.Emit(now, obs.LayerCondor, "negotiation_start",
-			obs.F("cycle", p.stats.Negotiations),
-			obs.F("pending", len(p.pending)),
-			obs.F("in_flight", p.inFlight))
+			obs.Int("cycle", p.stats.Negotiations),
+			obs.Int("pending", len(p.pending)),
+			obs.Int("in_flight", p.inFlight))
 	}
 
 	if !p.cfg.DisableMatchCache && !p.dirty && p.lastNoOp {
@@ -849,8 +850,8 @@ func (p *Pool) negotiate() {
 		p.obsCycleSkip.Inc()
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "negotiation_skip",
-				obs.F("cycle", p.stats.Negotiations),
-				obs.F("pending", len(p.pending)))
+				obs.Int("cycle", p.stats.Negotiations),
+				obs.Int("pending", len(p.pending)))
 		}
 		p.finishCycle(0)
 		return
@@ -882,9 +883,9 @@ func (p *Pool) negotiate() {
 
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "negotiation_end",
-			obs.F("cycle", p.stats.Negotiations),
-			obs.F("matched", matched),
-			obs.F("pending", len(p.pending)))
+			obs.Int("cycle", p.stats.Negotiations),
+			obs.Int("matched", matched),
+			obs.Int("pending", len(p.pending)))
 	}
 
 	p.finishCycle(matched)
@@ -1095,7 +1096,7 @@ func (p *Pool) finishCycle(matched int) {
 			p.record(EventStallAbort, q, "")
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "stall_abort",
-					obs.F("job", q.Job.ID))
+					obs.Int("job", q.Job.ID))
 			}
 			p.retire(q)
 		}
@@ -1190,24 +1191,41 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 	p.obsMatch.Inc()
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "match",
-			obs.F("job", q.Job.ID), obs.F("machine", m.Name),
-			obs.F("free_mem_mb", m.FreeMem),
-			obs.F("resident", len(m.Resident)))
+			obs.Int("job", q.Job.ID), obs.Str("machine", m.Name),
+			obs.Int("free_mem_mb", m.FreeMem),
+			obs.Int("resident", len(m.Resident)))
 	}
 
-	p.eng.After(p.cfg.DispatchLatency, func() {
-		if !q.started {
-			q.started = true
-			q.StartTime = p.eng.Now()
-		}
-		q.runStart = p.eng.Now()
-		p.record(EventExecute, q, m.Name)
-		if p.obs != nil {
-			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "execute",
-				obs.F("job", q.Job.ID), obs.F("machine", m.Name))
-		}
-		runner.Run(m.Unit, q.Job, func(r runner.Result) { p.jobDone(q, m, r) })
-	})
+	p.eng.AfterH(p.cfg.DispatchLatency, (*claimRun)(q), 0)
+}
+
+// claimRun is a claimed job in its roles as the claim's dispatch event
+// (Fire) and as the receiver of its run's result (Done), so a claim
+// schedules no closure. The claim's machine is q.Machine throughout.
+type claimRun QueuedJob
+
+// Fire starts the job's run on its machine once the dispatch latency has
+// elapsed.
+func (c *claimRun) Fire(uint64) {
+	q := (*QueuedJob)(c)
+	p, m := q.pool, q.Machine
+	if !q.started {
+		q.started = true
+		q.StartTime = p.eng.Now()
+	}
+	q.runStart = p.eng.Now()
+	p.record(EventExecute, q, m.Name)
+	if p.obs != nil {
+		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "execute",
+			obs.Int("job", q.Job.ID), obs.Str("machine", m.Name))
+	}
+	runner.Run(m.Unit, q.Job, c)
+}
+
+// Done releases the claim with the run's result.
+func (c *claimRun) Done(r runner.Result) {
+	q := (*QueuedJob)(c)
+	q.pool.jobDone(q, q.Machine, r)
 }
 
 // jobDone releases the claim and either retires or resubmits the job.
@@ -1231,8 +1249,8 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 		p.record(EventCrash, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "crash",
-				obs.F("job", q.Job.ID), obs.F("machine", m.Name),
-				obs.F("crashes", q.Crashes))
+				obs.Int("job", q.Job.ID), obs.Str("machine", m.Name),
+				obs.Int("crashes", q.Crashes))
 		}
 		if q.Crashes <= p.cfg.MaxRetries {
 			q.State = Idle
@@ -1242,7 +1260,7 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 			p.record(EventResubmit, q, "")
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "resubmit",
-					obs.F("job", q.Job.ID))
+					obs.Int("job", q.Job.ID))
 			}
 			p.requestNegotiation(p.cfg.NotifyDelay)
 			return
@@ -1253,7 +1271,7 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 		p.record(EventTerminate, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "terminate",
-				obs.F("job", q.Job.ID), obs.F("machine", m.Name))
+				obs.Int("job", q.Job.ID), obs.Str("machine", m.Name))
 		}
 	}
 	q.EndTime = p.eng.Now()

@@ -161,6 +161,7 @@ type Scheduler struct {
 	pickedScratch []*condor.QueuedJob
 	restItems     []knapsack.Item
 	restJobs      []*condor.QueuedJob
+	idScratch     []int // the knapsack event's picked_jobs (the trace copies it)
 
 	// Observability (SetObserver); nil handles no-op when disabled.
 	obs         *obs.Observer
@@ -320,10 +321,10 @@ func (s *Scheduler) computePlan(p *condor.Pool) map[*condor.QueuedJob]string {
 	s.obsDeferred.Add(int64(len(window) - len(plan)))
 	if s.obs != nil {
 		s.obs.Emit(p.Now(), obs.LayerCore, "plan_round",
-			obs.F("pending", len(pending)),
-			obs.F("window", len(window)),
-			obs.F("planned", len(plan)),
-			obs.F("deferred", len(window)-len(plan)))
+			obs.Int("pending", len(pending)),
+			obs.Int("window", len(window)),
+			obs.Int("planned", len(plan)),
+			obs.Int("deferred", len(window)-len(plan)))
 	}
 	return plan
 }
@@ -433,19 +434,20 @@ func (s *Scheduler) packDevice(p *condor.Pool, m *condor.Machine, candidates []*
 	}
 	s.pickedScratch = picked
 	if s.obs != nil {
-		ids := make([]int, len(picked))
-		for i, q := range picked {
-			ids[i] = q.Job.ID
+		ids := s.idScratch[:0]
+		for _, q := range picked {
+			ids = append(ids, q.Job.ID)
 		}
+		s.idScratch = ids
 		s.obs.Emit(p.Now(), obs.LayerCore, "knapsack",
-			obs.F("device", m.Name),
-			obs.F("candidates", len(candidates)),
-			obs.F("mem_budget_mb", m.FreeMem),
-			obs.F("thread_budget", threadBudget),
-			obs.F("stage1_value", stage1Value),
-			obs.F("stage1_fastpath", stage1Fast),
-			obs.F("fill", len(picked)-min(stage1Count, len(picked))),
-			obs.F("picked_jobs", ids))
+			obs.Str("device", m.Name),
+			obs.Int("candidates", len(candidates)),
+			obs.Int("mem_budget_mb", m.FreeMem),
+			obs.Int("thread_budget", threadBudget),
+			obs.Int("stage1_value", stage1Value),
+			obs.Bool("stage1_fastpath", stage1Fast),
+			obs.Int("fill", len(picked)-min(stage1Count, len(picked))),
+			obs.IDs("picked_jobs", ids))
 	}
 	return picked
 }

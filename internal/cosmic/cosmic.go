@@ -117,7 +117,6 @@ type Manager struct {
 
 	// Observability (SetObserver); nil handles no-op when disabled.
 	obs           *obs.Observer
-	obsDev        any // device ID pre-boxed once so hot emit sites skip the per-event string-header allocation
 	obsQDepth     *obs.Gauge
 	obsAdmitDepth *obs.Gauge
 	obsDispatched *obs.Counter
@@ -140,7 +139,6 @@ func New(eng *sim.Engine, dev *phi.Device) *Manager {
 func (m *Manager) SetObserver(o *obs.Observer) {
 	m.obs = o
 	dev := m.dev.ID
-	m.obsDev = dev
 	m.obsQDepth = o.Gauge("cosmic_offload_queue_depth", "device", dev)
 	m.obsAdmitDepth = o.Gauge("cosmic_admit_queue_depth", "device", dev)
 	m.obsDispatched = o.Counter("cosmic_offloads_dispatched_total", "device", dev)
@@ -195,8 +193,8 @@ func (m *Manager) Admit(j *job.Job, ready interface{ Admitted(*phi.Process) }) {
 		m.obsKills.Inc()
 		if m.obs != nil {
 			m.obs.Emit(m.eng.Now(), obs.LayerCosmic, "container_kill",
-				obs.F("device", m.obsDev), obs.F("job", j.ID),
-				obs.F("declared_mb", j.Mem), obs.F("device_mb", m.dev.Config().Memory))
+				obs.Str("device", m.dev.ID), obs.Int("job", j.ID),
+				obs.Int("declared_mb", j.Mem), obs.Int("device_mb", m.dev.Config().Memory))
 		}
 		ready.Admitted(m.dev.FailAttach(j, phi.KillContainer))
 		return
@@ -210,9 +208,9 @@ func (m *Manager) Admit(j *job.Job, ready interface{ Admitted(*phi.Process) }) {
 	m.admitQ = append(m.admitQ, &admitReq{j: j, ready: ready, arrived: m.eng.Now()})
 	if m.obs != nil {
 		m.obs.Emit(m.eng.Now(), obs.LayerCosmic, "admit_blocked",
-			obs.F("device", m.obsDev), obs.F("job", j.ID),
-			obs.F("declared_mb", j.Mem), obs.F("declared_free_mb", m.DeclaredFree()),
-			obs.F("admit_queue", len(m.admitQ)))
+			obs.Str("device", m.dev.ID), obs.Int("job", j.ID),
+			obs.Int("declared_mb", j.Mem), obs.Int("declared_free_mb", m.DeclaredFree()),
+			obs.Int("admit_queue", len(m.admitQ)))
 	}
 	m.noteDepth()
 }
@@ -272,8 +270,8 @@ func (m *Manager) pumpAdmits() {
 		m.obsAdmitWait.Observe(wait.Seconds())
 		if m.obs != nil {
 			m.obs.Emit(m.eng.Now(), obs.LayerCosmic, "admitted",
-				obs.F("device", m.obsDev), obs.F("job", head.j.ID),
-				obs.F("wait_ms", wait))
+				obs.Str("device", m.dev.ID), obs.Int("job", head.j.ID),
+				obs.Int("wait_ms", wait))
 		}
 		m.noteDepth()
 		head.ready.Admitted(m.Attach(head.j))
@@ -342,8 +340,8 @@ func (m *Manager) Offload(p *phi.Process, threads units.Threads, work units.Tick
 		m.obsWaited.Inc()
 		if m.obs != nil {
 			m.obs.Emit(m.eng.Now(), obs.LayerCosmic, "offload_waited",
-				obs.F("device", m.obsDev), obs.F("job", p.Job.ID),
-				obs.F("threads", threads), obs.F("queue", len(m.queue)))
+				obs.Str("device", m.dev.ID), obs.Int("job", p.Job.ID),
+				obs.Int("threads", threads), obs.Int("queue", len(m.queue)))
 		}
 	}
 }
@@ -396,8 +394,8 @@ func (m *Manager) enforceContainer(p *phi.Process, wouldCommit units.MB) bool {
 		m.obsKills.Inc()
 		if m.obs != nil {
 			m.obs.Emit(m.eng.Now(), obs.LayerCosmic, "container_kill",
-				obs.F("device", m.obsDev), obs.F("job", p.Job.ID),
-				obs.F("declared_mb", p.Job.Mem), obs.F("would_commit_mb", wouldCommit))
+				obs.Str("device", m.dev.ID), obs.Int("job", p.Job.ID),
+				obs.Int("declared_mb", p.Job.Mem), obs.Int("would_commit_mb", wouldCommit))
 		}
 		m.dev.Kill(p, phi.KillContainer)
 		m.dropAdmitted(p)
@@ -444,8 +442,8 @@ func (m *Manager) dispatch(req *request) {
 	m.obsHolWait.Observe(wait.Seconds())
 	if m.obs != nil && req.waited {
 		m.obs.Emit(m.eng.Now(), obs.LayerCosmic, "offload_dispatched",
-			obs.F("device", m.obsDev), obs.F("job", req.proc.Job.ID),
-			obs.F("threads", req.threads), obs.F("wait_ms", wait))
+			obs.Str("device", m.dev.ID), obs.Int("job", req.proc.Job.ID),
+			obs.Int("threads", req.threads), obs.Int("wait_ms", wait))
 	}
 	m.dev.StartOffload(req.proc, req.threads, req.work, req, 0)
 }

@@ -359,11 +359,11 @@ func Fig23(o Options) Fig23Result {
 		j2 := fig23Job(2, fig23Names[2], threads, 3)
 		var makespan units.Tick
 		for _, j := range []*job.Job{j1, j2} {
-			runner.Run(clu.Units[0], j, func(runner.Result) {
+			runner.Run(clu.Units[0], j, runner.DoneFunc(func(runner.Result) {
 				if eng.Now() > makespan {
 					makespan = eng.Now()
 				}
-			})
+			}))
 		}
 		eng.Run()
 		return obs.SpansFromTrace(ob.Trace), makespan, j1.SequentialTime() + j2.SequentialTime()

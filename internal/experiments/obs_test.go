@@ -16,6 +16,11 @@ import (
 	"phishare/internal/units"
 )
 
+// layerSet records the layers of the events it consumes.
+type layerSet map[string]bool
+
+func (s layerSet) Consume(e obs.Event) { s[e.Layer] = true }
+
 // TestObservabilityPreservesOutcomes is the observability analogue of
 // TestOptimizedPathsPreserveOutcomes: the full MCCK Table-II stack with
 // every layer instrumented (metrics, trace events, condor event log, and
@@ -28,6 +33,7 @@ func TestObservabilityPreservesOutcomes(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		for _, seed := range []int64{3, 11} {
 			jobs := job.GenerateTableOneSet(90, rng.New(seed))
+			layers := layerSet{}
 			run := func(instrumented bool) (Result, []metrics.JobRecord, *obs.Observer) {
 				var recs []metrics.JobRecord
 				cfg := RunConfig{
@@ -40,6 +46,7 @@ func TestObservabilityPreservesOutcomes(t *testing.T) {
 				var o *obs.Observer
 				if instrumented {
 					o = obs.New()
+					o.Trace.AddConsumer(layers)
 					cfg.Obs = o
 					cfg.EventLog = condor.NewEventLog()
 				}
@@ -84,10 +91,6 @@ func TestObservabilityPreservesOutcomes(t *testing.T) {
 			}
 
 			// Sanity: the instrumented run actually observed all four layers.
-			layers := map[string]bool{}
-			for _, e := range o.Trace.Events() {
-				layers[e.Layer] = true
-			}
 			for _, layer := range []string{obs.LayerCondor, obs.LayerCore, obs.LayerCosmic, obs.LayerPhi} {
 				if !layers[layer] {
 					t.Errorf("seed %d: no trace events from layer %q", seed, layer)

@@ -283,7 +283,7 @@ func (inj *Injector) scheduleNodeLoss(n *cluster.Node, r *rng.Source) {
 		}
 		inj.stats.NodeLosses++
 		if inj.o != nil {
-			inj.o.Emit(inj.eng.Now(), obs.LayerFaults, "node_loss", obs.F("node", n.Name))
+			inj.o.Emit(inj.eng.Now(), obs.LayerFaults, "node_loss", obs.Str("node", n.Name))
 		}
 		for _, u := range n.Devices {
 			if m := inj.machineOf[u]; m != nil {
@@ -295,7 +295,7 @@ func (inj *Injector) scheduleNodeLoss(n *cluster.Node, r *rng.Source) {
 		}
 		inj.eng.After(inj.prof.NodeRepair, func() {
 			if inj.o != nil {
-				inj.o.Emit(inj.eng.Now(), obs.LayerFaults, "node_repair", obs.F("node", n.Name))
+				inj.o.Emit(inj.eng.Now(), obs.LayerFaults, "node_repair", obs.Str("node", n.Name))
 			}
 			for _, u := range n.Devices {
 				if m := inj.machineOf[u]; m != nil {
@@ -321,7 +321,7 @@ func (inj *Injector) scheduleOffloadFault(u *cluster.DeviceUnit, r *rng.Source) 
 			inj.stats.OffloadKills++
 			if inj.o != nil {
 				inj.o.Emit(inj.eng.Now(), obs.LayerFaults, "offload_fault",
-					obs.F("device", u.SlotName), obs.F("job", victim.Job.ID))
+					obs.Str("device", u.SlotName), obs.Int("job", victim.Job.ID))
 			}
 			u.Device.Kill(victim, phi.KillOffloadFault)
 			if u.Cosmic != nil {
@@ -360,7 +360,7 @@ func (inj *Injector) failDevice(u *cluster.DeviceUnit, kind string) {
 	inj.stats.Evictions += evicted
 	if inj.o != nil {
 		inj.o.Emit(inj.eng.Now(), obs.LayerFaults, kind,
-			obs.F("device", u.SlotName), obs.F("evicted", evicted))
+			obs.Str("device", u.SlotName), obs.Int("evicted", evicted))
 	}
 }
 
@@ -368,7 +368,7 @@ func (inj *Injector) repairDevice(u *cluster.DeviceUnit, kind string) {
 	u.Repair()
 	inj.stats.Repairs++
 	if inj.o != nil {
-		inj.o.Emit(inj.eng.Now(), obs.LayerFaults, kind, obs.F("device", u.SlotName))
+		inj.o.Emit(inj.eng.Now(), obs.LayerFaults, kind, obs.Str("device", u.SlotName))
 	}
 	inj.pool.PokeNegotiation()
 }

@@ -147,7 +147,7 @@ func WriteChromeTrace(w io.Writer, spans []*Span) error {
 			}
 			b = appendJSONString(b, f.Key)
 			b = append(b, ':')
-			b = appendJSONValue(b, f.Val)
+			b = appendJSONValue(b, f)
 		}
 		return append(b, `}}`...)
 	}
@@ -180,11 +180,11 @@ func WriteChromeTrace(w io.Writer, spans []*Span) error {
 				outcome = "crashed"
 			}
 			args := []Field{
-				F("machine", a.Machine), F("attempt", i+1),
-				F("outcome", outcome), F("queued_ms", a.Match-s.Submit),
+				Str("machine", a.Machine), Int("attempt", i+1),
+				Str("outcome", outcome), Int("queued_ms", a.Match-s.Submit),
 			}
 			if a.AdmitWait > 0 {
-				args = append(args, F("admit_wait_ms", a.AdmitWait))
+				args = append(args, Int("admit_wait_ms", a.AdmitWait))
 			}
 			if err := emit(complete(jobName, "attempt", pid, tid, a.Match, end, args)); err != nil {
 				return err
@@ -198,9 +198,9 @@ func WriteChromeTrace(w io.Writer, spans []*Span) error {
 					oEnd = end
 				}
 				dn := node(o.Device)
-				oArgs := []Field{F("threads", o.Threads), F("completed", o.Completed)}
+				oArgs := []Field{Int("threads", o.Threads), Bool("completed", o.Completed)}
 				if o.QueueWait > 0 {
-					oArgs = append(oArgs, F("queue_wait_ms", o.QueueWait))
+					oArgs = append(oArgs, Int("queue_wait_ms", o.QueueWait))
 				}
 				if err := emit(complete(jobName, "offload", pidOf[dn], tidOf[tidKey{dn, o.Device}], o.Start, oEnd, oArgs)); err != nil {
 					return err

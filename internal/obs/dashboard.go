@@ -284,8 +284,10 @@ func (o *Observer) writeEventTable(sb *strings.Builder) {
 		return
 	}
 	counts := map[string]int{}
-	for _, e := range o.Trace.Events() {
-		counts[e.Layer+"/"+e.Kind]++
+	for _, c := range o.Trace.chunks {
+		for _, e := range c {
+			counts[e.Layer+"/"+e.Kind]++
+		}
 	}
 	keys := make([]string, 0, len(counts))
 	for k := range counts {

@@ -1,8 +1,16 @@
 package obs
 
-// EncodesDirectly reports whether appendJSONValue encodes v without the
-// reflection fallback.
-func EncodesDirectly(v any) bool {
-	_, ok := appendJSONDirect(nil, v)
-	return ok
+import "math"
+
+// Float builds a floating-point field; no emitter writes one yet.
+func Float(key string, v float64) Field { return scalar(key, kindFloat, math.Float64bits(v)) }
+
+// Events returns the retained events in emission order, flattened into one
+// new slice.
+func (t *Trace) Events() []Event {
+	var out []Event
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }

@@ -1,20 +1,18 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"strconv"
 	"unicode/utf8"
-
-	"phishare/internal/units"
 )
 
 // The JSON encoder shared by every obs exporter (Trace.WriteJSONL,
 // StreamSink, WriteChromeTrace). It appends straight into the caller's
-// buffer and produces the exact bytes encoding/json would — HTML-safe
-// escaping included — without boxing, reflection or a temporary slice per
-// string. FuzzAppendJSONString holds it to json.Marshal byte for byte.
+// buffer without reflection or a temporary slice per string. Strings,
+// integers, bools and id lists come out as the exact bytes encoding/json
+// would write, HTML-safe escaping included (FuzzAppendJSONString holds the
+// string encoder to json.Marshal byte for byte); floats take strconv's
+// shortest 'g' form, which decodes to the same value.
 
 // jsonSafe marks the ASCII bytes encoding/json copies through unescaped:
 // printable ASCII and DEL, minus the quote, the backslash and the
@@ -84,58 +82,31 @@ func appendJSONString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
-// appendJSONValue appends one field value. Every type the stack emits has a
-// direct case in appendJSONDirect (TestEmittedFieldsEncodeDirectly checks
-// this over instrumented runs); the reflection fallback exists only to keep
-// the exporter total.
-func appendJSONValue(buf []byte, v any) []byte {
-	if out, ok := appendJSONDirect(buf, v); ok {
-		return out
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return appendJSONString(buf, fmt.Sprint(v))
-	}
-	return append(buf, b...)
-}
-
-// appendJSONDirect encodes the value types the stack emits without
-// reflection; ok is false (and buf untouched) for any other type.
-func appendJSONDirect(buf []byte, v any) (out []byte, ok bool) {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, "null"...), true
-	case bool:
-		return strconv.AppendBool(buf, x), true
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10), true
-	case int64:
-		return strconv.AppendInt(buf, x, 10), true
-	case uint64:
-		return strconv.AppendUint(buf, x, 10), true
-	case float64:
+// appendJSONValue appends one field's value.
+func appendJSONValue(buf []byte, f Field) []byte {
+	switch f.kind() {
+	case kindInt:
+		return strconv.AppendInt(buf, int64(f.word), 10)
+	case kindFloat:
+		x, _ := f.floatVal()
 		// JSON has no NaN or infinity; null keeps the line parseable.
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return append(buf, "null"...), true
+			return append(buf, "null"...)
 		}
-		return strconv.AppendFloat(buf, x, 'g', -1, 64), true
-	case string:
-		return appendJSONString(buf, x), true
-	case units.Tick:
-		return strconv.AppendInt(buf, int64(x), 10), true
-	case units.MB:
-		return strconv.AppendInt(buf, int64(x), 10), true
-	case units.Threads:
-		return strconv.AppendInt(buf, int64(x), 10), true
-	case []int:
+		return strconv.AppendFloat(buf, x, 'g', -1, 64)
+	case kindBool:
+		return strconv.AppendBool(buf, f.word != 0)
+	case kindIDs:
+		ids, _ := f.idsVal()
 		buf = append(buf, '[')
-		for i, n := range x {
+		for i, n := range ids {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
 			buf = strconv.AppendInt(buf, int64(n), 10)
 		}
-		return append(buf, ']'), true
+		return append(buf, ']')
 	}
-	return buf, false
+	s, _ := f.strVal()
+	return appendJSONString(buf, s)
 }

@@ -67,16 +67,20 @@ func TestDisabledInstrumentsAllocateNothing(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	var o *Observer
+	ids := []int{1, 2}
+	dev := "slot1@node0"
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(1.5)
 		h.Observe(2)
 		// A disabled component holds a nil Observer; the emit site's guard
-		// (`if x.obs != nil`) is what keeps the fields from being built,
-		// but even an unguarded nil-Observer Emit with pre-boxed values
-		// must not allocate.
+		// (`if x.obs != nil`) is what keeps the field values from being
+		// computed, but fields are unboxed, so even an unguarded
+		// nil-Observer Emit of every field kind must not allocate.
 		o.Emit(0, LayerPhi, "noop")
+		o.Emit(5, LayerPhi, "offload_start", Str("device", dev), Int("job", 3),
+			Int("threads", units.Threads(60)), Bool("completed", true), IDs("picked_jobs", ids))
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instruments allocated %.1f per op", allocs)
@@ -184,13 +188,13 @@ wait_seconds_count{device="mic0"} 3
 
 func TestTraceJSONL(t *testing.T) {
 	tr := NewTrace()
-	tr.Emit(1500, LayerCondor, "match", F("job", 7), F("machine", `slot"1`))
+	tr.Emit(1500, LayerCondor, "match", Int("job", 7), Str("machine", `slot"1`))
 	tr.Emit(2000, LayerCore, "knapsack",
-		F("picked_jobs", []int{1, 2}), F("fastpath", true), F("value", int64(9)),
-		F("mem_mb", units.MB(512)), F("threads", units.Threads(8)), F("speed", 0.75))
+		IDs("picked_jobs", []int{1, 2}), Bool("fastpath", true), Int("value", int64(9)),
+		Int("mem_mb", units.MB(512)), Int("threads", units.Threads(8)), Float("speed", 0.75))
 	// JSON has no NaN or infinity: non-finite floats encode as null.
 	tr.Emit(2500, LayerPhi, "probe",
-		F("ratio", math.NaN()), F("hi", math.Inf(1)), F("lo", math.Inf(-1)))
+		Float("ratio", math.NaN()), Float("hi", math.Inf(1)), Float("lo", math.Inf(-1)))
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -221,8 +225,11 @@ func TestTraceJSONL(t *testing.T) {
 	if m["fastpath"] != true || m["speed"] != 0.75 || m["mem_mb"] != float64(512) {
 		t.Fatalf("typed fields mangled: %v", m)
 	}
-	if tr.Events()[0].Field("job") != 7 {
-		t.Fatal("Field lookup failed")
+	if job, ok := tr.Events()[0].Int("job"); !ok || job != 7 {
+		t.Fatalf("Int(job) = %d, %v; want 7", job, ok)
+	}
+	if _, ok := tr.Events()[0].Int("machine"); ok {
+		t.Fatal("Int read a string field")
 	}
 }
 
@@ -304,7 +311,7 @@ func TestDashboard(t *testing.T) {
 	o.Counter("condor_match_cache_misses_total").Add(3)
 	o.Gauge("cosmic_offload_queue_depth", "device", "mic0").Set(4)
 	o.Histogram("phi_speed", []float64{0.5, 1}).Observe(0.8)
-	o.Emit(100, LayerPhi, "oom_kill", F("job", 3))
+	o.Emit(100, LayerPhi, "oom_kill", Int("job", 3))
 	eng := sim.New()
 	eng.At(11*units.Second, func() {})
 	o.SampleInterval = 5 * units.Second

@@ -78,8 +78,10 @@ func SpansFromTrace(t *Trace) []*Span {
 		return nil
 	}
 	b := NewSpanBuilder()
-	for _, e := range t.Events() {
-		b.Consume(e)
+	for _, c := range t.chunks {
+		for _, e := range c {
+			b.Consume(e)
+		}
 	}
 	return b.Spans()
 }
@@ -115,7 +117,7 @@ func (s *Span) cur() *Attempt {
 
 // Consume implements EventSink.
 func (b *SpanBuilder) Consume(e Event) {
-	jobID, ok := fieldInt(e, "job")
+	jobID, ok := e.Int("job")
 	if !ok {
 		return
 	}
@@ -127,7 +129,7 @@ func (b *SpanBuilder) Consume(e Event) {
 		case "match":
 			s := b.span(jobID, e.At)
 			s.Attempts = append(s.Attempts, &Attempt{
-				Machine: fieldString(e, "machine"),
+				Machine: e.Str("machine"),
 				Match:   e.At, Execute: -1, End: -1, Open: true,
 			})
 		case "execute":
@@ -157,13 +159,13 @@ func (b *SpanBuilder) Consume(e Event) {
 		switch e.Kind {
 		case "admitted":
 			if a := b.span(jobID, e.At).cur(); a != nil {
-				if w, ok := fieldTick(e, "wait_ms"); ok {
-					a.AdmitWait += w
+				if w, ok := e.Int("wait_ms"); ok {
+					a.AdmitWait += units.Tick(w)
 				}
 			}
 		case "offload_dispatched":
-			if w, ok := fieldTick(e, "wait_ms"); ok {
-				b.pendingWait[jobID] = w
+			if w, ok := e.Int("wait_ms"); ok {
+				b.pendingWait[jobID] = units.Tick(w)
 			}
 		case "container_kill":
 			if a := b.span(jobID, e.At).cur(); a != nil {
@@ -182,11 +184,11 @@ func (b *SpanBuilder) Consume(e Event) {
 				a = &Attempt{Match: -1, Execute: -1, End: -1, Open: true}
 				s.Attempts = append(s.Attempts, a)
 			}
-			threads, _ := fieldInt(e, "threads")
+			threads, _ := e.Int("threads")
 			wait := b.pendingWait[jobID]
 			delete(b.pendingWait, jobID)
 			a.Offloads = append(a.Offloads, Offload{
-				Device: fieldString(e, "device"),
+				Device: e.Str("device"),
 				Start:  e.At, End: -1,
 				Threads:   threads,
 				QueueWait: wait,
@@ -200,7 +202,7 @@ func (b *SpanBuilder) Consume(e Event) {
 			for i := len(a.Offloads) - 1; i >= 0; i-- {
 				if o := &a.Offloads[i]; o.Open {
 					o.End, o.Open = e.At, false
-					o.Completed, _ = fieldBool(e, "completed")
+					o.Completed = e.Bool("completed")
 					break
 				}
 			}
@@ -210,43 +212,4 @@ func (b *SpanBuilder) Consume(e Event) {
 			}
 		}
 	}
-}
-
-// Field extraction helpers. Trace fields carry the emitting site's Go types
-// (int job ids, units.Tick waits, units.Threads counts); spans normalize to
-// int64/units.Tick.
-
-func fieldInt(e Event, key string) (int64, bool) {
-	switch v := e.Field(key).(type) {
-	case int:
-		return int64(v), true
-	case int64:
-		return v, true
-	case uint64:
-		return int64(v), true
-	case units.Tick:
-		return int64(v), true
-	case units.Threads:
-		return int64(v), true
-	case units.MB:
-		return int64(v), true
-	case float64:
-		return int64(v), true
-	}
-	return 0, false
-}
-
-func fieldTick(e Event, key string) (units.Tick, bool) {
-	n, ok := fieldInt(e, key)
-	return units.Tick(n), ok
-}
-
-func fieldString(e Event, key string) string {
-	s, _ := e.Field(key).(string)
-	return s
-}
-
-func fieldBool(e Event, key string) (bool, bool) {
-	v, ok := e.Field(key).(bool)
-	return v, ok
 }

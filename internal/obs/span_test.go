@@ -19,36 +19,36 @@ func traceFixture() *Trace {
 	tr := NewTrace()
 	e := tr.Emit
 	// job 3 first attempt (earliest activity).
-	e(0, LayerCondor, "submit", F("job", 3))
-	e(500, LayerCondor, "match", F("job", 3), F("machine", "slot1@n2"))
-	e(600, LayerCondor, "execute", F("job", 3), F("machine", "slot1@n2"))
-	e(700, LayerPhi, "oom_kill", F("job", 3), F("device", "slot1@n2"))
-	e(800, LayerCondor, "crash", F("job", 3), F("machine", "slot1@n2"), F("crashes", 1))
-	e(900, LayerCondor, "resubmit", F("job", 3))
+	e(0, LayerCondor, "submit", Int("job", 3))
+	e(500, LayerCondor, "match", Int("job", 3), Str("machine", "slot1@n2"))
+	e(600, LayerCondor, "execute", Int("job", 3), Str("machine", "slot1@n2"))
+	e(700, LayerPhi, "oom_kill", Int("job", 3), Str("device", "slot1@n2"))
+	e(800, LayerCondor, "crash", Int("job", 3), Str("machine", "slot1@n2"), Int("crashes", 1))
+	e(900, LayerCondor, "resubmit", Int("job", 3))
 	// job 1.
-	e(0, LayerCondor, "submit", F("job", 1))
-	e(1000, LayerCondor, "match", F("job", 1), F("machine", "slot1@n1"))
+	e(0, LayerCondor, "submit", Int("job", 1))
+	e(1000, LayerCondor, "match", Int("job", 1), Str("machine", "slot1@n1"))
 	// job 3 second attempt.
-	e(1000, LayerCondor, "match", F("job", 3), F("machine", "slot1@n2"))
-	e(1100, LayerCondor, "execute", F("job", 1), F("machine", "slot1@n1"))
-	e(1100, LayerCondor, "execute", F("job", 3), F("machine", "slot1@n2"))
-	e(1150, LayerCosmic, "admitted", F("device", "slot1@n1"), F("job", 1), F("wait_ms", units.Tick(50)))
-	e(1800, LayerCosmic, "offload_dispatched", F("device", "slot1@n1"), F("job", 1),
-		F("threads", units.Threads(4)), F("wait_ms", units.Tick(200)))
-	e(2000, LayerPhi, "offload_start", F("device", "slot1@n1"), F("job", 1), F("threads", units.Threads(4)))
-	e(2000, LayerCondor, "terminate", F("job", 3), F("machine", "slot1@n2"))
-	e(5000, LayerPhi, "offload_end", F("device", "slot1@n1"), F("job", 1), F("completed", true))
-	e(6000, LayerCondor, "terminate", F("job", 1), F("machine", "slot1@n1"))
+	e(1000, LayerCondor, "match", Int("job", 3), Str("machine", "slot1@n2"))
+	e(1100, LayerCondor, "execute", Int("job", 1), Str("machine", "slot1@n1"))
+	e(1100, LayerCondor, "execute", Int("job", 3), Str("machine", "slot1@n2"))
+	e(1150, LayerCosmic, "admitted", Str("device", "slot1@n1"), Int("job", 1), Int("wait_ms", units.Tick(50)))
+	e(1800, LayerCosmic, "offload_dispatched", Str("device", "slot1@n1"), Int("job", 1),
+		Int("threads", units.Threads(4)), Int("wait_ms", units.Tick(200)))
+	e(2000, LayerPhi, "offload_start", Str("device", "slot1@n1"), Int("job", 1), Int("threads", units.Threads(4)))
+	e(2000, LayerCondor, "terminate", Int("job", 3), Str("machine", "slot1@n2"))
+	e(5000, LayerPhi, "offload_end", Str("device", "slot1@n1"), Int("job", 1), Bool("completed", true))
+	e(6000, LayerCondor, "terminate", Int("job", 1), Str("machine", "slot1@n1"))
 	// job 2 waits behind job 1.
-	e(0, LayerCondor, "submit", F("job", 2))
-	e(6100, LayerCondor, "match", F("job", 2), F("machine", "slot1@n1"))
-	e(6200, LayerCondor, "execute", F("job", 2), F("machine", "slot1@n1"))
-	e(6300, LayerPhi, "offload_start", F("device", "slot1@n1"), F("job", 2), F("threads", units.Threads(8)))
-	e(9000, LayerPhi, "offload_end", F("device", "slot1@n1"), F("job", 2), F("completed", true))
-	e(9500, LayerCondor, "terminate", F("job", 2), F("machine", "slot1@n1"))
+	e(0, LayerCondor, "submit", Int("job", 2))
+	e(6100, LayerCondor, "match", Int("job", 2), Str("machine", "slot1@n1"))
+	e(6200, LayerCondor, "execute", Int("job", 2), Str("machine", "slot1@n1"))
+	e(6300, LayerPhi, "offload_start", Str("device", "slot1@n1"), Int("job", 2), Int("threads", units.Threads(8)))
+	e(9000, LayerPhi, "offload_end", Str("device", "slot1@n1"), Int("job", 2), Bool("completed", true))
+	e(9500, LayerCondor, "terminate", Int("job", 2), Str("machine", "slot1@n1"))
 	// job 4 never runs.
-	e(0, LayerCondor, "submit", F("job", 4))
-	e(9500, LayerCondor, "stall_abort", F("job", 4))
+	e(0, LayerCondor, "submit", Int("job", 4))
+	e(9500, LayerCondor, "stall_abort", Int("job", 4))
 	return tr
 }
 
@@ -303,12 +303,12 @@ func TestChromeTraceExport(t *testing.T) {
 func TestSpanBuilderRunnerOnlyStream(t *testing.T) {
 	tr := NewTrace()
 	e := tr.Emit
-	dev := F("device", "slot1@node0")
-	e(2000, LayerPhi, "offload_start", dev, F("job", 1), F("threads", units.Threads(240)))
-	e(5000, LayerPhi, "offload_end", dev, F("job", 1), F("completed", true))
-	e(5000, LayerPhi, "offload_start", dev, F("job", 2), F("threads", units.Threads(240)))
-	e(7000, LayerPhi, "offload_start", dev, F("job", 1), F("threads", units.Threads(240)))
-	e(8000, LayerPhi, "offload_end", dev, F("job", 2), F("completed", false))
+	dev := Str("device", "slot1@node0")
+	e(2000, LayerPhi, "offload_start", dev, Int("job", 1), Int("threads", units.Threads(240)))
+	e(5000, LayerPhi, "offload_end", dev, Int("job", 1), Bool("completed", true))
+	e(5000, LayerPhi, "offload_start", dev, Int("job", 2), Int("threads", units.Threads(240)))
+	e(7000, LayerPhi, "offload_start", dev, Int("job", 1), Int("threads", units.Threads(240)))
+	e(8000, LayerPhi, "offload_end", dev, Int("job", 2), Bool("completed", false))
 	spans := SpansFromTrace(tr)
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))

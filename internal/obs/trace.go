@@ -7,17 +7,6 @@ import (
 	"phishare/internal/units"
 )
 
-// Field is one key/value attribute of a trace event. Fields keep their
-// emission order (they are not sorted), so an event serializes exactly as
-// the emitting site wrote it.
-type Field struct {
-	Key string
-	Val any
-}
-
-// F builds a Field.
-func F(key string, val any) Field { return Field{Key: key, Val: val} }
-
 // Event is one structured trace event on the simulated timeline.
 type Event struct {
 	At     units.Tick // simulated time, ms
@@ -26,14 +15,39 @@ type Event struct {
 	Fields []Field
 }
 
-// Field returns the value of the named field (nil when absent).
-func (e Event) Field(key string) any {
+// field returns the first field named key.
+func (e Event) field(key string) (Field, bool) {
 	for _, f := range e.Fields {
 		if f.Key == key {
-			return f.Val
+			return f, true
 		}
 	}
-	return nil
+	return Field{}, false
+}
+
+// Int returns the named integer field; ok is false when the event has no
+// field of that name or it is not an integer.
+func (e Event) Int(key string) (v int64, ok bool) {
+	if f, found := e.field(key); found {
+		return f.intVal()
+	}
+	return 0, false
+}
+
+// Str returns the named string field, or "" when the event has no string
+// field of that name.
+func (e Event) Str(key string) string {
+	f, _ := e.field(key)
+	v, _ := f.strVal()
+	return v
+}
+
+// Bool returns the named boolean field, or false when the event has no
+// boolean field of that name.
+func (e Event) Bool(key string) bool {
+	f, _ := e.field(key)
+	v, ok := f.boolVal()
+	return ok && v
 }
 
 // AppendJSON appends the event as one JSON object. Keys time_ms, layer and
@@ -49,7 +63,7 @@ func (e Event) AppendJSON(buf []byte) []byte {
 		buf = append(buf, ',')
 		buf = appendJSONString(buf, f.Key)
 		buf = append(buf, ':')
-		buf = appendJSONValue(buf, f.Val)
+		buf = appendJSONValue(buf, f)
 	}
 	return append(buf, '}')
 }
@@ -60,8 +74,9 @@ func (e Event) AppendJSON(buf []byte) []byte {
 // are EventSinks.
 //
 // The Event's Fields slice is owned by the trace: in streaming mode it is a
-// reused scratch buffer valid only for the duration of Consume. Sinks that
-// retain field data must copy the values out (both shipped sinks do).
+// reused scratch buffer, and an id-list field may point at the emitter's
+// reused scratch slice, both valid only for the duration of Consume. Sinks
+// that retain field data must copy the values out (both shipped sinks do).
 type EventSink interface {
 	Consume(Event)
 }
@@ -79,10 +94,6 @@ type Trace struct {
 	// growth copies were the single largest GC burden of instrumentation.
 	chunks [][]Event
 	n      int
-	// flat caches the flattened view handed out by Events(); invalidated
-	// on Emit, rebuilt lazily (post-run readers pay one copy, the hot
-	// emit path pays nothing).
-	flat []Event
 	// farena holds retained events' Field data in fixed-capacity blocks.
 	// Emit copies the caller's variadic fields here instead of keeping the
 	// argument slice, so the slice never escapes at the emitting site —
@@ -90,6 +101,9 @@ type Trace struct {
 	// becomes a stack frame, and only the amortized arena blocks hit the
 	// heap.
 	farena [][]Field
+	// idArena holds retained id-list fields' elements the same way, so an
+	// emitting site can pass a reused scratch slice to IDs.
+	idArena [][]int
 	// scratch is the streaming-mode field buffer, reused across events
 	// (nothing is retained, so consumers see a slice valid only for the
 	// duration of Consume — both shipped sinks read it synchronously).
@@ -100,10 +114,11 @@ type Trace struct {
 
 // traceChunk is the per-block event capacity: big enough to amortize the
 // block allocations, small enough that short traces stay cheap.
-// fieldChunk sizes the field-arena blocks the same way.
+// fieldChunk and idChunk size the field and id arena blocks the same way.
 const (
 	traceChunk = 1024
 	fieldChunk = 4096
+	idChunk    = 4096
 )
 
 // NewTrace returns an empty trace.
@@ -158,7 +173,6 @@ func (t *Trace) Emit(at units.Tick, layer, kind string, fields ...Field) {
 	last := len(t.chunks) - 1
 	t.chunks[last] = append(t.chunks[last], e)
 	t.n++
-	t.flat = nil
 }
 
 // retainFields copies fields into the arena and returns the arena-backed
@@ -169,17 +183,31 @@ func (t *Trace) retainFields(fields []Field) []Field {
 	}
 	last := len(t.farena) - 1
 	if last < 0 || cap(t.farena[last])-len(t.farena[last]) < len(fields) {
-		c := fieldChunk
-		if len(fields) > c {
-			c = len(fields)
-		}
-		t.farena = append(t.farena, make([]Field, 0, c))
+		t.farena = append(t.farena, make([]Field, 0, max(fieldChunk, len(fields))))
 		last++
 	}
 	blk := append(t.farena[last], fields...)
 	t.farena[last] = blk
 	start := len(blk) - len(fields)
-	return blk[start:len(blk):len(blk)]
+	out := blk[start:len(blk):len(blk)]
+	for i, f := range out {
+		if ids, ok := f.idsVal(); ok && len(ids) > 0 {
+			out[i] = IDs(f.Key, t.retainIDs(ids))
+		}
+	}
+	return out
+}
+
+// retainIDs copies ids into the id arena, as retainFields does fields.
+func (t *Trace) retainIDs(ids []int) []int {
+	last := len(t.idArena) - 1
+	if last < 0 || cap(t.idArena[last])-len(t.idArena[last]) < len(ids) {
+		t.idArena = append(t.idArena, make([]int, 0, max(idChunk, len(ids))))
+		last++
+	}
+	blk := append(t.idArena[last], ids...)
+	t.idArena[last] = blk
+	return blk[len(blk)-len(ids):]
 }
 
 // Len returns the number of recorded events (0 for nil).
@@ -188,22 +216,6 @@ func (t *Trace) Len() int {
 		return 0
 	}
 	return t.n
-}
-
-// Events returns the recorded events in emission order (shared slice;
-// callers must not mutate). The flattened view is built on first use after
-// the last Emit and cached, so repeated post-run readers share one copy.
-func (t *Trace) Events() []Event {
-	if t == nil || t.n == 0 {
-		return nil
-	}
-	if t.flat == nil {
-		t.flat = make([]Event, 0, t.n)
-		for _, c := range t.chunks {
-			t.flat = append(t.flat, c...)
-		}
-	}
-	return t.flat
 }
 
 // WriteJSONL streams the trace as one JSON object per line. A nil trace

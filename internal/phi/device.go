@@ -252,7 +252,6 @@ type Device struct {
 
 	// Observability (SetObserver); nil handles no-op when disabled.
 	obs         *obs.Observer
-	obsDev      any // device ID pre-boxed once so hot emit sites skip the per-event string-header allocation
 	obsOOM      *obs.Counter
 	obsStarted  *obs.Counter
 	obsComplete *obs.Counter
@@ -287,7 +286,6 @@ func (d *Device) Config() Config { return d.cfg }
 // the device ID. A nil observer disables instrumentation.
 func (d *Device) SetObserver(o *obs.Observer) {
 	d.obs = o
-	d.obsDev = d.ID
 	d.obsOOM = o.Counter("phi_oom_kills_total", "device", d.ID)
 	d.obsStarted = o.Counter("phi_offloads_started_total", "device", d.ID)
 	d.obsComplete = o.Counter("phi_offloads_completed_total", "device", d.ID)
@@ -477,8 +475,8 @@ func (d *Device) StartOffload(p *Process, threads units.Threads, work units.Tick
 	d.obsStarted.Inc()
 	if d.obs != nil {
 		d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_start",
-			obs.F("device", d.obsDev), obs.F("job", p.Job.ID),
-			obs.F("threads", threads), obs.F("work_ms", work))
+			obs.Str("device", d.ID), obs.Int("job", p.Job.ID),
+			obs.Int("threads", threads), obs.Int("work_ms", work))
 	}
 
 	// Transferring in the offload's buffers commits the process's peak.
@@ -504,8 +502,8 @@ func (d *Device) abortOffload(o *offload) {
 	d.obsAborted.Inc()
 	if d.obs != nil {
 		d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_end",
-			obs.F("device", d.obsDev), obs.F("job", o.proc.Job.ID),
-			obs.F("completed", false))
+			obs.Str("device", d.ID), obs.Int("job", o.proc.Job.ID),
+			obs.Bool("completed", false))
 	}
 	d.notify(o, OffloadAborted)
 	d.freeOffload(o)
@@ -667,8 +665,8 @@ func (d *Device) onCompletionTick() {
 		d.obsComplete.Inc()
 		if d.obs != nil {
 			d.obs.Emit(d.eng.Now(), obs.LayerPhi, "offload_end",
-				obs.F("device", d.obsDev), obs.F("job", o.proc.Job.ID),
-				obs.F("completed", true))
+				obs.Str("device", d.ID), obs.Int("job", o.proc.Job.ID),
+				obs.Bool("completed", true))
 		}
 		d.notify(o, OffloadCompleted)
 		d.freeOffload(o)
@@ -692,9 +690,9 @@ func (d *Device) checkOOM() {
 		d.obsOOM.Inc()
 		if d.obs != nil {
 			d.obs.Emit(d.eng.Now(), obs.LayerPhi, "oom_kill",
-				obs.F("device", d.obsDev), obs.F("job", victim.Job.ID),
-				obs.F("committed_mb", d.CommittedMemory()),
-				obs.F("device_mb", d.cfg.Memory))
+				obs.Str("device", d.ID), obs.Int("job", victim.Job.ID),
+				obs.Int("committed_mb", d.CommittedMemory()),
+				obs.Int("device_mb", d.cfg.Memory))
 		}
 		d.terminate(victim, KillOOM)
 	}

@@ -34,11 +34,11 @@ func TestPhaseLifecycleAllocatesNothing(t *testing.T) {
 				perJob := func(pairs int) float64 {
 					j := pairsJob(pairs, xfer)
 					completed := 0
-					done := func(r Result) {
+					done := DoneFunc(func(r Result) {
 						if r.Outcome == Completed {
 							completed++
 						}
-					}
+					})
 					runs := 50
 					allocs := testing.AllocsPerRun(runs, func() {
 						Run(u, j, done)

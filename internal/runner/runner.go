@@ -36,12 +36,26 @@ type Result struct {
 	KillReason phi.KillReason
 }
 
-// Run executes j on unit and calls done exactly once when the job completes
-// or crashes. The job's process is created when the device admits it:
-// immediately under raw MPSS, or once its declared memory fits under
-// COSMIC's node-level admission (during which the job occupies its Condor
-// slot but makes no progress — the §V cost of memory-oblivious placement).
-func Run(unit *cluster.DeviceUnit, j *job.Job, done func(Result)) {
+// Done receives a run's Result. A long-lived receiver (the condor pool's
+// claimed job) implements it itself, so starting a run allocates no
+// callback.
+type Done interface {
+	Done(Result)
+}
+
+// DoneFunc adapts a function to Done.
+type DoneFunc func(Result)
+
+// Done calls f(r).
+func (f DoneFunc) Done(r Result) { f(r) }
+
+// Run executes j on unit and calls done.Done exactly once when the job
+// completes or crashes. The job's process is created when the device
+// admits it: immediately under raw MPSS, or once its declared memory fits
+// under COSMIC's node-level admission (during which the job occupies its
+// Condor slot but makes no progress — the §V cost of memory-oblivious
+// placement).
+func Run(unit *cluster.DeviceUnit, j *job.Job, done Done) {
 	unit.Admit(j, &exec{eng: unit.Engine, unit: unit, j: j, done: done})
 }
 
@@ -56,7 +70,7 @@ type exec struct {
 	eng  *sim.Engine
 	unit *cluster.DeviceUnit
 	j    *job.Job
-	done func(Result)
+	done Done
 
 	proc     *phi.Process
 	idx      int
@@ -164,7 +178,7 @@ func (x *killed) Fire(reason uint64) {
 		return
 	}
 	e.finished = true
-	e.done(Result{Outcome: Crashed, KillReason: phi.KillReason(reason)})
+	e.done.Done(Result{Outcome: Crashed, KillReason: phi.KillReason(reason)})
 }
 
 func (e *exec) finish(r Result) {
@@ -173,5 +187,5 @@ func (e *exec) finish(r Result) {
 	}
 	e.finished = true
 	e.unit.Detach(e.proc)
-	e.done(r)
+	e.done.Done(r)
 }
