@@ -129,7 +129,9 @@ benchgate:
 # detector. A failure prints a reproducible (seed, profile, policy) triple.
 # STREAM_CHAOS_SEEDS sizes the streaming leg: every one of its faulted
 # diurnal cells runs twice (checked retained, then emit-and-drop streaming)
-# and the online aggregates must match bit for bit.
+# and the online aggregates must match bit for bit. The two cmd/phichaos
+# runs drive the swarm binary's reference-diff and streaming modes, which
+# must exit 0.
 STREAM_CHAOS_SEEDS ?= 10
 
 chaos:
@@ -137,6 +139,8 @@ chaos:
 		STREAM_CHAOS_SEEDS=$(STREAM_CHAOS_SEEDS) \
 		$(GO) test -race -count 1 \
 		-run '^TestInvariantSwarm$$|^TestChaosDiffSwarm$$|^TestStreamChaosSwarm$$' ./internal/experiments
+	$(GO) run ./cmd/phichaos -seeds 2 -diff
+	$(GO) run ./cmd/phichaos -stream -seeds 1 -jobs 20
 
 # Fuzz targets: the classad parser/matcher robustness contracts, the
 # constant-Requirements fold's differential check against classad.Match,

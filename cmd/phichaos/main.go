@@ -15,16 +15,17 @@
 // workout for cache invalidation, so the bit-for-bit equivalence claim is
 // checked exactly where it is most likely to break.
 //
-// With -stream the swarm instead runs faulted diurnal cells twice each —
-// retained under the invariant checker, then in emit-and-drop streaming
-// mode — and any divergence between the two runs' online aggregates
-// (summary, per-tenant fairness, stretch, footprint marks) is a failure:
-// the adversarial version of the streaming-equivalence guarantee.
+// With -stream the swarm instead runs faulted diurnal cells of -jobs
+// arrivals twice each — retained under the invariant checker, then in
+// emit-and-drop streaming mode — and any divergence between the two runs'
+// online aggregates (summary, per-tenant fairness, stretch, footprint
+// marks) is a failure: the adversarial version of the streaming-equivalence
+// guarantee.
 //
 // Each failure prints a `FAIL seed=N profile=P policy=Q` triple followed by
-// the violations; replay one cell with the same workload flags plus
-// -seeds 1 -seed0 N -profiles P -policies Q. Exit status 1 when any run
-// fails, 0 when the whole swarm is clean.
+// the violations and a replay command: this run's flags narrowed to that
+// one cell. Exit status 1 when any run fails, 0 when the whole swarm is
+// clean.
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 		seed0    = flag.Int64("seed0", 1, "first seed")
 		policies = flag.String("policies", "MC,MCC,MCCK", "comma-separated policies")
 		profiles = flag.String("profiles", "light,heavy", "comma-separated fault profiles (none,light,heavy)")
-		jobs     = flag.Int("jobs", 18, "Table I jobs per run")
+		jobs     = flag.Int("jobs", 0, "jobs per run (0: 18 Table I jobs, or 60 diurnal arrivals with -stream)")
 		nodes    = flag.Int("nodes", 3, "cluster nodes per run")
 		retries  = flag.Int("retries", 4, "crash retry budget per job")
 		diff     = flag.Bool("diff", false, "replay every cell on the reference paths (DisableMatchCache, dense knapsack), diffing outcomes bit-for-bit")
@@ -51,6 +52,10 @@ func main() {
 		verbose  = flag.Bool("v", false, "print progress lines")
 	)
 	flag.Parse()
+	if *diff && *stream {
+		fmt.Fprintln(os.Stderr, "phichaos: -diff and -stream select different sweeps; give one")
+		os.Exit(2)
+	}
 
 	var profs []faults.Profile
 	for _, name := range strings.Split(*profiles, ",") {
@@ -61,69 +66,53 @@ func main() {
 		}
 		profs = append(profs, p)
 	}
-
-	if *stream {
-		scfg := experiments.StreamChaosConfig{
-			Seeds:    *seeds,
-			Seed0:    *seed0,
-			Policies: strings.Split(*policies, ","),
-			Profiles: profs,
-			Nodes:    *nodes,
-			Retries:  *retries,
-		}
-		if *verbose {
-			scfg.Logf = func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			}
-		}
-		failures := experiments.StreamChaosSwarm(scfg)
-		runs := *seeds * len(scfg.Policies) * len(profs)
-		if len(failures) == 0 {
-			fmt.Printf("phichaos: %d streaming cells clean (%d seeds x %d policies x %d profiles, diurnal cells on %d nodes)\n",
-				runs, *seeds, len(scfg.Policies), len(profs), *nodes)
-			return
-		}
-		for _, f := range failures {
-			fmt.Println(f)
-			fmt.Printf("  replay: phichaos -stream -seeds 1 -seed0 %d -profiles %s -policies %s -nodes %d -retries %d\n",
-				f.Seed, f.Profile, f.Policy, *nodes, *retries)
-		}
-		fmt.Printf("phichaos: %d/%d streaming cells FAILED\n", len(failures), runs)
-		os.Exit(1)
-	}
-
-	cfg := experiments.ChaosConfig{
-		Seeds:         *seeds,
-		Seed0:         *seed0,
-		Policies:      strings.Split(*policies, ","),
-		Profiles:      profs,
-		Jobs:          *jobs,
-		Nodes:         *nodes,
-		Retries:       *retries,
-		DiffReference: *diff,
-	}
+	pols := strings.Split(*policies, ",")
+	var logf func(string, ...any)
 	if *verbose {
-		cfg.Logf = func(format string, args ...any) {
+		logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}
 	}
 
-	failures := experiments.ChaosSwarm(cfg)
-	runs := *seeds * len(cfg.Policies) * len(profs)
-	if len(failures) == 0 {
-		mode := ""
+	var failures []experiments.ChaosFailure
+	mode := "runs"
+	if *stream {
+		mode = "streaming cells"
+		failures = experiments.StreamChaosSwarm(experiments.StreamChaosConfig{
+			Seeds: *seeds, Seed0: *seed0, Policies: pols, Profiles: profs,
+			Jobs: *jobs, Nodes: *nodes, Retries: *retries, Logf: logf,
+		})
+	} else {
 		if *diff {
-			mode = ", reference-diffed"
+			mode = "reference-diffed runs"
 		}
-		fmt.Printf("phichaos: %d runs clean (%d seeds x %d policies x %d profiles, %d jobs on %d nodes%s)\n",
-			runs, *seeds, len(cfg.Policies), len(profs), *jobs, *nodes, mode)
+		failures = experiments.ChaosSwarm(experiments.ChaosConfig{
+			Seeds: *seeds, Seed0: *seed0, Policies: pols, Profiles: profs,
+			Jobs: *jobs, Nodes: *nodes, Retries: *retries, DiffReference: *diff, Logf: logf,
+		})
+	}
+
+	runs := *seeds * len(pols) * len(profs)
+	if len(failures) == 0 {
+		fmt.Printf("phichaos: %d %s clean (%d seeds x %d policies x %d profiles on %d nodes)\n",
+			runs, mode, *seeds, len(pols), len(profs), *nodes)
 		return
 	}
+	// A replay keeps every flag this run was given except the sweep's own
+	// grid, which it narrows to the failed cell.
+	keep := ""
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seeds", "seed0", "profiles", "policies", "v":
+		default:
+			keep += fmt.Sprintf(" -%s=%s", f.Name, f.Value)
+		}
+	})
 	for _, f := range failures {
 		fmt.Println(f)
-		fmt.Printf("  replay: phichaos -seeds 1 -seed0 %d -profiles %s -policies %s -jobs %d -nodes %d -retries %d\n",
-			f.Seed, f.Profile, f.Policy, *jobs, *nodes, *retries)
+		fmt.Printf("  replay: phichaos%s -seeds 1 -seed0 %d -profiles %s -policies %s\n",
+			keep, f.Seed, f.Profile, f.Policy)
 	}
-	fmt.Printf("phichaos: %d/%d runs FAILED\n", len(failures), runs)
+	fmt.Printf("phichaos: %d/%d %s FAILED\n", len(failures), runs, mode)
 	os.Exit(1)
 }

@@ -12,24 +12,27 @@
 // Workloads: tableI (the paper's real application mix) or one of the
 // synthetic distributions uniform, normal, low-skew, high-skew.
 //
-// The observability flags (-events, -metrics, -series, -dashboard,
-// -eventlog) attach the internal/obs layer to the run and export its
-// artifacts; instrumentation never changes simulated outcomes. -perfetto
-// exports causal job spans as a Chrome trace-event file for ui.perfetto.dev,
-// -critpath writes the critical-path makespan attribution, -trace (CSV) and
-// -svg (Gantt chart) export the offload timeline read from the same spans,
-// and -stream-events traces arbitrarily large runs in bounded memory by
-// streaming JSONL during the run instead of retaining events.
+// The observability flags (-events, -metrics, -series, -dashboard) attach
+// the internal/obs layer to the run and export its artifacts;
+// instrumentation never changes simulated outcomes. -events streams the
+// JSONL trace to its file during the run, so a run of any length is traced
+// in bounded memory; the trace is retained only for -dashboard, whose
+// makespan panel and event count read it. The condor-layer lines of
+// -events are the job lifecycle (submit, match, execute, crash, resubmit,
+// terminate, stall_abort). -perfetto exports causal job spans as a Chrome
+// trace-event file for ui.perfetto.dev, -critpath writes the critical-path
+// makespan attribution, and -trace (CSV) and -svg (Gantt chart) export the
+// offload timeline read from the same spans.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
-	"phishare/internal/condor"
 	"phishare/internal/experiments"
 	"phishare/internal/job"
 	"phishare/internal/obs"
@@ -59,11 +62,9 @@ func main() {
 		seriesOut  = flag.String("series", "", "write the sampled time series (CSV) to this file")
 		dashOut    = flag.String("dashboard", "", "write a self-contained HTML dashboard to this file")
 		sampleSec  = flag.Float64("sample", 5, "time-series sampling period in simulated seconds")
-		eventlog   = flag.String("eventlog", "", "write the condor job event log (CSV) to this file")
 
-		perfetto  = flag.String("perfetto", "", "write job spans as a Chrome/Perfetto trace-event JSON file")
-		critpath  = flag.String("critpath", "", "write the critical-path makespan attribution (text report) to this file")
-		streamOut = flag.String("stream-events", "", "stream trace events (JSONL) to this file during the run without retaining them (bounded memory; disables -events)")
+		perfetto = flag.String("perfetto", "", "write job spans as a Chrome/Perfetto trace-event JSON file")
+		critpath = flag.String("critpath", "", "write the critical-path makespan attribution (text report) to this file")
 	)
 	flag.Parse()
 
@@ -100,48 +101,46 @@ func main() {
 	// -perfetto, -critpath, -trace and -svg all read job spans.
 	wantSpans := *perfetto != "" || *critpath != "" || *traceOut != "" || *svgOut != ""
 	var o *obs.Observer
-	if wantSpans || *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" || *streamOut != "" {
+	if wantSpans || *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" {
 		o = obs.New()
 		o.SampleInterval = units.Tick(*sampleSec * float64(units.Second))
+		// Only the dashboard reads the retained trace.
+		o.Trace.SetStreaming(*dashOut == "")
 		runCfg.Obs = o
 	}
-	// Spans assemble from the live canonical stream, so the span artifacts
-	// work even when -stream-events drops the trace after emission.
+	// Spans assemble from the live canonical stream.
 	var spanB *obs.SpanBuilder
 	if wantSpans {
 		spanB = obs.NewSpanBuilder()
 		o.Trace.AddConsumer(spanB)
 	}
-	if o != nil && *eventsOut == "" && *dashOut == "" {
-		o.Trace.SetStreaming(true) // nothing reads the retained trace
-	}
-	var streamFile *os.File
-	var stream *obs.StreamSink
-	if o != nil && *streamOut != "" {
-		f, err := os.Create(*streamOut)
+	var eventsFile *os.File
+	var eventsBuf *bufio.Writer
+	var events *obs.StreamSink
+	if *eventsOut != "" {
+		f, err := os.Create(*eventsOut)
 		if err != nil {
-			log.Fatalf("create %s: %v", *streamOut, err)
+			log.Fatalf("create %s: %v", *eventsOut, err)
 		}
-		streamFile = f
-		stream = o.StreamEvents(f)
-		*eventsOut = "" // nothing retained to dump post-hoc
-	}
-	var elog *condor.EventLog
-	if *eventlog != "" {
-		elog = condor.NewEventLog()
-		runCfg.EventLog = elog
+		eventsFile, eventsBuf = f, bufio.NewWriter(f)
+		events = obs.NewStreamSink(eventsBuf)
+		o.Trace.AddConsumer(events)
 	}
 	res := experiments.Run(runCfg)
 
-	if stream != nil {
-		if err := stream.Err(); err != nil {
-			log.Fatalf("stream events: %v", err)
+	if events != nil {
+		err := events.Err()
+		if err == nil {
+			err = eventsBuf.Flush()
 		}
-		if err := streamFile.Close(); err != nil {
-			log.Fatal(err)
+		if err == nil {
+			err = eventsFile.Close()
 		}
-		log.Printf("streamed %d trace events to %s (buffer high-water %d bytes)",
-			stream.Events(), *streamOut, stream.HighWater())
+		if err != nil {
+			log.Fatalf("write %s: %v", *eventsOut, err)
+		}
+		log.Printf("wrote %d trace events (JSONL) to %s (buffer high-water %d bytes)",
+			events.Events(), *eventsOut, events.HighWater())
 	}
 
 	writeArtifact := func(path, what string, write func(io.Writer) error) {
@@ -161,7 +160,6 @@ func main() {
 		log.Printf("wrote %s to %s", what, path)
 	}
 	if o != nil {
-		writeArtifact(*eventsOut, "event stream (JSONL)", o.WriteEvents)
 		writeArtifact(*metricsOut, "metrics snapshot (Prometheus)", o.WriteMetrics)
 		writeArtifact(*seriesOut, "time series (CSV)", o.WriteSeriesCSV)
 		writeArtifact(*dashOut, "dashboard (HTML)", func(w io.Writer) error {
@@ -198,9 +196,6 @@ func main() {
 			fmt.Printf("\ncluster thread occupancy over the run:\n[%s]\n",
 				obs.Sparkline(obs.OffloadTimeline(spans, 64, res.Makespan), totalThreads))
 		}
-	}
-	if elog != nil {
-		writeArtifact(*eventlog, "condor event log (CSV)", elog.WriteCSV)
 	}
 
 	fmt.Printf("policy           %s\n", res.Policy)

@@ -488,8 +488,6 @@ type Pool struct {
 	// NegFaults, if set, injects negotiator perturbations (see
 	// NegotiationFaults). Nil in every non-chaos run.
 	NegFaults NegotiationFaults
-	// Log, if set, records job lifecycle events (HTCondor's user log).
-	Log *EventLog
 
 	// Observability (SetObserver). Instrument handles are resolved once at
 	// wiring time; every hot-path site pays a nil check when disabled.
@@ -724,7 +722,6 @@ func (p *Pool) SubmitAs(user string, jobs []*job.Job, priority int) {
 			p.jobs = append(p.jobs, q)
 		}
 		p.insertPending(q)
-		p.record(EventSubmit, q, "")
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "submit",
 				obs.Int("job", q.Job.ID))
@@ -1093,7 +1090,6 @@ func (p *Pool) finishCycle(matched int) {
 			q.EndTime = p.eng.Now()
 			p.noteEnd(q.EndTime)
 			p.stats.Stalled++
-			p.record(EventStallAbort, q, "")
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "stall_abort",
 					obs.Int("job", q.Job.ID))
@@ -1187,7 +1183,6 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-	p.record(EventMatch, q, m.Name)
 	p.obsMatch.Inc()
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "match",
@@ -1214,7 +1209,6 @@ func (c *claimRun) Fire(uint64) {
 		q.StartTime = p.eng.Now()
 	}
 	q.runStart = p.eng.Now()
-	p.record(EventExecute, q, m.Name)
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "execute",
 			obs.Int("job", q.Job.ID), obs.Str("machine", m.Name))
@@ -1246,7 +1240,6 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 
 	if r.Outcome == runner.Crashed {
 		q.Crashes++
-		p.record(EventCrash, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "crash",
 				obs.Int("job", q.Job.ID), obs.Str("machine", m.Name),
@@ -1257,7 +1250,6 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 			p.policy.PrepareJobAd(q) // reset Requirements for a fresh match
 			p.insertPending(q)
 			p.stats.Resubmits++
-			p.record(EventResubmit, q, "")
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "resubmit",
 					obs.Int("job", q.Job.ID))
@@ -1268,7 +1260,6 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 		q.State = Failed
 	} else {
 		q.State = Completed
-		p.record(EventTerminate, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "terminate",
 				obs.Int("job", q.Job.ID), obs.Str("machine", m.Name))

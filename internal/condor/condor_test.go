@@ -1,16 +1,14 @@
 package condor_test
 
 import (
-	"encoding/csv"
-	"reflect"
-	"strconv"
-	"strings"
+	"slices"
 	"testing"
 
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
 	"phishare/internal/core"
 	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/rng"
 	"phishare/internal/scheduler"
 	"phishare/internal/sim"
@@ -55,21 +53,43 @@ func (r *testRig) run(t *testing.T, jobs []*job.Job) {
 	}
 }
 
-// jobHistory returns the events of one job, in order.
-func jobHistory(l *condor.EventLog, jobID int) []condor.Event {
-	var out []condor.Event
-	for _, e := range l.Events() {
-		if e.JobID == jobID {
+// jobEvents records a pool's condor-layer job lifecycle events — the obs
+// events carrying a job field, except qedit — in emission order.
+type jobEvents []obs.Event
+
+func (l *jobEvents) Consume(e obs.Event) {
+	if _, ok := e.Int("job"); ok && e.Layer == obs.LayerCondor && e.Kind != "qedit" {
+		e.Fields = slices.Clone(e.Fields) // the trace reuses its field buffer
+		*l = append(*l, e)
+	}
+}
+
+// observeJobs attaches an observer that retains nothing to the pool and
+// returns the job event record it feeds.
+func observeJobs(p *condor.Pool) *jobEvents {
+	o := obs.New()
+	o.Trace.SetStreaming(true)
+	l := &jobEvents{}
+	o.Trace.AddConsumer(l)
+	p.SetObserver(o)
+	return l
+}
+
+// of returns the events of one job, in order.
+func (l jobEvents) of(jobID int) []obs.Event {
+	var out []obs.Event
+	for _, e := range l {
+		if id, _ := e.Int("job"); id == int64(jobID) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// countKind returns how many events of the kind were recorded.
-func countKind(l *condor.EventLog, kind condor.EventKind) int {
+// count returns how many events of the kind were recorded.
+func (l jobEvents) count(kind string) int {
 	n := 0
-	for _, e := range l.Events() {
+	for _, e := range l {
 		if e.Kind == kind {
 			n++
 		}
@@ -611,13 +631,10 @@ func TestClaimReuseRespectsPins(t *testing.T) {
 
 func TestEventLogLifecycle(t *testing.T) {
 	r := rig(scheduler.NewRandomPack(rng.New(20)), 1, true)
-	log := condor.NewEventLog()
-	r.pool.Log = log
+	log := observeJobs(r.pool)
 	r.run(t, []*job.Job{mkJob(0, 500, 60, 1)})
-	hist := jobHistory(log, 0)
-	wantOrder := []condor.EventKind{
-		condor.EventSubmit, condor.EventMatch, condor.EventExecute, condor.EventTerminate,
-	}
+	hist := log.of(0)
+	wantOrder := []string{"submit", "match", "execute", "terminate"}
 	if len(hist) != len(wantOrder) {
 		t.Fatalf("history %v", hist)
 	}
@@ -632,7 +649,7 @@ func TestEventLogLifecycle(t *testing.T) {
 			t.Error("event times regress")
 		}
 	}
-	if hist[1].Machine == "" || hist[2].Machine == "" {
+	if hist[1].Str("machine") == "" || hist[2].Str("machine") == "" {
 		t.Error("match/execute missing machine")
 	}
 }
@@ -642,131 +659,19 @@ func TestEventLogCrashPath(t *testing.T) {
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
 	pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(21)),
 		condor.Config{MaxRetries: 1})
-	log := condor.NewEventLog()
-	pool.Log = log
+	log := observeJobs(pool)
 	liar := mkJob(0, 500, 60, 1)
 	liar.ActualPeakMem = 900
 	pool.Submit([]*job.Job{liar})
 	eng.Run()
-	if countKind(log, condor.EventCrash) != 2 {
-		t.Errorf("crashes logged %d, want 2", countKind(log, condor.EventCrash))
+	if log.count("crash") != 2 {
+		t.Errorf("crashes logged %d, want 2", log.count("crash"))
 	}
-	if countKind(log, condor.EventResubmit) != 1 {
-		t.Errorf("resubmits logged %d, want 1", countKind(log, condor.EventResubmit))
+	if log.count("resubmit") != 1 {
+		t.Errorf("resubmits logged %d, want 1", log.count("resubmit"))
 	}
-	if countKind(log, condor.EventTerminate) != 0 {
+	if log.count("terminate") != 0 {
 		t.Error("terminate logged for a failed job")
-	}
-}
-
-func TestEventLogCSV(t *testing.T) {
-	r := rig(scheduler.NewExclusive(), 1, false)
-	log := condor.NewEventLog()
-	r.pool.Log = log
-	r.run(t, []*job.Job{mkJob(0, 500, 60, 1)})
-	var buf strings.Builder
-	if err := log.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "time_ms,event,job,user,machine" {
-		t.Errorf("header %q", lines[0])
-	}
-	if len(lines) != 1+len(log.Events()) {
-		t.Errorf("csv rows %d, events %d", len(lines)-1, len(log.Events()))
-	}
-}
-
-func TestNilEventLogIsFree(t *testing.T) {
-	r := rig(scheduler.NewExclusive(), 1, false)
-	r.run(t, []*job.Job{mkJob(0, 500, 60, 1)}) // no Log attached: must not panic
-}
-
-// TestEventKindStringRoundTrip: every kind maps back to itself from its
-// string form, no two kinds share a name, unknown names map to no kind, and
-// an out-of-range kind still renders.
-func TestEventKindStringRoundTrip(t *testing.T) {
-	byName := map[string]condor.EventKind{}
-	for k := condor.EventSubmit; k <= condor.EventStallAbort; k++ {
-		if prev, dup := byName[k.String()]; dup {
-			t.Errorf("%v and %v share the name %q", prev, k, k.String())
-		}
-		byName[k.String()] = k
-	}
-	for k := condor.EventSubmit; k <= condor.EventStallAbort; k++ {
-		if got := byName[k.String()]; got != k {
-			t.Errorf("name %q maps back to %v, want %v", k.String(), got, k)
-		}
-	}
-	if _, ok := byName["evicted"]; ok {
-		t.Error("an unknown name maps to a kind")
-	}
-	if got, want := condor.EventKind(99).String(), "EventKind(99)"; got != want {
-		t.Errorf("EventKind(99).String() = %q, want %q", got, want)
-	}
-}
-
-// TestEventLogCSVRoundTrip writes a log containing every EventKind —
-// including the crash/resubmit/stall-abort paths — through WriteCSV and
-// parses it back with encoding/csv, expecting an identical event slice: the
-// export loses no field, and every kind has its own name.
-func TestEventLogCSVRoundTrip(t *testing.T) {
-	// MCCK with a memory liar (MaxRetries 1) produces submit, match, execute,
-	// crash, resubmit, and a second crash; the whale no machine can hold is
-	// never pinned, so the stall breaker aborts it.
-	eng := sim.New()
-	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
-	pool := condor.NewPool(eng, clu, core.New(core.Config{}),
-		condor.Config{MaxRetries: 1})
-	log := condor.NewEventLog()
-	pool.Log = log
-	liar := mkJob(0, 500, 60, 1)
-	liar.ActualPeakMem = 900
-	honest := mkJob(1, 400, 50, 1)
-	whale := mkJob(2, 1<<20, 60, 1)
-	pool.Submit([]*job.Job{liar, honest, whale})
-	eng.Run()
-
-	seen := map[condor.EventKind]bool{}
-	for _, e := range log.Events() {
-		seen[e.Kind] = true
-	}
-	for k := condor.EventSubmit; k <= condor.EventStallAbort; k++ {
-		if !seen[k] {
-			t.Fatalf("workload never produced %v; round trip would not cover it", k)
-		}
-	}
-
-	var buf strings.Builder
-	if err := log.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"time_ms", "event", "job", "user", "machine"}; !reflect.DeepEqual(rows[0], want) {
-		t.Fatalf("header %q, want %q", rows[0], want)
-	}
-	kindOf := map[string]condor.EventKind{}
-	for k := condor.EventSubmit; k <= condor.EventStallAbort; k++ {
-		kindOf[k.String()] = k
-	}
-	if len(kindOf) != int(condor.EventStallAbort)+1 {
-		t.Fatalf("event kinds share a name: %v", kindOf)
-	}
-	var got []condor.Event
-	for _, rec := range rows[1:] {
-		at, errAt := strconv.ParseInt(rec[0], 10, 64)
-		id, errID := strconv.Atoi(rec[2])
-		kind, ok := kindOf[rec[1]]
-		if errAt != nil || errID != nil || !ok {
-			t.Fatalf("malformed row %q", rec)
-		}
-		got = append(got, condor.Event{At: units.Tick(at), Kind: kind, JobID: id, User: rec[3], Machine: rec[4]})
-	}
-	if !reflect.DeepEqual(got, log.Events()) {
-		t.Fatalf("round trip mismatch:\nwrote %v\nread  %v", log.Events(), got)
 	}
 }
 
@@ -775,13 +680,13 @@ func TestUsageSingleChargeAcrossResubmit(t *testing.T) {
 	// on every completion or crash, so a crashed-and-resubmitted job charged
 	// its earlier runs (and the idle re-queue gaps between them) again on
 	// each subsequent run. Usage must equal the sum of the job's actual
-	// execution intervals, reconstructed here from the event log.
+	// execution intervals, reconstructed here from the pool's obs events.
 	eng := sim.New()
 	eng.MaxSteps = 10_000_000
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
 	pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(7)),
 		condor.Config{MaxRetries: 2})
-	pool.Log = condor.NewEventLog()
+	log := observeJobs(pool)
 	liar := mkJob(0, 500, 60, 2)
 	liar.ActualPeakMem = 900 // container-killed at first offload, every run
 	pool.SubmitAs("alice", []*job.Job{liar}, 0)
@@ -796,11 +701,11 @@ func TestUsageSingleChargeAcrossResubmit(t *testing.T) {
 
 	var want units.Tick
 	var lastExec units.Tick
-	for _, e := range jobHistory(pool.Log, 0) {
+	for _, e := range log.of(0) {
 		switch e.Kind {
-		case condor.EventExecute:
+		case "execute":
 			lastExec = e.At
-		case condor.EventCrash, condor.EventTerminate:
+		case "crash", "terminate":
 			want += e.At - lastExec
 		}
 	}

@@ -170,23 +170,37 @@ func diffOutcomes(res Result, records []metrics.JobRecord, refRes Result, refRec
 	return diffs
 }
 
-// ChaosSwarm sweeps the full seed × profile × policy grid and returns every
-// failure. Runs are sequential and deterministic: the same config always
-// produces the same failures in the same order.
+// ChaosSwarm sweeps the full seed × profile × policy grid through ChaosRun
+// and returns every failure.
 func ChaosSwarm(c ChaosConfig) []ChaosFailure {
 	c = c.withDefaults()
-	logf := c.Logf
+	return sweep("chaos", c.Seeds, c.Seed0, c.Profiles, c.Policies, c.Logf,
+		func(seed int64, prof faults.Profile, policy string) []string {
+			return ChaosRun(c, seed, prof, policy)
+		})
+}
+
+// chaosCellFunc runs one (seed, profile, policy) cell of a chaos sweep and
+// returns its violations (nil when clean).
+type chaosCellFunc func(seed int64, prof faults.Profile, policy string) []string
+
+// sweep runs cell over the seeds × profiles × policies grid and returns
+// every failure. Runs are sequential and deterministic: the same grid
+// always produces the same failures in the same order. name labels the
+// progress lines sent to logf (nil for none).
+func sweep(name string, seeds int, seed0 int64, profiles []faults.Profile, policies []string,
+	logf func(format string, args ...any), cell chaosCellFunc) []ChaosFailure {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	var failures []ChaosFailure
 	runs := 0
-	for i := 0; i < c.Seeds; i++ {
-		seed := c.Seed0 + int64(i)
-		for _, prof := range c.Profiles {
-			for _, policy := range c.Policies {
+	for i := 0; i < seeds; i++ {
+		seed := seed0 + int64(i)
+		for _, prof := range profiles {
+			for _, policy := range policies {
 				runs++
-				violations, panicMsg := chaosRunSafe(c, seed, prof, policy)
+				violations, panicMsg := cellSafe(cell, seed, prof, policy)
 				if len(violations) > 0 || panicMsg != "" {
 					f := ChaosFailure{Seed: seed, Profile: prof.Name, Policy: policy,
 						Violations: violations, Panic: panicMsg}
@@ -196,21 +210,21 @@ func ChaosSwarm(c ChaosConfig) []ChaosFailure {
 			}
 		}
 		if (i+1)%10 == 0 {
-			logf("chaos: %d/%d seeds swept, %d runs, %d failures",
-				i+1, c.Seeds, runs, len(failures))
+			logf("%s: %d/%d seeds swept, %d runs, %d failures",
+				name, i+1, seeds, runs, len(failures))
 		}
 	}
-	logf("chaos: done — %d runs, %d failures", runs, len(failures))
+	logf("%s: done — %d runs, %d failures", name, runs, len(failures))
 	return failures
 }
 
-// chaosRunSafe is ChaosRun with panic capture, so one broken cell fails its
-// triple instead of killing the whole swarm.
-func chaosRunSafe(c ChaosConfig, seed int64, prof faults.Profile, policy string) (violations []string, panicMsg string) {
+// cellSafe runs one cell with panic capture, so one broken cell fails its
+// triple instead of killing the whole sweep.
+func cellSafe(cell chaosCellFunc, seed int64, prof faults.Profile, policy string) (violations []string, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicMsg = fmt.Sprint(r)
 		}
 	}()
-	return ChaosRun(c, seed, prof, policy), ""
+	return cell(seed, prof, policy), ""
 }

@@ -18,7 +18,8 @@ import (
 // TestObservabilityPreservesOutcomes: a harness with the invariant checker
 // armed but no fault profile must leave every policy's job records and
 // makespan bit-identical to a bare run. The checker hooks (AfterStep,
-// OnTerminal chaining, an attached event log) observe without perturbing.
+// OnTerminal chaining, a consumer of the pool's obs events) observe
+// without perturbing.
 // The checked run also carries an observer, whose spans must hold no
 // matchless attempt.
 func TestChaosDisabledPreservesOutcomes(t *testing.T) {

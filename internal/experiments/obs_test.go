@@ -23,8 +23,8 @@ func (s layerSet) Consume(e obs.Event) { s[e.Layer] = true }
 
 // TestObservabilityPreservesOutcomes is the observability analogue of
 // TestOptimizedPathsPreserveOutcomes: the full MCCK Table-II stack with
-// every layer instrumented (metrics, trace events, condor event log, and
-// the time-series sampler ticking on the shared engine) must produce
+// every layer instrumented (metrics, trace events, and the time-series
+// sampler ticking on the shared engine) must produce
 // bit-identical job records, makespans, and footprints vs a bare run.
 // Instrumentation that changes a simulated outcome is never acceptable.
 func TestObservabilityPreservesOutcomes(t *testing.T) {
@@ -48,7 +48,6 @@ func TestObservabilityPreservesOutcomes(t *testing.T) {
 					o = obs.New()
 					o.Trace.AddConsumer(layers)
 					cfg.Obs = o
-					cfg.EventLog = condor.NewEventLog()
 				}
 				res := Run(cfg)
 				return res, recs, o
@@ -160,14 +159,12 @@ func TestMatchCacheObservable(t *testing.T) {
 func TestInstrumentedRunArtifacts(t *testing.T) {
 	o := obs.New()
 	o.SampleInterval = 2 * units.Second
-	elog := condor.NewEventLog()
 	Run(RunConfig{
-		Policy:   PolicyMCCK,
-		Nodes:    2,
-		Jobs:     job.GenerateTableOneSet(60, rng.New(9)),
-		Seed:     9,
-		Obs:      o,
-		EventLog: elog,
+		Policy: PolicyMCCK,
+		Nodes:  2,
+		Jobs:   job.GenerateTableOneSet(60, rng.New(9)),
+		Seed:   9,
+		Obs:    o,
 	})
 
 	// JSONL: every line parses; all four layers appear.
@@ -176,6 +173,7 @@ func TestInstrumentedRunArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := map[string]int{}
+	condorKinds := map[string]int{}
 	lines := strings.Split(strings.TrimRight(events.String(), "\n"), "\n")
 	for i, ln := range lines {
 		var m map[string]any
@@ -183,6 +181,9 @@ func TestInstrumentedRunArtifacts(t *testing.T) {
 			t.Fatalf("event line %d not valid JSON: %v\n%s", i, err, ln)
 		}
 		layers[m["layer"].(string)]++
+		if m["layer"] == obs.LayerCondor {
+			condorKinds[m["kind"].(string)]++
+		}
 		if _, ok := m["time_ms"].(float64); !ok {
 			t.Fatalf("event line %d missing time_ms: %s", i, ln)
 		}
@@ -245,16 +246,12 @@ func TestInstrumentedRunArtifacts(t *testing.T) {
 		}
 	}
 
-	// The condor user log captured the same run.
-	kinds := map[condor.EventKind]int{}
-	for _, e := range elog.Events() {
-		kinds[e.Kind]++
+	// The condor lines carry the job lifecycle of the same run.
+	if condorKinds["submit"] != 60 {
+		t.Errorf("JSONL condor submits = %d, want 60", condorKinds["submit"])
 	}
-	if kinds[condor.EventSubmit] != 60 {
-		t.Errorf("event log submits = %d, want 60", kinds[condor.EventSubmit])
-	}
-	if kinds[condor.EventTerminate] == 0 {
-		t.Error("event log has no terminations")
+	if condorKinds["terminate"] == 0 {
+		t.Error("JSONL stream has no condor terminations")
 	}
 }
 

@@ -96,9 +96,6 @@ type RunConfig struct {
 	// sampler for the whole simulation. Outcome-neutral by construction;
 	// TestObservabilityPreservesOutcomes proves it.
 	Obs *obs.Observer
-	// EventLog, if non-nil, receives the pool's job lifecycle events
-	// (HTCondor's user log; see condor.EventLog).
-	EventLog *condor.EventLog
 	// Chaos, if non-nil, wires the fault-injection and invariant layer into
 	// the run (see faults.Harness). A harness with a zero Profile and
 	// Check=false is equivalent to nil; with Check=true but no faults the
@@ -182,7 +179,6 @@ func runOn(eng *sim.Engine, cfg RunConfig) Result {
 	})
 	pol := cfg.buildPolicy()
 	pool := condor.NewPool(eng, clu, pol, cfg.Condor)
-	pool.Log = cfg.EventLog
 	// The online aggregate. In streaming mode the pool's record sink feeds
 	// it as jobs retire; in retained mode the post-run record walk does.
 	// Either way the same Add calls run over the same records, which is

@@ -137,40 +137,11 @@ func StreamChaosCell(c StreamChaosConfig, seed int64, prof faults.Profile, polic
 }
 
 // StreamChaosSwarm sweeps the seed × profile × policy grid through
-// StreamChaosCell and returns every failure, panics included, mirroring
-// ChaosSwarm's reporting shape.
+// StreamChaosCell and returns every failure, panics included.
 func StreamChaosSwarm(c StreamChaosConfig) []ChaosFailure {
 	c = c.withDefaults()
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	var failures []ChaosFailure
-	runs := 0
-	for i := 0; i < c.Seeds; i++ {
-		seed := c.Seed0 + int64(i)
-		for _, prof := range c.Profiles {
-			for _, policy := range c.Policies {
-				runs++
-				violations, panicMsg := streamChaosCellSafe(c, seed, prof, policy)
-				if len(violations) > 0 || panicMsg != "" {
-					f := ChaosFailure{Seed: seed, Profile: prof.Name, Policy: policy,
-						Violations: violations, Panic: panicMsg}
-					failures = append(failures, f)
-					logf("%s", f)
-				}
-			}
-		}
-	}
-	logf("stream-chaos: done — %d runs, %d failures", runs, len(failures))
-	return failures
-}
-
-func streamChaosCellSafe(c StreamChaosConfig, seed int64, prof faults.Profile, policy string) (violations []string, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicMsg = fmt.Sprint(r)
-		}
-	}()
-	return StreamChaosCell(c, seed, prof, policy), ""
+	return sweep("stream-chaos", c.Seeds, c.Seed0, c.Profiles, c.Policies, c.Logf,
+		func(seed int64, prof faults.Profile, policy string) []string {
+			return StreamChaosCell(c, seed, prof, policy)
+		})
 }

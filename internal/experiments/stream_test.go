@@ -50,7 +50,9 @@ func TestBigCellStreamingTrace(t *testing.T) {
 		h := sha256.New()
 		var sink *obs.StreamSink
 		if stream {
-			sink = o.StreamEvents(h)
+			sink = obs.NewStreamSink(h)
+			o.Trace.AddConsumer(sink)
+			o.Trace.SetStreaming(true)
 		}
 		res := Run(RunConfig{
 			Policy: PolicyMCC,

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"phishare/internal/condor"
 	"phishare/internal/job"
 	"phishare/internal/metrics"
+	"phishare/internal/obs"
 	"phishare/internal/rng"
 	"phishare/internal/scheduler"
 	"phishare/internal/sim"
@@ -33,15 +35,37 @@ type rig struct {
 	pool *condor.Pool
 }
 
-// jobHistory returns the events of one job, in order.
-func jobHistory(l *condor.EventLog, jobID int) []condor.Event {
-	var out []condor.Event
-	for _, e := range l.Events() {
-		if e.JobID == jobID {
+// jobEvents records a pool's condor-layer job lifecycle events — the obs
+// events carrying a job field, except qedit — in emission order.
+type jobEvents []obs.Event
+
+func (l *jobEvents) Consume(e obs.Event) {
+	if _, ok := e.Int("job"); ok && e.Layer == obs.LayerCondor && e.Kind != "qedit" {
+		e.Fields = slices.Clone(e.Fields) // the trace reuses its field buffer
+		*l = append(*l, e)
+	}
+}
+
+// of returns the events of one job, in order.
+func (l jobEvents) of(jobID int) []obs.Event {
+	var out []obs.Event
+	for _, e := range l {
+		if id, _ := e.Int("job"); id == int64(jobID) {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// observe attaches to the pool an observer that retains nothing and feeds
+// the returned record; pass the observer on as Harness.Obs.
+func observe(p *condor.Pool) (*obs.Observer, *jobEvents) {
+	o := obs.New()
+	o.Trace.SetStreaming(true)
+	l := &jobEvents{}
+	o.Trace.AddConsumer(l)
+	p.SetObserver(o)
+	return o, l
 }
 
 func newRig(nodes, retries int) *rig {
@@ -60,6 +84,7 @@ func newRig(nodes, retries int) *rig {
 // clean throughout.
 func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 	r := newRig(1, 5)
+	o, log := observe(r.pool)
 	h := &Harness{
 		Profile: Profile{
 			Name: "scripted",
@@ -69,6 +94,7 @@ func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 		},
 		Seed:  1,
 		Check: true,
+		Obs:   o,
 	}
 	h.Wire(r.eng, r.clu, r.pool)
 	r.pool.Submit([]*job.Job{mkJob(0, 500, 60, 20*units.Second)})
@@ -94,16 +120,15 @@ func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 	// The full lifecycle: the first run is cut down by the failure, every
 	// retry while the device is down dies on arrival, the run after the
 	// repair completes.
-	var kinds []condor.EventKind
-	for _, e := range jobHistory(r.pool.Log, 0) {
+	var kinds []string
+	for _, e := range log.of(0) {
 		kinds = append(kinds, e.Kind)
 	}
-	want := []condor.EventKind{condor.EventSubmit}
+	want := []string{"submit"}
 	for i := 0; i < q.Crashes; i++ {
-		want = append(want, condor.EventMatch, condor.EventExecute,
-			condor.EventCrash, condor.EventResubmit)
+		want = append(want, "match", "execute", "crash", "resubmit")
 	}
-	want = append(want, condor.EventMatch, condor.EventExecute, condor.EventTerminate)
+	want = append(want, "match", "execute", "terminate")
 	if len(kinds) != len(want) {
 		t.Fatalf("event sequence %v, want %v", kinds, want)
 	}
@@ -113,8 +138,8 @@ func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 		}
 	}
 	// The first crash lands exactly at the scripted failure time.
-	for _, e := range jobHistory(r.pool.Log, 0) {
-		if e.Kind == condor.EventCrash {
+	for _, e := range log.of(0) {
+		if e.Kind == "crash" {
 			if e.At != 5*units.Second {
 				t.Errorf("first crash at %v, want %v", e.At, 5*units.Second)
 			}
@@ -161,27 +186,54 @@ func TestMTBFInjectionRunsClean(t *testing.T) {
 	}
 }
 
+// relay re-emits a pool's events into another observer, passing each on
+// copies(e) times: a doctored lifecycle record for the checker.
+type relay struct {
+	to     *obs.Observer
+	copies func(obs.Event) int
+}
+
+func (r relay) Consume(e obs.Event) {
+	for i := r.copies(e); i > 0; i-- {
+		r.to.Emit(e.At, e.Layer, e.Kind, e.Fields...)
+	}
+}
+
+// copiesOf passes n copies of every event of kind, one of every other.
+func copiesOf(kind string, n int) func(obs.Event) int {
+	return func(e obs.Event) int {
+		if e.Kind == kind {
+			return n
+		}
+		return 1
+	}
+}
+
 // TestCheckerCatchesCorruption corrupts machine and queue bookkeeping
-// mid-run and asserts the per-event checker flags it with the violation
-// meant — proof the swarm's green runs mean something.
+// mid-run, or the lifecycle record the checker consumes, and asserts the
+// checker flags it with the violation meant — proof the swarm's green runs
+// mean something.
 func TestCheckerCatchesCorruption(t *testing.T) {
 	corruptions := []struct {
 		name    string
 		jobs    int // submitted at t=0, IDs firstID, firstID+1, …
 		firstID int
 		corrupt func(p *condor.Pool)
-		want    string
+		// copies, if set, doctors the pool's events on their way to the
+		// checker (see relay); corrupt is then nil.
+		copies func(obs.Event) int
+		want   string
 	}{
 		{"negative free memory", 1, 0, func(p *condor.Pool) {
 			p.Machines()[0].FreeMem = -5
-		}, "FreeMem -5MB != memory"},
+		}, nil, "FreeMem -5MB != memory"},
 		{"negative resident threads", 1, 0, func(p *condor.Pool) {
 			p.Machines()[0].ResidentThreads = -1
-		}, "ResidentThreads negative"},
+		}, nil, "ResidentThreads negative"},
 		{"phantom resident job", 1, 0, func(p *condor.Pool) {
 			m := p.Machines()[0]
 			m.Resident = append(m.Resident, &condor.QueuedJob{Job: mkJob(99, 100, 10, units.Second)})
-		}, "resident job 99 in state idle"},
+		}, nil, "resident job 99 in state idle"},
 		// Writers that bypass the pool's funnels leave the free-slot index
 		// stale: the machine fills up, or goes offline, behind its back.
 		{"resident bypass fills the machine", 1, 0, func(p *condor.Pool) {
@@ -189,33 +241,47 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			for len(m.Resident) < m.HostSlots {
 				m.Resident = append(m.Resident, &condor.QueuedJob{Job: mkJob(99, 100, 10, units.Second)})
 			}
-		}, "free-slot index says free=true"},
+		}, nil, "free-slot index says free=true"},
 		{"offline bypass", 1, 0, func(p *condor.Pool) {
 			p.Machines()[0].Offline = true
-		}, "free-slot index says free=true"},
+		}, nil, "free-slot index says free=true"},
 		// Six jobs on one four-slot machine leave two pending.
 		{"job queued twice", 6, 0, func(p *condor.Pool) {
 			q := p.Pending()
 			q[1] = q[0]
-		}, "queued twice"},
+		}, nil, "queued twice"},
 		{"job with a sparse ID queued twice", 6, 1000, func(p *condor.Pool) {
 			q := p.Pending()
 			q[1] = q[0]
-		}, "queued twice"},
+		}, nil, "queued twice"},
+		{"dropped terminate", 1, 0, nil, copiesOf("terminate", 0),
+			"job 0: 1 executions but 0 crashes + 0 terminations"},
+		{"duplicated submit", 1, 0, nil, copiesOf("submit", 2),
+			"job 0: 2 submit events, want 1"},
+		{"match with no execute", 1, 0, nil, copiesOf("execute", 0),
+			"job 0: 1 matches but 0 executions"},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(1, 0)
 			h := &Harness{Check: true}
+			if tc.copies != nil {
+				h.Obs = obs.New()
+				h.Obs.Trace.SetStreaming(true)
+				poolObs, _ := observe(r.pool)
+				poolObs.Trace.AddConsumer(relay{h.Obs, tc.copies})
+			}
 			h.Wire(r.eng, r.clu, r.pool)
-			r.eng.After(2500, func() { tc.corrupt(r.pool) })
+			if tc.corrupt != nil {
+				r.eng.After(2500, func() { tc.corrupt(r.pool) })
+			}
 			jobs := make([]*job.Job, tc.jobs)
 			for i := range jobs {
 				jobs[i] = mkJob(tc.firstID+i, 500, 60, 5*units.Second)
 			}
 			r.pool.Submit(jobs)
 			r.eng.Run()
-			v := h.chk.violations
+			v := h.Finish()
 			if !strings.Contains(strings.Join(v, "\n"), tc.want) {
 				t.Errorf("checker missed the corruption: no violation mentions %q in %q", tc.want, v)
 			}
@@ -338,7 +404,7 @@ func TestZeroHarnessWiresNothing(t *testing.T) {
 func TestUsageViolationOrderIsDeterministic(t *testing.T) {
 	// A completed two-user run...
 	r := newRig(2, 0)
-	r.pool.Log = condor.NewEventLog()
+	_, log := observe(r.pool)
 	r.pool.SubmitAs("walt", []*job.Job{mkJob(0, 500, 60, 2*units.Second)}, 0)
 	r.pool.SubmitAs("ada", []*job.Job{mkJob(1, 500, 60, 2*units.Second)}, 0)
 	r.eng.Run()
@@ -348,20 +414,17 @@ func TestUsageViolationOrderIsDeterministic(t *testing.T) {
 		}
 	}
 
-	// ...replayed against a doctored log that stretches every execution
-	// interval, so the reconstructed usage disagrees with the pool's
-	// accumulator for BOTH users at once.
-	doctored := condor.NewEventLog()
-	for _, e := range r.pool.Log.Events() {
-		if e.Kind == condor.EventTerminate || e.Kind == condor.EventCrash {
-			e.At += units.Second
-		}
-		doctored.Append(e)
-	}
-	r.pool.Log = doctored
-
+	// ...replayed into the checker as doctored events that stretch every
+	// execution interval, so the reconstructed usage disagrees with the
+	// pool's accumulator for BOTH users at once.
 	for i := 0; i < 12; i++ {
 		c := NewChecker(r.eng, r.clu, r.pool)
+		for _, e := range *log {
+			if e.Kind == "terminate" || e.Kind == "crash" {
+				e.At += units.Second
+			}
+			c.Consume(e)
+		}
 		c.checkUsage()
 		v := c.violations
 		if len(v) != 2 {

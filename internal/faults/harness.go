@@ -18,7 +18,8 @@ type Harness struct {
 	Seed int64
 	// Check installs the invariant checker on the engine's AfterStep hook.
 	Check bool
-	// Obs, if non-nil, receives fault trace events (layer "faults").
+	// Obs, if non-nil, is the run's observer: it receives fault trace
+	// events (layer "faults") and feeds the checker the pool's events.
 	// experiments.Run copies its RunConfig.Obs here.
 	Obs *obs.Observer
 
@@ -28,17 +29,24 @@ type Harness struct {
 
 // Wire installs the harness on a freshly assembled stack, before job
 // submission. With Check set it attaches the checker to eng.AfterStep,
-// chains the pool's OnTerminal for exactly-once accounting, and ensures an
-// event log exists for the terminal reconciliation checks. With an enabled
-// Profile it builds and starts the Injector. All of the checker's additions
-// are outcome-neutral; only the injected faults themselves perturb the run.
+// chains the pool's OnTerminal for exactly-once accounting, and registers
+// the checker as a consumer of the pool's condor events for the lifecycle
+// and fair-share audits: on Obs, which must then be the pool's observer
+// (experiments.Run wires both), or else on a private observer that retains
+// nothing. With an enabled Profile it builds and starts the Injector. All
+// of the checker's additions are outcome-neutral; only the injected faults
+// themselves perturb the run.
 func (h *Harness) Wire(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) {
 	if h.Check {
 		h.chk = NewChecker(eng, clu, pool)
 		eng.AfterStep = h.chk.Check
-		if pool.Log == nil {
-			pool.Log = condor.NewEventLog()
+		o := h.Obs
+		if o == nil {
+			o = obs.New()
+			o.Trace.SetStreaming(true)
+			pool.SetObserver(o)
 		}
+		o.Trace.AddConsumer(h.chk)
 		prev := pool.OnTerminal
 		pool.OnTerminal = func(q *condor.QueuedJob) {
 			h.chk.NoteTerminal(q)

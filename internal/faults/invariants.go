@@ -7,6 +7,7 @@ import (
 
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
+	"phishare/internal/obs"
 	"phishare/internal/sim"
 	"phishare/internal/units"
 )
@@ -17,11 +18,13 @@ import (
 const maxViolations = 20
 
 // Checker audits the stack's conservation laws. Install its Check method as
-// the engine's AfterStep hook so it runs at every event boundary, and call
-// Finish once the engine drains for the terminal checks. The checker only
-// reads component state (plus the lazy dead-process purge inside
-// cosmic.DeclaredFree, which is outcome-neutral by construction), so a
-// checked run's outcomes are bit-identical to an unchecked one.
+// the engine's AfterStep hook so it runs at every event boundary, register
+// it as a consumer on the pool's observer (it is an obs.EventSink reading
+// the condor-layer job lifecycle), and call Finish once the engine drains
+// for the terminal checks. The checker only reads component state (plus
+// the lazy dead-process purge inside cosmic.DeclaredFree, which is
+// outcome-neutral by construction), so a checked run's outcomes are
+// bit-identical to an unchecked one.
 type Checker struct {
 	eng  *sim.Engine
 	clu  *cluster.Cluster
@@ -41,6 +44,10 @@ type Checker struct {
 	// wired by Harness through the pool's OnTerminal chain.
 	terminalCount map[int]int
 
+	// lives tallies each job's condor-layer lifecycle events, keyed by job
+	// ID; Consume fills it and the terminal checks read it.
+	lives map[int]*lifecycle
+
 	// checkPool's duplicate detector, reused across events: seenAt[id] ==
 	// sweep marks job ID id as seen in the current sweep, for IDs in
 	// [0, len(pool.Jobs())) (every generated job set); seenOther holds any
@@ -51,7 +58,9 @@ type Checker struct {
 }
 
 // NewChecker builds a checker over an assembled stack. Wire Check into
-// eng.AfterStep and NoteTerminal into the pool's OnTerminal chain.
+// eng.AfterStep, NoteTerminal into the pool's OnTerminal chain, and the
+// checker itself into the pool observer's consumers (Harness.Wire does all
+// three).
 //
 // The checker's per-event sweeps (checkPool, Finish) reconcile against the
 // pool's retained job queue, so it cannot audit a streaming pool — whose
@@ -67,6 +76,7 @@ func NewChecker(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) *Check
 		eng: eng, clu: clu, pool: pool,
 		memGuarded:    strings.Contains(pool.Policy().MachineRequirements(), condor.AttrPhiFreeMemory),
 		terminalCount: map[int]int{},
+		lives:         map[int]*lifecycle{},
 		seenOther:     map[int]bool{},
 	}
 }
@@ -229,8 +239,60 @@ func (c *Checker) checkDevices() {
 	}
 }
 
+// lifecycle is one job's condor-layer event tally.
+type lifecycle struct {
+	submits, matches, executes, terminates, crashes, resubmits, aborts int
+	// lastExec is the time of the job's latest execute; ran sums its
+	// execute → crash/terminate intervals, the device time fair share
+	// must have charged.
+	lastExec, ran units.Tick
+}
+
+// life returns job id's tally, creating it on first sight.
+func (c *Checker) life(id int64) *lifecycle {
+	t := c.lives[int(id)]
+	if t == nil {
+		t = &lifecycle{}
+		c.lives[int(id)] = t
+	}
+	return t
+}
+
+// Consume tallies one condor-layer job lifecycle event (submit, match,
+// execute, terminate, crash, resubmit, stall_abort); every other event is
+// ignored. These are the events spans, critpath and the exports are built
+// from, so the audit covers the record they read.
+func (c *Checker) Consume(e obs.Event) {
+	if e.Layer != obs.LayerCondor {
+		return
+	}
+	id, _ := e.Int("job")
+	switch e.Kind {
+	case "submit":
+		c.life(id).submits++
+	case "match":
+		c.life(id).matches++
+	case "execute":
+		t := c.life(id)
+		t.executes++
+		t.lastExec = e.At
+	case "terminate":
+		t := c.life(id)
+		t.terminates++
+		t.ran += e.At - t.lastExec
+	case "crash":
+		t := c.life(id)
+		t.crashes++
+		t.ran += e.At - t.lastExec
+	case "resubmit":
+		c.life(id).resubmits++
+	case "stall_abort":
+		c.life(id).aborts++
+	}
+}
+
 // Finish runs the terminal checks after the engine drains and returns every
-// recorded violation. Event-log checks are skipped when no log is attached.
+// recorded violation.
 func (c *Checker) Finish() []string {
 	for _, q := range c.pool.Jobs() {
 		if q.State != condor.Completed && q.State != condor.Failed {
@@ -248,48 +310,21 @@ func (c *Checker) Finish() []string {
 	if n := c.pool.InFlight(); n != 0 {
 		c.fail("pool: inFlight %d after drain", n)
 	}
-	if c.pool.Log != nil {
-		c.checkEventLog()
-		c.checkUsage()
-	}
+	c.checkLifecycle()
+	c.checkUsage()
 	return c.violations
 }
 
-// checkEventLog verifies each job's lifecycle sequence: one submit, every
+// checkLifecycle verifies each job's lifecycle sequence: one submit, every
 // match followed by exactly one execute, at most one terminate, and the
 // executions conserved — every execution ends in exactly one crash or
 // terminate, except a final run cut short by a stall abort.
-func (c *Checker) checkEventLog() {
-	type tally struct{ submits, matches, executes, terminates, crashes, resubmits, aborts int }
-	counts := map[int]*tally{}
-	for _, e := range c.pool.Log.Events() {
-		t := counts[e.JobID]
-		if t == nil {
-			t = &tally{}
-			counts[e.JobID] = t
-		}
-		switch e.Kind {
-		case condor.EventSubmit:
-			t.submits++
-		case condor.EventMatch:
-			t.matches++
-		case condor.EventExecute:
-			t.executes++
-		case condor.EventTerminate:
-			t.terminates++
-		case condor.EventCrash:
-			t.crashes++
-		case condor.EventResubmit:
-			t.resubmits++
-		case condor.EventStallAbort:
-			t.aborts++
-		}
-	}
+func (c *Checker) checkLifecycle() {
 	for _, q := range c.pool.Jobs() {
 		id := q.Job.ID
-		t := counts[id]
+		t := c.lives[id]
 		if t == nil {
-			c.fail("job %d: no events logged", id)
+			c.fail("job %d: no lifecycle events", id)
 			continue
 		}
 		if t.submits != 1 {
@@ -317,32 +352,26 @@ func (c *Checker) checkEventLog() {
 	}
 }
 
-// checkUsage reconstructs per-user device time from the event log — the sum
-// of every job's Execute→Crash/Terminate intervals — and compares it with
-// the pool's fair-share accumulator. This is the invariant the
-// crash/resubmit double-count bug broke: accruing from the job's *first*
+// checkUsage sums each user's device time from the lifecycle tallies — every
+// job's execute → crash/terminate intervals, charged to the job's user — and
+// compares it with the pool's fair-share accumulator. This is the invariant
+// the crash/resubmit double-count bug broke: accruing from the job's *first*
 // start charged earlier runs (and idle re-queue gaps) again on each crash.
 func (c *Checker) checkUsage() {
-	lastExec := map[int]units.Tick{}
 	want := map[string]units.Tick{}
-	for _, e := range c.pool.Log.Events() {
-		switch e.Kind {
-		case condor.EventExecute:
-			lastExec[e.JobID] = e.At
-		case condor.EventCrash, condor.EventTerminate:
-			want[e.User] += e.At - lastExec[e.JobID]
+	for _, q := range c.pool.Jobs() {
+		var ran units.Tick
+		if t := c.lives[q.Job.ID]; t != nil {
+			ran = t.ran
 		}
+		want[q.User] += ran
 	}
 	// Check users in sorted order: violations land in c.violations, so a
 	// map-order iteration here would make the recorded (and capped) report
 	// nondeterministic whenever more than one user mismatches — the
 	// philint:mapiter hazard, caught by the analyzer on this very loop.
-	users := map[string]bool{}
-	for _, q := range c.pool.Jobs() {
-		users[q.User] = true
-	}
-	names := make([]string, 0, len(users))
-	for u := range users {
+	names := make([]string, 0, len(want))
+	for u := range want {
 		names = append(names, u)
 	}
 	sort.Strings(names)

@@ -10,8 +10,8 @@ import "io"
 // HighWater reports the serialization buffer's high-water mark so tests can
 // assert the bound.
 //
-// A StreamSink is registered on a Trace with AddConsumer (usually via
-// Observer.StreamEvents, which also switches the trace to emit-and-drop).
+// A StreamSink is registered on a Trace with AddConsumer; with
+// SetStreaming(true) the trace itself then retains nothing either.
 // Write errors are sticky: the first error stops further writes and is
 // reported by Err, while consumption keeps counting so the simulation is
 // never disturbed by a failing sink.
@@ -50,19 +50,3 @@ func (s *StreamSink) HighWater() int { return s.high }
 
 // Err returns the first write error, if any.
 func (s *StreamSink) Err() error { return s.err }
-
-// StreamEvents attaches a new StreamSink to the Observer's trace and
-// switches the trace to emit-and-drop mode: the full event stream goes to w
-// as JSONL in canonical order, nothing is retained in memory. Returns nil on
-// a nil Observer. Post-hoc consumers of the retained trace (the dashboard's
-// makespan panel, WriteJSONL) see no events in this mode; attach streaming
-// consumers (SpanBuilder) before the run instead.
-func (o *Observer) StreamEvents(w io.Writer) *StreamSink {
-	if o == nil {
-		return nil
-	}
-	s := NewStreamSink(w)
-	o.Trace.AddConsumer(s)
-	o.Trace.SetStreaming(true)
-	return s
-}
