@@ -40,10 +40,9 @@ vet:
 # sim-path packages, no float equality in value comparisons, no
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
-# from sim-path entries through any call chain; pureselect: classad.Match
-# and Policy Select/SelectN implementations are observably pure; deadapi:
-# every exported internal/ identifier has a non-test reference somewhere
-# in the module). Legitimate sites
+# from sim-path entries through any call chain; deadapi: every exported
+# internal/ identifier has a non-test reference somewhere in the module).
+# Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # Every rule reads one go/types check of the module, so the gate is one
@@ -94,9 +93,9 @@ bench:
 # floor there is ~+30%, with paired minima observed as high as +56% when
 # the gate runs right after the race and chaos legs —
 # so the gate allows headroom above that floor here; the instrumented
-# legs' allocs/op in the ledger (~+7k over disabled, down from ~+19k
-# before the arena pipeline) are the noise-free record of the actual
-# per-event cost.
+# legs' allocs/op in the ledger (+1,086 over disabled in BENCH_31.json,
+# 4,592 vs 3,506, down from ~+19k before the arena pipeline) are the
+# noise-free record of the actual per-event cost.
 OBS_TOLERANCE ?= 0.60
 
 # The streaming-residency gate leg re-runs BenchmarkMillionJob's 100k cell
@@ -142,18 +141,24 @@ chaos:
 	$(GO) run ./cmd/phichaos -seeds 2 -diff
 	$(GO) run ./cmd/phichaos -stream -seeds 1 -jobs 20
 
-# Fuzz targets: the classad parser/matcher robustness contracts, the
-# constant-Requirements fold's differential check against classad.Match,
-# the slot-backed ad's differential check against a map-backed model,
-# the obs JSON encoder's differential check against encoding/json, and the
-# job-set decoder behind phisched -input (errors, never panics; a decoded
-# set round-trips through StreamWriter). Plain `go test`
-# replays only their seed corpora (testdata/fuzz/); this leg mutates past
-# them for FUZZTIME per target. A failing input is saved under the
-# package's testdata/fuzz/<target>/ as a regression seed.
+# Fuzz targets: the classad parser/matcher robustness contracts (Match
+# also pure and repeatable), the constant-Requirements fold's differential
+# check against classad.Match, the slot-backed ad's differential check
+# against a map-backed model, the sparse knapsack Solver's differential
+# check against the dense reference DP, the obs JSON encoder's
+# differential check against encoding/json, and the job-set decoder behind
+# phisched -input (errors, never panics; a decoded set round-trips through
+# StreamWriter). Plain `go test` replays only their seed corpora
+# (testdata/fuzz/); this leg mutates past them for FUZZTIME per target. A
+# failing input is saved under the package's testdata/fuzz/<target>/ as a
+# regression seed. -fuzzminimizetime caps the minimization of each newly
+# interesting input: at Go's default (60 s) the workers spend the whole
+# budget minimizing after the first ~3 s, and every later progress line
+# reads 0 execs/sec.
 FUZZTIME ?= 5s
 FUZZ_TARGETS = ./internal/classad:FuzzParse ./internal/classad:FuzzMatch \
 	./internal/classad:FuzzTargetFreeFold ./internal/classad:FuzzAdOps \
+	./internal/knapsack:FuzzSolverMatchesReference \
 	./internal/obs:FuzzAppendJSONString ./internal/obs:FuzzEventAppendJSON \
 	./internal/job:FuzzReadJSON
 
@@ -161,7 +166,7 @@ fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz $$name ($$pkg, $(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s $$pkg || exit 1; \
 	done
 
 # The paper artifacts report_full.txt and results_full.json are build

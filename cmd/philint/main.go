@@ -12,9 +12,9 @@
 //	go run ./cmd/philint -rules         # describe the rules and exit
 //
 // The whole module is always parsed and type-checked, once, and every rule
-// reads that one check. The whole-program rules (dettaint, pureselect,
-// deadapi) see across package boundaries, so a narrower load would
-// silently weaken them. Package
+// reads that one check. The whole-program rules (dettaint, deadapi) see
+// across package boundaries, so a narrower load would silently weaken
+// them. Package
 // patterns only scope which findings are REPORTED: a finding is shown when
 // its primary position or its entry attribution falls inside a matched
 // package.

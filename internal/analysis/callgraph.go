@@ -1,9 +1,7 @@
 package analysis
 
-// Package-level call graph over the type-checked module. The graph is the
-// substrate of the whole-program rules: dettaint walks it forward from the
-// sim-path entry points, and pureselect folds effect summaries along its
-// edges.
+// Package-level call graph over the type-checked module. dettaint walks it
+// forward from the sim-path entry points.
 //
 // Resolution is deliberately conservative (a missed edge would be an
 // unsound hole, a spurious edge only costs review):
@@ -25,42 +23,9 @@ import (
 	"sort"
 )
 
-// EdgeKind says how a call site was resolved.
-type EdgeKind uint8
-
-const (
-	// EdgeStatic is a direct call or a concrete-receiver method call.
-	EdgeStatic EdgeKind = iota
-	// EdgeIface is one CHA target of an interface method call.
-	EdgeIface
-	// EdgeFunc is one address-taken candidate of a call through a
-	// function-typed value.
-	EdgeFunc
-)
-
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeStatic:
-		return "static"
-	case EdgeIface:
-		return "iface"
-	case EdgeFunc:
-		return "func-value"
-	}
-	return "?"
-}
-
 // Edge is one resolved call: the target and the call position.
 type Edge struct {
-	To   *FuncInfo
-	Pos  token.Pos
-	Kind EdgeKind
-}
-
-// ExtCall is a call whose target is outside the module (standard library):
-// the rules inspect these for banned packages and I/O.
-type ExtCall struct {
-	Fn  *types.Func
+	To  *FuncInfo
 	Pos token.Pos
 }
 
@@ -70,17 +35,10 @@ type Graph struct {
 	// Edges lists each declared function's resolved outgoing calls in
 	// source order.
 	Edges map[*FuncInfo][]Edge
-	// External lists each function's calls into non-module code.
-	External map[*FuncInfo][]ExtCall
-	// Unresolved records dynamic call sites with zero module candidates:
-	// calls through function-typed values no address-taken module function
-	// matches (externally produced callbacks), and calls through interface
-	// methods no module type implements (values produced outside the
-	// module). Conservative rules treat them as unanalyzable.
-	Unresolved map[*FuncInfo][]token.Pos
 
 	// addrTaken maps module functions whose value escapes a direct call
-	// position (assigned, passed, stored) — the candidate set for EdgeFunc.
+	// position (assigned, passed, stored) — the candidates of a call
+	// through a function-typed value.
 	addrTaken map[*types.Func]bool
 	// impls caches CHA lookups per (interface, method name).
 	implCache map[implKey][]*FuncInfo
@@ -96,12 +54,10 @@ type implKey struct {
 // BuildGraph constructs the call graph for a type-checked module.
 func BuildGraph(mod *Module) *Graph {
 	g := &Graph{
-		Mod:        mod,
-		Edges:      map[*FuncInfo][]Edge{},
-		External:   map[*FuncInfo][]ExtCall{},
-		Unresolved: map[*FuncInfo][]token.Pos{},
-		addrTaken:  map[*types.Func]bool{},
-		implCache:  map[implKey][]*FuncInfo{},
+		Mod:       mod,
+		Edges:     map[*FuncInfo][]Edge{},
+		addrTaken: map[*types.Func]bool{},
+		implCache: map[implKey][]*FuncInfo{},
 	}
 	g.collectNamed()
 	g.collectAddressTaken()
@@ -116,8 +72,8 @@ func BuildGraph(mod *Module) *Graph {
 // fi takes (passes as an argument, stores in a field, binds to a variable).
 // The taken function can then run wherever the value flows — including
 // through function-typed parameters, which addCalls deliberately does not
-// resolve by signature — so its effects and reachability are charged to the
-// taker, the one place that provably chose it.
+// resolve by signature — so its reachability is charged to the taker, the
+// one place that provably chose it.
 func (g *Graph) addTakerEdges(fi *FuncInfo) {
 	info := g.Mod.Info
 	callee := map[ast.Expr]bool{}
@@ -148,7 +104,7 @@ func (g *Graph) addTakerEdges(fi *FuncInfo) {
 		}
 		if fn, ok := obj.(*types.Func); ok {
 			if target, inModule := g.Mod.FuncOf[fn]; inModule {
-				g.Edges[fi] = append(g.Edges[fi], Edge{To: target, Pos: pos, Kind: EdgeFunc})
+				g.Edges[fi] = append(g.Edges[fi], Edge{To: target, Pos: pos})
 			}
 		}
 		return true
@@ -256,25 +212,13 @@ func (g *Graph) addCalls(fi *FuncInfo) {
 			if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 				// Interface method call: fan out to every implementation.
 				iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
-				impls := g.Implementations(iface, callee.Name())
-				if len(impls) == 0 {
-					// No module type satisfies the interface, so the value
-					// behind it was produced outside the module and the
-					// dynamic target is unanalyzable — record the site so
-					// the conservative rules treat it like any other
-					// dynamic call, not as effect-free.
-					g.Unresolved[fi] = append(g.Unresolved[fi], call.Lparen)
-					return true
-				}
-				for _, impl := range impls {
-					g.Edges[fi] = append(g.Edges[fi], Edge{To: impl, Pos: call.Lparen, Kind: EdgeIface})
+				for _, impl := range g.Implementations(iface, callee.Name()) {
+					g.Edges[fi] = append(g.Edges[fi], Edge{To: impl, Pos: call.Lparen})
 				}
 				return true
 			}
 			if target, ok := g.Mod.FuncOf[callee]; ok {
-				g.Edges[fi] = append(g.Edges[fi], Edge{To: target, Pos: call.Lparen, Kind: EdgeStatic})
-			} else {
-				g.External[fi] = append(g.External[fi], ExtCall{Fn: callee, Pos: call.Lparen})
+				g.Edges[fi] = append(g.Edges[fi], Edge{To: target, Pos: call.Lparen})
 			}
 			return true
 		case nil:
@@ -292,9 +236,9 @@ func (g *Graph) addCalls(fi *FuncInfo) {
 						// A call through a function-typed parameter is
 						// covered at each VALUE ORIGIN, not here: a module
 						// function flowing in produced a taker edge where
-						// its value was taken, a literal's effects belong to
+						// its value was taken, a literal's calls belong to
 						// its defining function, and an external function
-						// (math.Floor) has no module effects. Matching
+						// (math.Floor) calls no module code. Matching
 						// candidates by signature here would wire every
 						// taken function of this shape into every such
 						// caller.
@@ -310,13 +254,8 @@ func (g *Graph) addCalls(fi *FuncInfo) {
 			if !ok {
 				return true
 			}
-			matched := false
 			for _, cand := range g.funcValueCandidates(sig) {
-				g.Edges[fi] = append(g.Edges[fi], Edge{To: cand, Pos: call.Lparen, Kind: EdgeFunc})
-				matched = true
-			}
-			if !matched {
-				g.Unresolved[fi] = append(g.Unresolved[fi], call.Lparen)
+				g.Edges[fi] = append(g.Edges[fi], Edge{To: cand, Pos: call.Lparen})
 			}
 			return true
 		}

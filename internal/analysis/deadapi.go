@@ -252,3 +252,13 @@ func loadedWhole(pkgs []*Package) bool {
 	})
 	return err == nil && whole
 }
+
+// namedInterface returns the interface type a TypeName defines, or nil.
+func namedInterface(obj types.Object) *types.Interface {
+	tn, ok := obj.(*types.TypeName)
+	if !ok || tn.IsAlias() {
+		return nil
+	}
+	iface, _ := tn.Type().Underlying().(*types.Interface)
+	return iface
+}

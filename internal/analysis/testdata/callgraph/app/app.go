@@ -43,20 +43,19 @@ func UseCallback() int { return RunCallback(cgzoo.Transform) }
 func RunCallback(f func(int) int) int { return f(1) }
 
 // LitLocal binds a local only to a function literal: the literal body is
-// attributed here, so the dynamic call adds no edges and no unresolved.
+// attributed here, so the dynamic call adds no edges.
 func LitLocal() int {
 	double := func(n int) int { return 2 * n }
 	return double(21)
 }
 
 // CallStranger calls through a function value whose signature no module
-// function is ever taken at: the site must be recorded as unresolved.
+// function is ever taken at: the site has no module target and adds no edge.
 func CallStranger(tbl map[string]func() float64) float64 { return tbl["x"]() }
 
 // Alien is satisfied by no module type.
 type Alien interface{ Mutate() }
 
 // CallAlien dispatches through an interface with zero module
-// implementations: the site must be recorded as unresolved, not modeled as
-// effect-free.
+// implementations: the site has no module target and adds no edge.
 func CallAlien(a Alien) { a.Mutate() }

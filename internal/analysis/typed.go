@@ -2,8 +2,8 @@ package analysis
 
 // Typed module loading: every rule reads types from here. The per-file
 // rules take expression types and package members from Module.Info; the
-// whole-program rules (dettaint, pureselect) also need the cross-package
-// call targets the call graph builds on it. TypeCheck runs the stdlib
+// whole-program rule dettaint also needs the cross-package call targets
+// the call graph builds on it. TypeCheck runs the stdlib
 // go/types checker over every parsed package in dependency order, chaining
 // to go/importer for the standard library, so go.mod stays dependency-free.
 

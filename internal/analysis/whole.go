@@ -60,7 +60,6 @@ func (p *ModulePass) SuppressedAt(rule string, pos token.Pos) bool {
 func WholeAnalyzers() []*WholeAnalyzer {
 	return []*WholeAnalyzer{
 		DetTaint,
-		PureSelect,
 		DeadAPI,
 	}
 }

@@ -99,43 +99,6 @@ func TestDetTaintWholeProgram(t *testing.T) {
 	}
 }
 
-// TestPureSelectWholeProgram pins the purity contract: classad.Match is
-// strict (the counter write is flagged), Select and SelectN implementations
-// are discovered through their interfaces, and the internal/rng exemption admits
-// the deterministic stream draw while receiver memoization stays flagged.
-func TestPureSelectWholeProgram(t *testing.T) {
-	dir := filepath.Join("testdata", "pureselect")
-	mod, _ := loadFixtureModule(t, dir)
-
-	findings := runWhole(mod, PureSelect)
-	got := renderEntries(findings)
-	compareGolden(t, filepath.Join(dir, "expect.txt"), got)
-
-	if !strings.Contains(got, "classad.Match must be observably pure") {
-		t.Errorf("Match's counter write not flagged:\n%s", got)
-	}
-	if !strings.Contains(got, "Sticky).Select must") {
-		t.Errorf("Sticky.Select's receiver memoization not flagged:\n%s", got)
-	}
-	// SelectN implementations are discovered through their own interface.
-	if !strings.Contains(got, "Sticky).SelectN must") {
-		t.Errorf("Sticky.SelectN's receiver memoization not flagged:\n%s", got)
-	}
-	if strings.Contains(got, "Random") {
-		t.Errorf("Random.Select's and Random.SelectN's rng draws should be exempt:\n%s", got)
-	}
-	// The trace↔chase cycle: Looper.Select enters at the impure member,
-	// Chaser.Select at the pure one, and Looper is analyzed first. Both
-	// must flag the write — a summary for chase memoized mid-cycle (while
-	// trace was still on the stack) would hide it from Chaser.
-	if !strings.Contains(got, "Looper") {
-		t.Errorf("Looper.Select's transitive package write not flagged:\n%s", got)
-	}
-	if !strings.Contains(got, "Chaser") {
-		t.Errorf("Chaser.Select must see the full cycle summary (stale partial memo?):\n%s", got)
-	}
-}
-
 // TestDeadAPI pins the unused-export rule on a fixture module: a func read
 // only by a _test.go file, a self-recursive func, a method no interface
 // names, a type named only by its own methods and unread consts and vars

@@ -55,11 +55,17 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzMatch fuzzes matchmaking with attribute values flowing into both
-// ads: Match must never panic, whatever the requirements say.
+// ads. Match must never panic, whatever the requirements say, and must be
+// pure: the negotiator serves one verdict to a whole autocluster where its
+// DisableMatchCache oracle calls Match per pair, so Match may change
+// neither ad (version and rendering) and a second call returns the same
+// verdict.
 func FuzzMatch(f *testing.F) {
 	f.Add(`TARGET.X > MY.Y`, int64(3), int64(4))
 	f.Add(`Name == "a" && missing`, int64(0), int64(0))
 	f.Add(`error || true`, int64(1), int64(2))
+	f.Add(`MY.X > TARGET.Y`, int64(4), int64(3))
+	f.Add(`ifThenElse(TARGET.Y > 0, X > 0, false)`, int64(1), int64(1))
 	f.Fuzz(func(t *testing.T, req string, x, y int64) {
 		if len(req) > 1024 {
 			return
@@ -72,7 +78,20 @@ func FuzzMatch(f *testing.F) {
 		}
 		jobAd := NewAd()
 		jobAd.SetInt("Y", y)
-		_ = Match(machine, jobAd) // must not panic
+		mv, jv := machine.Version(), jobAd.Version()
+		ms, js := machine.String(), jobAd.String()
+		verdict := Match(machine, jobAd)
+		if machine.Version() != mv || jobAd.Version() != jv {
+			t.Fatalf("Match changed an ad's version: machine %d -> %d, job %d -> %d",
+				mv, machine.Version(), jv, jobAd.Version())
+		}
+		if machine.String() != ms || jobAd.String() != js {
+			t.Fatalf("Match changed an ad: machine %s -> %s, job %s -> %s",
+				ms, machine.String(), js, jobAd.String())
+		}
+		if again := Match(machine, jobAd); again != verdict {
+			t.Fatalf("Match is not repeatable: %v then %v", verdict, again)
+		}
 	})
 }
 

@@ -61,17 +61,11 @@ type RunConfig struct {
 	NodeDevices []phi.Config
 	// Core tunes the MCCK scheduler; ignored by other policies.
 	Core core.Config
-	// ForceCosmic overrides the per-policy COSMIC default: MC and Agnostic
-	// run raw MPSS, MCC and MCCK run with COSMIC. (The oversubscription
-	// ablation pairs sharing policies with raw devices.)
-	ForceCosmic *bool
 	// CosmicBypass selects first-fit offload dispatch (ablation A4).
 	CosmicBypass bool
 	// LinkBandwidthMBps overrides the per-node PCIe bandwidth (ablation
 	// A5); 0 takes the 6 GB/s default.
 	LinkBandwidthMBps float64
-	// MaxSteps bounds the event count as a runaway guard; 0 means 500M.
-	MaxSteps uint64
 	// Stream switches the run to emit-and-drop record processing: terminal
 	// job records are folded into online aggregates (Result.Stream) the
 	// moment they happen and then released, so resident memory is O(active
@@ -104,11 +98,9 @@ type RunConfig struct {
 	Chaos *faults.Harness
 }
 
-// usesCosmic resolves the node middleware choice.
+// usesCosmic resolves the node middleware choice: MC and Agnostic run raw
+// MPSS, MCC and MCCK run with COSMIC.
 func (c RunConfig) usesCosmic() bool {
-	if c.ForceCosmic != nil {
-		return *c.ForceCosmic
-	}
 	switch c.Policy {
 	case PolicyMCC, PolicyMCCK:
 		return true
@@ -164,10 +156,7 @@ func runOn(eng *sim.Engine, cfg RunConfig) Result {
 	if len(cfg.Jobs) > 0 && cfg.Source != nil {
 		panic("experiments: both Jobs and Source set")
 	}
-	eng.MaxSteps = cfg.MaxSteps
-	if eng.MaxSteps == 0 {
-		eng.MaxSteps = 500_000_000
-	}
+	eng.MaxSteps = 500_000_000 // runaway guard
 	clu := cluster.New(eng, cluster.Config{
 		Nodes:             cfg.Nodes,
 		DevicesPerNode:    cfg.DevicesPerNode,

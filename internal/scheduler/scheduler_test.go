@@ -1,12 +1,15 @@
 package scheduler_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"phishare/internal/classad"
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
+	"phishare/internal/core"
 	"phishare/internal/job"
 	"phishare/internal/rng"
 	"phishare/internal/scheduler"
@@ -150,4 +153,109 @@ func TestRandomPackDistributesLoad(t *testing.T) {
 	if len(used) < 3 {
 		t.Errorf("random packing used only %d machines", len(used))
 	}
+}
+
+// TestSelectIsPure checks every internal policy's Select for the purity the
+// fast negotiator's bit-identity with its DisableMatchCache oracle rests on:
+// the oracle calls Select where the fast path calls SelectN, so Select may
+// change nothing but the policy's RNG stream, and that exactly as SelectN
+// does. After each call the job's and every candidate's ad keep their
+// version, the candidate slice is untouched, the choice equals a twin's
+// SelectN, and the policy's state equals that twin's, so a counter or memo
+// Select keeps on its receiver shows.
+func TestSelectIsPure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() condor.Policy
+	}{
+		{"MC", func() condor.Policy { return scheduler.NewExclusive() }},
+		{"MCC", func() condor.Policy { return scheduler.NewRandomPack(rng.New(7)) }},
+		{"Agnostic", func() condor.Policy { return scheduler.NewAgnostic(rng.New(7)) }},
+		{"MCCK", func() condor.Policy { return core.New(core.Config{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			policy, twin := tc.mk(), tc.mk().(condor.IndexSelector)
+			eng := sim.New()
+			clu := cluster.New(eng, cluster.Config{Nodes: 3, DevicesPerNode: 2, UseCosmic: true, Seed: 1})
+			pool := condor.NewPool(eng, clu, policy, condor.Config{})
+			pool.Submit([]*job.Job{mkJob(0, 500, 60), mkJob(1, 900, 120), mkJob(2, 2000, 240)})
+			cands := pool.Machines()
+			want := slices.Clone(cands)
+			versions := make([]uint64, len(cands))
+			for k := 0; k < 16; k++ {
+				q := pool.Pending()[k%len(pool.Pending())]
+				jobVersion := q.Ad.Version()
+				for i, m := range cands {
+					versions[i] = m.Ad.Version()
+				}
+				got := policy.Select(pool, q, cands)
+				if n := twin.SelectN(len(cands)); got != n {
+					t.Fatalf("call %d: Select chose %d, SelectN %d", k, got, n)
+				}
+				if q.Ad.Version() != jobVersion {
+					t.Fatalf("call %d: Select changed the job ad", k)
+				}
+				for i, m := range cands {
+					if m.Ad.Version() != versions[i] {
+						t.Fatalf("call %d: Select changed candidate %s's ad", k, m.Name)
+					}
+				}
+				if !slices.Equal(cands, want) {
+					t.Fatalf("call %d: Select changed the candidate slice", k)
+				}
+				if !sameState(reflect.ValueOf(policy), reflect.ValueOf(twin)) {
+					t.Fatalf("call %d: Select left state on the policy that SelectN does not:\n%+v\nvs\n%+v", k, policy, twin)
+				}
+			}
+		})
+	}
+}
+
+// sameState is reflect.DeepEqual, except that two func values are equal when
+// they are the same function: DeepEqual calls every pair of non-nil funcs
+// unequal, and core.Config carries its value function.
+func sameState(a, b reflect.Value) bool {
+	if a.IsValid() != b.IsValid() || a.IsValid() && a.Type() != b.Type() {
+		return false
+	}
+	if !a.IsValid() {
+		return true
+	}
+	switch a.Kind() {
+	case reflect.Func:
+		return a.Pointer() == b.Pointer()
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameState(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameState(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameState(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			if !sameState(it.Value(), b.MapIndex(it.Key())) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }

@@ -10,8 +10,8 @@
 //
 // Two families ship:
 //
-//   - FromSlice / FromArrivals wrap pre-materialized sets (the paper's
-//     static batches, replayed traces) in the Source interface.
+//   - FromSlice wraps a pre-materialized set (the paper's static batch)
+//     in the Source interface.
 //   - Diurnal synthesizes planet-scale traffic: a nonhomogeneous Poisson
 //     arrival process whose rate follows a day-night curve, with burst and
 //     tenant-skew knobs and per-arrival synthetic job bodies drawn from the
