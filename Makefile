@@ -36,15 +36,14 @@ vet:
 
 # philint (cmd/philint + internal/analysis) enforces the determinism
 # contract at the source level: the per-file rules (no math/rand outside
-# internal/rng, no wall-clock reads, no order-sensitive map iteration in
-# sim-path packages, no float equality in value comparisons, no
-# tie-producing sort.Slice in scheduling paths) plus the whole-program
-# rules over the type-checked module (dettaint: banned sources reachable
-# from sim-path entries through any call chain; deadapi: every exported
-# internal/ identifier has a non-test reference somewhere in the module).
-# Legitimate sites
-# carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
-# transitive finding, at the offending site or at the sim-path entry.
+# internal/rng, no wall-clock reads, no order-sensitive map iteration, no
+# float equality in value comparisons, no tie-producing sort.Slice in
+# scheduling paths, no allocating observability calls on the hot path)
+# plus the whole-module rule deadapi (every exported internal/ identifier
+# has a non-test reference somewhere in the module). Each rule catches a
+# planted hazard no test, chaos or fuzz gate catches (DESIGN.md, "philint
+# mutation ledger"). Legitimate sites carry a per-line
+# `//philint:ignore <rule> <reason>` annotation.
 # Every rule reads one go/types check of the module, so the gate is one
 # analyzer run (~2 s cold); `go run ./cmd/philint -json ./...` gives the
 # same findings machine-readably. The load covers examples/ too: the demos
@@ -56,8 +55,8 @@ lint:
 		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
 
 # The analyzer is not above its own law: lint-self reports philint findings
-# whose primary or entry position lies in internal/analysis (whole-program
-# rules still see the full module).
+# whose position lies in internal/analysis (deadapi still sees the full
+# module).
 lint-self:
 	$(GO) run ./cmd/philint ./internal/analysis
 

@@ -156,7 +156,7 @@ func minResult(a, b benchResult) benchResult {
 	for k, v := range a.Metrics {
 		out.Metrics[k] = v
 	}
-	for k, v := range b.Metrics {
+	for k, v := range b.Metrics { //philint:ignore mapiter each iteration reads and writes only out.Metrics[k]
 		if old, ok := out.Metrics[k]; !ok || v < old {
 			out.Metrics[k] = v
 		}

@@ -24,10 +24,6 @@ type jsonFinding struct {
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	// Entry is the sim-path entry attribution of a transitive finding;
-	// omitted for purely local findings.
-	EntryFile string `json:"entryFile,omitempty"`
-	EntryLine int    `json:"entryLine,omitempty"`
 }
 
 type jsonReport struct {
@@ -40,18 +36,13 @@ type jsonReport struct {
 func writeJSON(w io.Writer, root string, findings []analysis.Finding) error {
 	report := jsonReport{Version: jsonSchemaVersion, Findings: []jsonFinding{}}
 	for _, f := range findings {
-		jf := jsonFinding{
+		report.Findings = append(report.Findings, jsonFinding{
 			File:    rootRel(root, f.Pos.Filename),
 			Line:    f.Pos.Line,
 			Col:     f.Pos.Column,
 			Rule:    f.Rule,
 			Message: f.Message,
-		}
-		if f.Entry.Filename != "" {
-			jf.EntryFile = rootRel(root, f.Entry.Filename)
-			jf.EntryLine = f.Entry.Line
-		}
-		report.Findings = append(report.Findings, jf)
+		})
 	}
 	report.Count = len(report.Findings)
 	enc := json.NewEncoder(w)

@@ -15,9 +15,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden report file")
 
 // TestPhilintJSONGolden pins the -json report schema (version, count,
-// findings with file/line/col/rule/message and optional entry attribution)
-// against a checked-in document. CI and editor integrations parse this
-// shape; changing it requires bumping jsonSchemaVersion and regenerating.
+// findings with file/line/col/rule/message) against a checked-in
+// document. CI and editor integrations parse this shape; changing it
+// requires bumping jsonSchemaVersion and regenerating.
 func TestPhilintJSONGolden(t *testing.T) {
 	root := string(filepath.Separator) + filepath.Join("work", "phishare")
 	findings := []analysis.Finding{
@@ -27,10 +27,10 @@ func TestPhilintJSONGolden(t *testing.T) {
 			Message: "call to time.Now reads the wall clock; sim code must use engine ticks",
 		},
 		{
-			Pos:     token.Position{Filename: filepath.Join(root, "internal/classad/eval.go"), Line: 120, Column: 2},
-			Rule:    "dettaint",
-			Message: "banned nondeterminism source on the sim path: core.Schedule → classad.fold → order-sensitive range over map attrs",
-			Entry:   token.Position{Filename: filepath.Join(root, "internal/core/schedule.go"), Line: 33, Column: 14},
+			Pos:  token.Position{Filename: filepath.Join(root, "internal/classad/eval.go"), Line: 120, Column: 2},
+			Rule: "mapiter",
+			Message: "range over map attrs has nondeterministic iteration order; collect and sort the keys, " +
+				"use an insertion-ordered structure, or make the body order-insensitive",
 		},
 	}
 
@@ -56,8 +56,8 @@ func TestPhilintJSONGolden(t *testing.T) {
 	}
 
 	// Structural claims the golden cannot weaken: pinned version, count
-	// matching findings, root-relative slash paths, entry omitted when
-	// absent.
+	// matching findings, root-relative slash paths, and exactly the five
+	// version-1 keys per finding.
 	var report struct {
 		Version  int `json:"version"`
 		Count    int `json:"count"`
@@ -75,11 +75,15 @@ func TestPhilintJSONGolden(t *testing.T) {
 	if f := report.Findings[0]; f["file"] != "internal/sim/engine.go" {
 		t.Errorf("paths must be module-root-relative with forward slashes, got %q", f["file"])
 	}
-	if _, hasEntry := report.Findings[0]["entryFile"]; hasEntry {
-		t.Errorf("local finding must omit entryFile")
-	}
-	if f := report.Findings[1]; f["entryFile"] != "internal/core/schedule.go" || f["entryLine"] != float64(33) {
-		t.Errorf("transitive finding lost its entry attribution: %v", f)
+	for _, f := range report.Findings {
+		if len(f) != 5 {
+			t.Errorf("finding has keys %v, want file, line, col, rule, message", f)
+		}
+		for _, key := range []string{"file", "line", "col", "rule", "message"} {
+			if _, ok := f[key]; !ok {
+				t.Errorf("finding lacks %q: %v", key, f)
+			}
+		}
 	}
 }
 

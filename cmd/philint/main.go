@@ -12,12 +12,10 @@
 //	go run ./cmd/philint -rules         # describe the rules and exit
 //
 // The whole module is always parsed and type-checked, once, and every rule
-// reads that one check. The whole-program rules (dettaint, deadapi) see
-// across package boundaries, so a narrower load would silently weaken
-// them. Package
-// patterns only scope which findings are REPORTED: a finding is shown when
-// its primary position or its entry attribution falls inside a matched
-// package.
+// reads that one check. The whole-program rule deadapi counts references
+// from every package, so a narrower load would silently weaken it.
+// Package patterns only scope which findings are REPORTED: a finding is
+// shown when its position falls inside a matched package.
 //
 // Test files are outside the enforcement scope; every other package,
 // examples/ and bench/ included, is walked, parsed, and checked.
@@ -62,7 +60,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Load everything: the whole-program rules need the full module. The
+	// Load everything: deadapi needs the full module. The
 	// argument patterns are validated against the loaded set below and then
 	// scope reporting only.
 	pkgs, err := analysis.LoadModule(root, nil)
@@ -115,43 +113,25 @@ func validatePatterns(pkgs []*analysis.Package, patterns []string) error {
 	return nil
 }
 
-// filterByPatterns keeps the findings whose primary or entry position falls
-// inside a matched package. Module-level pseudo-findings (type errors) are
-// always kept.
+// filterByPatterns keeps the findings whose position falls inside a
+// matched package. Module-level pseudo-findings (type errors) are always
+// kept.
 func filterByPatterns(root string, findings []analysis.Finding, patterns []string) []analysis.Finding {
 	if len(patterns) == 0 {
 		return findings
 	}
-	relOf := func(file string) (string, bool) {
-		if file == "" || file == "(module)" {
-			return "", false
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(file))
-		if err != nil {
-			return "", false
-		}
-		return filepath.ToSlash(rel), true
-	}
 	var out []analysis.Finding
 	for _, f := range findings {
-		rel, ok := relOf(f.Pos.Filename)
-		if !ok {
+		rel, err := filepath.Rel(root, filepath.Dir(f.Pos.Filename))
+		if f.Pos.Filename == "(module)" || err != nil {
 			out = append(out, f) // module-level pseudo-finding
 			continue
 		}
-		keep := false
 		for _, p := range patterns {
-			if analysis.MatchesPattern(rel, p) {
-				keep = true
+			if analysis.MatchesPattern(filepath.ToSlash(rel), p) {
+				out = append(out, f)
 				break
 			}
-			if erel, eok := relOf(f.Entry.Filename); eok && analysis.MatchesPattern(erel, p) {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			out = append(out, f)
 		}
 	}
 	return out

@@ -32,6 +32,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 
 	"phishare/internal/experiments"
 	"phishare/internal/job"
@@ -214,12 +215,17 @@ func main() {
 
 	if *verbose {
 		byWorkload := map[string]int{}
+		var names []string
 		for _, j := range jobs {
+			if byWorkload[j.Workload] == 0 {
+				names = append(names, j.Workload)
+			}
 			byWorkload[j.Workload]++
 		}
+		sort.Strings(names)
 		fmt.Println("\njob mix:")
-		for name, count := range byWorkload {
-			fmt.Printf("  %-10s %d\n", name, count)
+		for _, name := range names {
+			fmt.Printf("  %-10s %d\n", name, byWorkload[name])
 		}
 	}
 }

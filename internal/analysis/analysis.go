@@ -34,18 +34,11 @@ import (
 	"strings"
 )
 
-// Finding is one rule violation at one source position. Whole-program
-// findings additionally carry the sim-path entry the violation is reachable
-// from: the primary position is the offending site, Entry the call site
-// inside the entry function that starts the chain. An ignore directive at
-// either location suppresses the finding.
+// Finding is one rule violation at one source position.
 type Finding struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	// Entry is the secondary attribution of a transitive finding (zero
-	// Filename when the finding is purely local).
-	Entry token.Position
 }
 
 // String renders the finding in the canonical file:line: rule: message
@@ -119,19 +112,16 @@ func Analyzers() []*Analyzer {
 		MapIter,
 		FloatEq,
 		SortStable,
-		SimGoroutine,
 		ObsAlloc,
 	}
 }
 
 // LintAll is the gate behind cmd/philint. It type-checks the module, runs
 // the per-file suite with package scoping, then the whole-program suite
-// over the module and its call graph, and applies suppression across both
-// (a whole-program finding is suppressed by a directive at its primary
-// position or at its entry attribution). Malformed directives surface as
-// findings under the pseudo-rule "philint". Every rule reads types, so a
-// module that fails to type-check yields exactly one "philint" finding
-// naming the type error and nothing else.
+// over the module, and applies suppression across both. Malformed
+// directives surface as findings under the pseudo-rule "philint". Every
+// rule reads types, so a module that fails to type-check yields exactly
+// one "philint" finding naming the type error and nothing else.
 func LintAll(pkgs []*Package, analyzers []*Analyzer, whole []*WholeAnalyzer) []Finding {
 	if len(pkgs) == 0 {
 		return nil
@@ -165,7 +155,7 @@ func LintAll(pkgs []*Package, analyzers []*Analyzer, whole []*WholeAnalyzer) []F
 	}
 
 	if len(whole) > 0 {
-		mp := &ModulePass{Mod: mod, Graph: BuildGraph(mod), dirs: dirs, findings: &raw}
+		mp := &ModulePass{Mod: mod, findings: &raw}
 		for _, wa := range whole {
 			wa.Run(mp)
 		}
@@ -244,17 +234,10 @@ func isStandalone(pkg *Package, pos token.Position) bool {
 }
 
 // suppressed reports whether a directive covers the finding: same rule,
-// same file, same (resolved) line — at the primary position, or, for a
-// transitive finding, at its entry attribution.
+// same file, same (resolved) line.
 func suppressed(f Finding, dirs []directive) bool {
 	for _, d := range dirs {
-		if d.rule != f.Rule {
-			continue
-		}
-		if d.file == f.Pos.Filename && d.line == f.Pos.Line {
-			return true
-		}
-		if f.Entry.Filename != "" && d.file == f.Entry.Filename && d.line == f.Entry.Line {
+		if d.rule == f.Rule && d.file == f.Pos.Filename && d.line == f.Pos.Line {
 			return true
 		}
 	}

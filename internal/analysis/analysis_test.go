@@ -148,11 +148,10 @@ func TestSuppression(t *testing.T) {
 // sim-path package where every per-file rule is in scope: a range over a
 // map that a method returns, a name that is a map in one closure and a
 // slice in its sibling, a dot-imported time.Now and a renamed sort import.
-// Each is reported exactly once, by its per-file rule; dettaint, which
-// sees the same sites, defers to it.
+// Each is reported exactly once, by its per-file rule.
 func TestTypedHoles(t *testing.T) {
 	dir := filepath.Join("testdata", "typedholes")
-	_, pkgs := loadFixtureModule(t, dir)
+	pkgs := loadFixtureModule(t, dir)
 	findings := LintAll(pkgs, Analyzers(), WholeAnalyzers())
 	compareGolden(t, filepath.Join(dir, "expect.txt"), render(findings))
 
@@ -203,7 +202,8 @@ func TestScoping(t *testing.T) {
 		{WallClock, ".", true},
 		{MapIter, "internal/cosmic", true},
 		{MapIter, "internal/faults", true},
-		{MapIter, "internal/obs", false}, // offline reporting is out of sim scope
+		{MapIter, "internal/obs", true}, // module-wide: reports are outputs too
+		{MapIter, "cmd/phisched", true},
 		{FloatEq, "internal/knapsack", true},
 		{FloatEq, "internal/core", true},
 		{FloatEq, "internal/estimator", true},
@@ -211,11 +211,6 @@ func TestScoping(t *testing.T) {
 		{SortStable, "internal/knapsack", true},
 		{SortStable, "internal/condor", true},
 		{SortStable, "internal/metrics", false},
-		{SimGoroutine, "internal/phi", true},
-		{SimGoroutine, "internal/condor", true},
-		{SimGoroutine, "internal/sim", true},
-		{SimGoroutine, "internal/obs", false},
-		{SimGoroutine, "cmd/phibench", false},
 	}
 	for _, tc := range cases {
 		if got := tc.analyzer.AppliesTo(tc.rel); got != tc.want {

@@ -26,6 +26,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -63,7 +64,7 @@ func runDeadAPI(p *ModulePass) {
 	}
 	decls, byObj := exportedDecls(p.Mod)
 	used := map[types.Object]bool{}
-	for id, obj := range p.Mod.Info.Uses {
+	for id, obj := range p.Mod.Info.Uses { //philint:ignore mapiter builds a set: the only write is used[obj] = true
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin() // a method of an instantiated generic type
 		}
@@ -185,7 +186,7 @@ func (m ifaceMethods) has(fn *types.Func) bool {
 // directly or not, and the predeclared error.
 func interfaceMethods(mod *Module) ifaceMethods {
 	m := ifaceMethods{}
-	for _, tv := range mod.Info.Types {
+	for _, tv := range mod.Info.Types { //philint:ignore mapiter has asks whether any signature matches, so slice order cannot show
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok {
 			m.add(iface)
 		}
@@ -261,4 +262,36 @@ func namedInterface(obj types.Object) *types.Interface {
 	}
 	iface, _ := tn.Type().Underlying().(*types.Interface)
 	return iface
+}
+
+// pkgBase returns the last element of a slash-separated package path.
+func pkgBase(path string) string {
+	return path[strings.LastIndex(path, "/")+1:]
+}
+
+// typeExprString renders a receiver type as written ("*Pool", "Dog"),
+// without type parameters.
+func typeExprString(t ast.Expr) string {
+	switch v := t.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.StarExpr:
+		return "*" + typeExprString(v.X)
+	case *ast.IndexExpr:
+		return typeExprString(v.X)
+	case *ast.IndexListExpr:
+		return typeExprString(v.X)
+	case *ast.ParenExpr:
+		return typeExprString(v.X)
+	}
+	return "?"
+}
+
+func sortedKeys[M map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -17,7 +17,7 @@ import (
 //
 // The fixture packages import each other under phishare/<rel>, exactly like
 // real module packages, and the whole set is type-checked as a module.
-func loadFixtureModule(t *testing.T, dir string) (*Module, []*Package) {
+func loadFixtureModule(t *testing.T, dir string) []*Package {
 	t.Helper()
 	manifest, err := os.ReadFile(filepath.Join(dir, "packages.txt"))
 	if err != nil {
@@ -43,41 +43,8 @@ func loadFixtureModule(t *testing.T, dir string) (*Module, []*Package) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	mod, err := TypeCheck(pkgs)
-	if err != nil {
+	if _, err := TypeCheck(pkgs); err != nil {
 		t.Fatalf("fixture %s: %v", dir, err)
 	}
-	return mod, pkgs
-}
-
-// recvTypeName renders the receiver's bare type name ("Pool", "Dog").
-func recvTypeName(fi *FuncInfo) string {
-	return strings.TrimPrefix(recvTypeExpr(fi), "*")
-}
-
-// fixtureFunc finds a declared function by package rel and name; methods are
-// addressed as "Type.Method" or "(*Type).Method"-style via their Name only
-// when unambiguous, or "Recv.Name" otherwise.
-func fixtureFunc(t *testing.T, mod *Module, rel, name string) *FuncInfo {
-	t.Helper()
-	var found *FuncInfo
-	for _, fi := range mod.Funcs {
-		if fi.Pkg.Rel != rel {
-			continue
-		}
-		n := fi.Fn.Name()
-		if fi.Decl.Recv != nil && len(fi.Decl.Recv.List) > 0 {
-			n = recvTypeName(fi) + "." + n
-		}
-		if n == name || fi.Fn.Name() == name {
-			if found != nil {
-				t.Fatalf("fixtureFunc: %s %s is ambiguous", rel, name)
-			}
-			found = fi
-		}
-	}
-	if found == nil {
-		t.Fatalf("fixtureFunc: no function %s in %s", name, rel)
-	}
-	return found
+	return pkgs
 }

@@ -7,12 +7,14 @@ import (
 	"strings"
 )
 
-// MapIter flags `for … range` over map-typed expressions in sim-path
-// packages, and over the maps package's iterators (maps.Keys, maps.Values,
+// MapIter flags `for … range` over map-typed expressions anywhere in the
+// module, and over the maps package's iterators (maps.Keys, maps.Values,
 // maps.All), which visit a map in the same order. Go randomizes map
 // iteration order per run, so any observable effect of the loop's order —
-// kill order, dispatch order, even the order of recorded violations —
-// breaks replayability.
+// kill order, dispatch order, the order of recorded violations or of a
+// tool's printed summary — breaks replayability. The rule is module-wide
+// because the sim path calls helper packages (classad, obs) and the cmd
+// tools print what it computes.
 //
 // Two loop shapes are recognized as safe and not flagged:
 //
@@ -27,9 +29,9 @@ import (
 // early returns that pick an arbitrary element — is flagged.
 var MapIter = &Analyzer{
 	Name: "mapiter",
-	Doc: "flag range over maps in sim-path packages unless the body is " +
-		"order-insensitive or the keys are collected and sorted first",
-	AppliesTo: SimPath,
+	Doc: "flag range over maps unless the body is order-insensitive or " +
+		"the keys are collected and sorted first",
+	AppliesTo: allPackages,
 	Run:       runMapIter,
 }
 
@@ -46,10 +48,9 @@ func runMapIter(pass *Pass) {
 
 // unorderedMapRanges returns every range over a map (see rangesOverMap)
 // under root, function literals included, whose loop is neither
-// order-insensitive nor collect-then-sort. It is the one map-range
-// detector: mapiter reports its results per file, dettaint per reachable
-// function. Ranges are found through the statement lists that hold them,
-// so the collect-then-sort check can see the statements that follow.
+// order-insensitive nor collect-then-sort. Ranges are found through the
+// statement lists that hold them, so the collect-then-sort check can see
+// the statements that follow.
 func unorderedMapRanges(info *types.Info, root ast.Node) []*ast.RangeStmt {
 	var out []*ast.RangeStmt
 	check := func(stmts []ast.Stmt) {
@@ -172,25 +173,23 @@ func commutativeAssignStmt(stmt ast.Stmt, rs *ast.RangeStmt) bool {
 }
 
 // commutativeAssign accepts accumulator updates whose final value does not
-// depend on visit order: compound += / -= / |= / &= / ^= on a scalar
-// target, and plain writes indexed by the loop key (each iteration touches
-// a distinct slot).
+// depend on visit order: compound += / -= / |= / &= / ^= on any target,
+// and any plain or compound write (m[k] = v, m[k] /= total) to a slot
+// indexed by the loop key, since each iteration touches a distinct slot.
 func commutativeAssign(s *ast.AssignStmt, rs *ast.RangeStmt) bool {
 	switch s.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
 		return true
-	case token.ASSIGN, token.DEFINE:
-		if len(s.Lhs) != 1 {
-			return false
-		}
-		ix, ok := s.Lhs[0].(*ast.IndexExpr)
-		if !ok {
-			return false
-		}
-		key, ok := rs.Key.(*ast.Ident)
-		return ok && exprString(ix.Index) == key.Name
 	}
-	return false
+	if len(s.Lhs) != 1 {
+		return false
+	}
+	ix, ok := s.Lhs[0].(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	key, ok := rs.Key.(*ast.Ident)
+	return ok && exprString(ix.Index) == key.Name
 }
 
 func isDeleteFromRanged(e ast.Expr, rs *ast.RangeStmt) bool {
@@ -206,9 +205,10 @@ func isDeleteFromRanged(e ast.Expr, rs *ast.RangeStmt) bool {
 }
 
 // collectedAndSorted recognizes the collect-then-sort idiom: the body is a
-// single `s = append(s, key)` (or value), and some later statement in the
-// enclosing block passes s to a sorting call (sort.Slice, sort.Strings,
-// a local sortFoo helper, …) before anything else consumes it.
+// single `s = append(s, key)` (or value), where s is a variable or a field
+// selector such as p.roots, and some later statement in the enclosing
+// block passes s to a sorting call (sort.Slice, sort.Strings, a local
+// sortFoo helper, …) before anything else consumes it.
 func collectedAndSorted(rs *ast.RangeStmt, following []ast.Stmt) bool {
 	if len(rs.Body.List) != 1 {
 		return false
@@ -217,10 +217,12 @@ func collectedAndSorted(rs *ast.RangeStmt, following []ast.Stmt) bool {
 	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return false
 	}
-	target, ok := as.Lhs[0].(*ast.Ident)
-	if !ok {
+	switch as.Lhs[0].(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+	default:
 		return false
 	}
+	target := exprString(as.Lhs[0])
 	call, ok := as.Rhs[0].(*ast.CallExpr)
 	if !ok {
 		return false
@@ -228,11 +230,11 @@ func collectedAndSorted(rs *ast.RangeStmt, following []ast.Stmt) bool {
 	if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
 		return false
 	}
-	if len(call.Args) < 1 || exprString(call.Args[0]) != target.Name {
+	if len(call.Args) < 1 || exprString(call.Args[0]) != target {
 		return false
 	}
 	for _, stmt := range following {
-		if stmtSorts(stmt, target.Name) {
+		if stmtSorts(stmt, target) {
 			return true
 		}
 	}

@@ -2,10 +2,10 @@ package analysis
 
 // Typed module loading: every rule reads types from here. The per-file
 // rules take expression types and package members from Module.Info; the
-// whole-program rule dettaint also needs the cross-package call targets
-// the call graph builds on it. TypeCheck runs the stdlib
-// go/types checker over every parsed package in dependency order, chaining
-// to go/importer for the standard library, so go.mod stays dependency-free.
+// whole-program rule deadapi also reads every package's scope. TypeCheck
+// runs the stdlib go/types checker over every parsed package in dependency
+// order, chaining to go/importer for the standard library, so go.mod stays
+// dependency-free.
 
 import (
 	"fmt"
@@ -19,8 +19,8 @@ import (
 )
 
 // ModulePath is the import-path prefix of this module's packages, matching
-// the module directive in go.mod. Fixture modules reuse it so rules keyed
-// on well-known paths (phishare/internal/classad.Match) resolve against stub packages in tests.
+// the module directive in go.mod. Fixture modules reuse it, so their
+// packages import each other exactly as the module's own do.
 const ModulePath = "phishare"
 
 // ImportPath returns the import path of a loaded package.
@@ -31,32 +31,16 @@ func ImportPath(pkg *Package) string {
 	return ModulePath + "/" + pkg.Rel
 }
 
-// Module is the fully type-checked program: every loaded package, one merged
-// types.Info, and the declared-function table the call graph builds on.
+// Module is the fully type-checked program: every loaded package and one
+// merged types.Info.
 type Module struct {
 	Fset *token.FileSet
 	// Pkgs holds the packages in dependency-first (topological) order.
 	Pkgs []*Package
 	// TPkg maps import path to the checked package.
 	TPkg map[string]*types.Package
-	// PkgOf maps import path back to the loaded source package.
-	PkgOf map[string]*Package
 	// Info is shared across all packages (one FileSet, disjoint ASTs).
 	Info *types.Info
-	// Funcs lists every function or method declared with a body in the
-	// module, in deterministic (position) order.
-	Funcs []*FuncInfo
-	// FuncOf maps the types object of a declared function to its info.
-	FuncOf map[*types.Func]*FuncInfo
-}
-
-// FuncInfo ties a declared function's types object to its syntax and its
-// package. Function literals are not separate entries: their bodies are
-// attributed to the enclosing declared function by the body walkers.
-type FuncInfo struct {
-	Fn   *types.Func
-	Decl *ast.FuncDecl
-	Pkg  *Package
 }
 
 // TypeCheck type-checks the given packages as one module. Imports of other
@@ -66,9 +50,7 @@ type FuncInfo struct {
 // conditional on a well-typed program.
 func TypeCheck(pkgs []*Package) (*Module, error) {
 	mod := &Module{
-		TPkg:   map[string]*types.Package{},
-		PkgOf:  map[string]*Package{},
-		FuncOf: map[*types.Func]*FuncInfo{},
+		TPkg: map[string]*types.Package{},
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -105,29 +87,7 @@ func TypeCheck(pkgs []*Package) (*Module, error) {
 		}
 		mod.Pkgs = append(mod.Pkgs, p)
 		mod.TPkg[ImportPath(p)] = tp
-		mod.PkgOf[ImportPath(p)] = p
 	}
-
-	for _, p := range mod.Pkgs {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := mod.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				fi := &FuncInfo{Fn: fn, Decl: fd, Pkg: p}
-				mod.Funcs = append(mod.Funcs, fi)
-				mod.FuncOf[fn] = fi
-			}
-		}
-	}
-	sort.Slice(mod.Funcs, func(i, j int) bool {
-		return mod.Funcs[i].Decl.Pos() < mod.Funcs[j].Decl.Pos()
-	})
 	return mod, nil
 }
 

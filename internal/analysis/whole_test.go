@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,25 +11,10 @@ import (
 // suppression directives, the primitive behind the rule goldens.
 func runWhole(mod *Module, wa *WholeAnalyzer) []Finding {
 	var findings []Finding
-	mp := &ModulePass{Mod: mod, Graph: BuildGraph(mod), findings: &findings}
+	mp := &ModulePass{Mod: mod, findings: &findings}
 	wa.Run(mp)
 	sortFindings(findings)
 	return findings
-}
-
-// renderEntries renders findings like render, plus the entry attribution
-// whole-program findings carry.
-func renderEntries(findings []Finding) string {
-	var sb strings.Builder
-	for _, f := range findings {
-		f.Pos.Filename = filepath.Base(f.Pos.Filename)
-		sb.WriteString(f.String())
-		if f.Entry.Filename != "" {
-			fmt.Fprintf(&sb, " [entry %s:%d]", filepath.Base(f.Entry.Filename), f.Entry.Line)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }
 
 func compareGolden(t *testing.T, goldenPath, got string) {
@@ -47,55 +31,6 @@ func compareGolden(t *testing.T, goldenPath, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("findings mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestDetTaintWholeProgram is the acceptance fixture for the typed engine:
-// the banned constructs sit two hops from the sim-path entry, through a
-// helper in another package. The per-file suite passes the fixture clean;
-// the whole-program gate reports them with chain and entry attribution.
-func TestDetTaintWholeProgram(t *testing.T) {
-	dir := filepath.Join("testdata", "dettaint")
-	_, pkgs := loadFixtureModule(t, dir)
-
-	// The old per-file suite is structurally blind here: mapiter is out of
-	// scope in internal/estimator, and the wallclock site carries a local
-	// suppression.
-	if v1 := LintAll(pkgs, Analyzers(), nil); len(v1) != 0 {
-		t.Fatalf("per-file suite should pass this fixture clean, got:\n%s", render(v1))
-	}
-
-	got := renderEntries(LintAll(pkgs, Analyzers(), WholeAnalyzers()))
-	compareGolden(t, filepath.Join(dir, "expect.txt"), got)
-
-	// The structural claims behind the golden, so a regenerated golden
-	// cannot quietly weaken them.
-	for _, wantFrag := range []string{
-		// Two hops through another package, with the full chain spelled out.
-		"core.Schedule → estimator.Blend → estimator.mix → order-sensitive range over map w",
-		// The suppressed wall-clock read is re-flagged: reachability
-		// disproves the suppression's "not sim state" premise.
-		"core.Schedule → estimator.Stamp → time.Now (wall clock)",
-		"this chain is the sim path",
-	} {
-		if !strings.Contains(got, wantFrag) {
-			t.Errorf("missing expected finding %q in:\n%s", wantFrag, got)
-		}
-	}
-	if strings.Contains(got, "Decay") {
-		t.Errorf("dettaint directive at the entry call site failed to suppress the Decay chain:\n%s", got)
-	}
-
-	// Without directives the Decay chain IS reported, attributed to the
-	// entry call site inside ScheduleQuiet — proving the suppression above
-	// acted through the entry attribution, not by missing the finding.
-	mod, err := TypeCheck(pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := renderEntries(runWhole(mod, DetTaint))
-	if !strings.Contains(raw, "estimator.Decay") || !strings.Contains(raw, "[entry core.go:26]") {
-		t.Errorf("raw dettaint should report the Decay chain with entry at core.go:26, got:\n%s", raw)
 	}
 }
 

@@ -635,7 +635,7 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 			roots[ref] = true
 		}
 	}
-	for r := range roots { //philint:ignore mapiter collect then sort: the slice is sorted immediately below
+	for r := range roots {
 		p.sigRoots = append(p.sigRoots, r)
 	}
 	sort.Strings(p.sigRoots)

@@ -527,6 +527,53 @@ func TestFairShareUsageAccounting(t *testing.T) {
 	}
 }
 
+// TestFairShareKeepsOrderWithinUser pins the stability of the fair-share
+// reorder: after a cycle sorts the queue by user usage, each user's jobs
+// keep the (priority desc, submission) order insertPending gave them. Each
+// user has 20 pending jobs, all tied on the sort key, so an unstable sort
+// cannot hide behind pdqsort's insertion sort for 12 or fewer elements.
+func TestFairShareKeepsOrderWithinUser(t *testing.T) {
+	eng := sim.New()
+	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
+	pool := condor.NewPool(eng, clu, scheduler.NewExclusive(), condor.Config{FairShare: true})
+	pool.SubmitAs("heavy", []*job.Job{mkJob(1000, 500, 60, 1)}, 0)
+	eng.Run()
+	if pool.Usage("heavy") == 0 {
+		t.Fatal("warm-up job left heavy with no usage")
+	}
+	// Park the queue: with every machine offline the cycle sorts it and
+	// matches nothing.
+	for _, m := range pool.Machines() {
+		pool.SetOffline(m, true)
+	}
+	for i := 0; i < 40; i++ {
+		user := []string{"heavy", "light"}[i%2]
+		pool.SubmitAs(user, []*job.Job{mkJob(i, 500, 60, 1)}, (i/2)%3)
+	}
+	pool.NegotiateOnce()
+
+	pending := pool.Pending()
+	if len(pending) != 40 {
+		t.Fatalf("%d pending jobs, want 40", len(pending))
+	}
+	last := map[string]*condor.QueuedJob{}
+	for i, q := range pending {
+		want := "heavy"
+		if i < 20 {
+			want = "light"
+		}
+		if q.User != want {
+			t.Fatalf("position %d holds a %s job, want %s (least-served user first)", i, q.User, want)
+		}
+		if prev := last[q.User]; prev != nil && (prev.Priority < q.Priority ||
+			prev.Priority == q.Priority && prev.Job.ID > q.Job.ID) {
+			t.Fatalf("%s: job %d (priority %d) follows job %d (priority %d); want priority, then submission order",
+				q.User, q.Job.ID, q.Priority, prev.Job.ID, prev.Priority)
+		}
+		last[q.User] = q
+	}
+}
+
 func TestFairShareOffPreservesFIFO(t *testing.T) {
 	// Without fair-share, a later user's jobs wait behind the backlog:
 	// strict FIFO across users.

@@ -207,11 +207,7 @@ func attemptSegments(jobID int64, a *Attempt) []Segment {
 func shares(m map[string]units.Tick, total units.Tick) []Share {
 	out := make([]Share, 0, len(m))
 	for k, v := range m {
-		sh := Share{Key: k, Total: v}
-		if total > 0 {
-			sh.Frac = float64(v) / float64(total)
-		}
-		out = append(out, sh)
+		out = append(out, Share{Key: k, Total: v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total != out[j].Total {
@@ -219,6 +215,11 @@ func shares(m map[string]units.Tick, total units.Tick) []Share {
 		}
 		return out[i].Key < out[j].Key
 	})
+	if total > 0 {
+		for i := range out {
+			out[i].Frac = float64(out[i].Total) / float64(total)
+		}
+	}
 	return out
 }
 
